@@ -15,7 +15,6 @@ from .engine import (
     dotted_policy,
     iterate,
     orbit,
-    ord_of_Sn,
     run_pass,
     s12_closed_form,
     s12_simulated,
@@ -35,7 +34,6 @@ from .enumerator import (
     brute_machine_sortable,
     brute_ord,
     brute_t_sortable,
-    for_each_in_range,
     insertion_positions_property,
     iter_range,
     split_ranges,

@@ -58,6 +58,8 @@ def _print_trace(trace: StackTrace) -> None:
 def cmd_sort(args) -> int:
     p = _parse_perm(args.perm)
     m = MapId(args.map)
+    if args.times < 0:
+        raise UsageError("--times must be nonnegative")
     if args.trace:
         if args.times != 1:
             raise UsageError("--trace requires --times 1")
@@ -108,11 +110,17 @@ def _emit_reports(reports, fmt: str) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.n_min > args.n_max:
+        raise UsageError("--n-min must not exceed --n-max")
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     if args.claim == "all":
         reports = enumerator.verify_all(args.n_min, args.n_max, jobs, args.force)
     else:
         reports = [enumerator.verify(args.claim, args.n_min, args.n_max, jobs, args.force)]
+    # a report without rows checked nothing, so it must not read as a PASS
+    reports = [r for r in reports if r.rows]
+    if not reports:
+        raise UsageError(f"no rows to check for n in {args.n_min}..{args.n_max}")
     _emit_reports(reports, args.format)
     for r in reports:
         print(f"{r.claim}: {r.elapsed:.2f}s", file=sys.stderr)

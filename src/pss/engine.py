@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .guard import check_guard
-from .perms import Perm, identity, successor
+from .perms import Perm, identity
 
 
 class MapId(str, Enum):
@@ -223,43 +222,43 @@ def west_recursive(p: Perm) -> Perm:
 
 # -- dispatch, iteration, orbits ---------------------------------------------
 
-_DEFAULT_STRATEGY = {
-    MapId.WEST: Strategy.SIMULATED,
-    MapId.S12: Strategy.CLOSED_FORM,
-    MapId.S21: Strategy.CLOSED_FORM,
-    MapId.MACHINE12: Strategy.CLOSED_FORM,
-    MapId.MACHINE21: Strategy.CLOSED_FORM,
+# map -> strategy -> names of the passes applied in order.  The first strategy
+# listed for a map is its default.  For the machines the strategy selects how
+# the dotted stage is computed; the west stage is always the simulated pass.
+# Passes are looked up by name when ``pass_fn`` is called, so a rebound module
+# attribute (a profiler's counting wrapper, say) is the one that runs.
+_PASSES: dict[MapId, dict[Strategy, tuple[str, ...]]] = {
+    MapId.WEST: {Strategy.SIMULATED: ("west_pass",),
+                 Strategy.RECURSIVE_WEST: ("west_recursive",)},
+    MapId.S12: {Strategy.CLOSED_FORM: ("s12_closed_form",),
+                Strategy.SIMULATED: ("s12_simulated",)},
+    MapId.S21: {Strategy.CLOSED_FORM: ("s21_closed_form",),
+                Strategy.SIMULATED: ("s21_simulated",)},
+    MapId.MACHINE12: {Strategy.CLOSED_FORM: ("s12_closed_form", "west_pass"),
+                      Strategy.SIMULATED: ("s12_simulated", "west_pass")},
+    MapId.MACHINE21: {Strategy.CLOSED_FORM: ("s21_closed_form", "west_pass"),
+                      Strategy.SIMULATED: ("s21_simulated", "west_pass")},
 }
 
-_VALID_STRATEGIES = {
-    MapId.WEST: {Strategy.SIMULATED, Strategy.RECURSIVE_WEST},
-    MapId.S12: {Strategy.SIMULATED, Strategy.CLOSED_FORM},
-    MapId.S21: {Strategy.SIMULATED, Strategy.CLOSED_FORM},
-    MapId.MACHINE12: {Strategy.SIMULATED, Strategy.CLOSED_FORM},
-    MapId.MACHINE21: {Strategy.SIMULATED, Strategy.CLOSED_FORM},
-}
+
+def pass_fn(map_id: MapId, strategy: Optional[Strategy] = None) -> Callable[[Perm], Perm]:
+    """The function computing one pass of the selected map; ValueError for a
+    strategy the map does not have."""
+    map_id = MapId(map_id)
+    by_strategy = _PASSES[map_id]
+    strategy = next(iter(by_strategy)) if strategy is None else Strategy(strategy)
+    if strategy not in by_strategy:
+        raise ValueError(f"strategy {strategy.value} is not valid for map {map_id.value}")
+    stages = [globals()[name] for name in by_strategy[strategy]]
+    if len(stages) == 1:
+        return stages[0]
+    dotted, west = stages
+    return lambda p: west(dotted(p))
 
 
 def apply(map_id: MapId, p: Perm, strategy: Optional[Strategy] = None) -> Perm:
-    """Apply one pass of the selected map.  For the machines, the strategy
-    selects how the dotted stage is computed; the west stage is always the
-    simulated pass."""
-    map_id = MapId(map_id)
-    if strategy is None:
-        strategy = _DEFAULT_STRATEGY[map_id]
-    strategy = Strategy(strategy)
-    if strategy not in _VALID_STRATEGIES[map_id]:
-        raise ValueError(f"strategy {strategy.value} is not valid for map {map_id.value}")
-    if map_id is MapId.WEST:
-        return west_recursive(p) if strategy is Strategy.RECURSIVE_WEST else west_pass(p)
-    closed = strategy is Strategy.CLOSED_FORM
-    if map_id is MapId.S12:
-        return s12_closed_form(p) if closed else s12_simulated(p)
-    if map_id is MapId.S21:
-        return s21_closed_form(p) if closed else s21_simulated(p)
-    if map_id is MapId.MACHINE12:
-        return west_pass(s12_closed_form(p) if closed else s12_simulated(p))
-    return west_pass(s21_closed_form(p) if closed else s21_simulated(p))
+    """Apply one pass of the selected map."""
+    return pass_fn(map_id, strategy)(p)
 
 
 def iterate(
@@ -268,8 +267,9 @@ def iterate(
     """t-fold application; t = 0 returns ``p`` unchanged."""
     if t < 0:
         raise ValueError("iteration count must be nonnegative")
+    step = pass_fn(map_id, strategy)
     for _ in range(t):
-        p = apply(map_id, p, strategy)
+        p = step(p)
     return p
 
 
@@ -281,18 +281,23 @@ def sorts_in(map_id: MapId, p: Perm, t_max: int) -> Optional[int]:
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    ident = identity(len(p))
+    return _steps_to_identity(pass_fn(map_id), identity(len(p)), p, t_max)
+
+
+def _steps_to_identity(
+    f: Callable[[Perm], Perm], ident: Perm, p: Perm, t_max: int
+) -> Optional[int]:
+    """``sorts_in`` for the pass ``f``, with the identity of p's length given."""
     seen = {p}
-    cur = p
     for t in range(t_max + 1):
-        if cur == ident:
+        if p == ident:
             return t
         if t == t_max:
             break
-        cur = apply(map_id, cur)
-        if cur in seen:
-            return None
-        seen.add(cur)
+        p = f(p)
+        if p in seen:
+            break
+        seen.add(p)
     return None
 
 
@@ -307,6 +312,7 @@ class OrbitReport:
 def orbit(map_id: MapId, p: Perm) -> OrbitReport:
     """Iterate until a state recurs; report the tail length, cycle length,
     and the first step at which the identity appears (if it does)."""
+    f = pass_fn(map_id)
     ident = identity(len(p))
     seen: dict[Perm, int] = {}
     cur = p
@@ -316,7 +322,7 @@ def orbit(map_id: MapId, p: Perm) -> OrbitReport:
         seen[cur] = step
         if reaches is None and cur == ident:
             reaches = step
-        cur = apply(map_id, cur)
+        cur = f(cur)
         step += 1
     tail = seen[cur]
     return OrbitReport(
@@ -326,14 +332,3 @@ def orbit(map_id: MapId, p: Perm) -> OrbitReport:
         is_periodic_point=tail == 0,
     )
 
-
-def ord_of_Sn(map_id: MapId, n: int, force: bool = False) -> int:
-    """Largest orbit tail over all of S_n: the least k after which every
-    permutation has landed on a periodic point."""
-    check_guard(n, force)
-    best = 0
-    p: Optional[Perm] = identity(n)
-    while p is not None:
-        best = max(best, orbit(map_id, p).tail_length)
-        p = successor(p)
-    return best

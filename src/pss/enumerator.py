@@ -1,9 +1,19 @@
 """Exhaustive sweeps over S_n and claim verification.
 
-Sweeps run over half-open rank ranges, iterated with the lexicographic
-successor (unranking happens only at range starts).  Ranges can be handed to
-worker processes; partial results merge by sums, unions, and maxima, so the
-outcome is identical for any worker count.
+Every brute-force statistic is one query on one map's functional graph, and
+every sweep is made by one primitive, ``_tally``.  A *kernel factory* is a
+top-level function ``make_kernel(n, *params)`` that returns a kernel: a
+function from a permutation of length n to a hashable key (a sort time, a
+tuple of hit times, an image, a bool, or a permutation or ``None``).
+``_tally`` counts the kernel's keys over S_n into a ``Counter``, and each
+public operation reduces that one Counter to its answer.
+
+The sweep walks half-open rank ranges with the lexicographic successor
+(unranking happens only at range starts).  With more than one job the
+ranges go to worker processes; the per-range Counters are summed, so the
+outcome is identical for any worker count.  Pool tasks carry only ints,
+``MapId``/``Strategy`` values and module-level functions, so they pickle
+under any start method.
 
 ``verify`` pairs each registered claim's closed form (from
 :mod:`pss.formulas`) with its brute-force counterpart and emits a
@@ -16,8 +26,10 @@ import math
 import multiprocessing
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from itertools import islice
+from typing import Callable, Hashable, Iterator, Optional
 
 from . import formulas
 from .engine import (
@@ -27,15 +39,15 @@ from .engine import (
     apply,
     dotted_policy,
     orbit,
+    pass_fn,
     run_pass,
     s12_closed_form,
     s12_simulated,
     s21_closed_form,
     s21_simulated,
-    west_pass,
-    west_recursive,
+    _steps_to_identity,
 )
-from .guard import check_guard
+from .guard import GuardExceeded, check_guard
 from .perms import (
     Perm,
     delete_one,
@@ -82,276 +94,169 @@ def iter_range(r: RankRange) -> Iterator[Perm]:
         p = successor(p)  # type: ignore[arg-type]
 
 
-def for_each_in_range(r: RankRange, visitor: Callable[[Perm], None]) -> None:
-    for p in iter_range(r):
-        visitor(p)
+# -- the sweep primitive -----------------------------------------------------
+
+KEY_CAP = 10**6  # most distinct keys one sweep may hold
+BLOCK = 4096  # permutations counted between two checks of the cap
 
 
-# -- single-pass function lookup ---------------------------------------------
+def _check_cap(counts: Counter) -> None:
+    if len(counts) > KEY_CAP:
+        raise GuardExceeded(
+            f"sweep has more than {KEY_CAP} distinct results; use a smaller n "
+            "or a larger power"
+        )
 
 
-def _pass_fn(map_id: MapId, strategy: Optional[Strategy]) -> Callable[[Perm], Perm]:
-    closed = strategy is None or Strategy(strategy) is Strategy.CLOSED_FORM
-    s12 = s12_closed_form if closed else s12_simulated
-    s21 = s21_closed_form if closed else s21_simulated
-    return {
-        MapId.WEST: west_pass,
-        MapId.S12: s12,
-        MapId.S21: s21,
-        MapId.MACHINE12: lambda p: west_pass(s12(p)),
-        MapId.MACHINE21: lambda p: west_pass(s21(p)),
-    }[MapId(map_id)]
+def _run(worker: Callable, tasks: list, jobs: int) -> list:
+    """``worker`` over ``tasks``, in a pool of ``jobs`` processes when there
+    is more than one of each."""
+    if jobs <= 1 or len(tasks) == 1:
+        return [worker(t) for t in tasks]
+    with multiprocessing.Pool(jobs) as pool:
+        return pool.map(worker, tasks)
 
 
-# -- range workers (top level so they pickle) --------------------------------
-
-
-def _w_sort_histogram(args) -> tuple[list[int], int]:
-    """Bucket minimal sort counts; returns (buckets[0..t_cap], never_sorts)."""
-    n, lo, hi, map_value, t_cap, strategy = args
-    step = _pass_fn(MapId(map_value), strategy)
-    ident = identity(n)
-    buckets = [0] * (t_cap + 1)
-    stuck = 0
-    for p in iter_range(RankRange(n, lo, hi)):
-        cur = p
-        t = 0
-        seen = {p}
-        while True:
-            if cur == ident:
-                buckets[t] += 1
-                break
-            if t == t_cap:
-                stuck += 1
-                break
-            cur = step(cur)
-            t += 1
-            if cur in seen:  # cycling without the identity: will never sort
-                stuck += 1
-                break
-            seen.add(cur)
-    return buckets, stuck
-
-
-def _w_exact_sortable(args) -> list[int]:
-    """Exact-at-t sortable counts: counts[t] is the number of p in the slice
-    with the t-fold image equal to the identity.  Needed for maps that do not
-    fix the identity, where sortability is not monotone in t."""
-    n, lo, hi, map_value, t_cap, strategy = args
-    step = _pass_fn(MapId(map_value), strategy)
-    ident = identity(n)
-    counts = [0] * (t_cap + 1)
-    for p in iter_range(RankRange(n, lo, hi)):
-        states = [p]
-        index = {p: 0}
-        cur = p
-        while True:
-            cur = step(cur)
-            if cur in index or len(states) > t_cap:
-                break
-            index[cur] = len(states)
-            states.append(cur)
-        hits = [t for t, s in enumerate(states) if s == ident]
-        if cur in index and cur == states[index[cur]]:
-            tail, cycle = index[cur], len(states) - index[cur]
-            for t0 in hits:
-                if t0 >= tail:  # identity lies on the cycle: recurs forever
-                    t = t0
-                    while t <= t_cap:
-                        counts[t] += 1
-                        t += cycle
-                    hits = [h for h in hits if h < tail]
-                    break
-        for t0 in hits:
-            if t0 <= t_cap:
-                counts[t0] += 1
+def _tally_range(task: tuple) -> Counter:
+    n, lo, hi, make_kernel, params = task
+    kernel = make_kernel(n, *params)
+    perms = iter_range(RankRange(n, lo, hi))
+    counts: Counter = Counter()
+    for _ in range(lo, hi, BLOCK):
+        counts.update(map(kernel, islice(perms, BLOCK)))
+        _check_cap(counts)
     return counts
 
 
-def _w_count_pred(args) -> int:
-    n, lo, hi, pred_key = args
-    pred = _PREDICATES[pred_key]
-    return sum(1 for p in iter_range(RankRange(n, lo, hi)) if pred(p))
+def _tally(n: int, jobs: int, make_kernel: Callable, *params) -> Counter:
+    """Counter of ``make_kernel(n, *params)(p)`` over p in S_n."""
+    ranges = split_ranges(n, jobs * 4 if jobs > 1 else 1)
+    tasks = [(r.n, r.lo, r.hi, make_kernel, params) for r in ranges]
+    total: Counter = Counter()
+    for counts in _run(_tally_range, tasks, jobs):
+        total.update(counts)
+    _check_cap(total)
+    return total
 
 
-def _w_collect_pred(args) -> list[Perm]:
-    n, lo, hi, pred_key = args
-    pred = _PREDICATES[pred_key]
-    return [p for p in iter_range(RankRange(n, lo, hi)) if pred(p)]
+# -- kernel factories (top level so they pickle) ------------------------------
+
+Kernel = Callable[[Perm], Hashable]
 
 
-def _w_image(args) -> set[Perm]:
-    n, lo, hi, map_value, k, strategy = args
-    step = _pass_fn(MapId(map_value), strategy)
-    out: set[Perm] = set()
-    for p in iter_range(RankRange(n, lo, hi)):
+def _sort_time(n: int, map_id: MapId, t_cap: int, strategy: Optional[Strategy]) -> Kernel:
+    """Least t <= t_cap with the t-fold image the identity, else None; stops
+    early once the orbit cycles without the identity."""
+    f, ident = pass_fn(map_id, strategy), identity(n)
+    return lambda p: _steps_to_identity(f, ident, p, t_cap)
+
+
+def _hit_times(n: int, map_id: MapId, t_cap: int, strategy: Optional[Strategy]) -> Kernel:
+    """Every t <= t_cap with the t-fold image the identity.  Needed for maps
+    that do not fix the identity, where sortability is not monotone in t."""
+    f, ident = pass_fn(map_id, strategy), identity(n)
+
+    def kernel(p: Perm) -> tuple[int, ...]:
+        index: dict[Perm, int] = {}
+        while p not in index and len(index) <= t_cap:
+            index[p] = len(index)
+            p = f(p)
+        t = index.get(ident)
+        if t is None:
+            return ()
+        if p not in index or t < index[p]:  # the identity is not on a cycle
+            return (t,)
+        return tuple(range(t, t_cap + 1, len(index) - index[p]))
+
+    return kernel
+
+
+def _image(n: int, map_id: MapId, k: int, strategy: Optional[Strategy]) -> Kernel:
+    """The k-fold image."""
+    f = pass_fn(map_id, strategy)
+
+    def kernel(p: Perm) -> Perm:
         for _ in range(k):
-            p = step(p)
-        out.add(p)
-        if len(out) > IMAGE_SET_CAP:
-            raise RuntimeError(f"image set exceeds cap of {IMAGE_SET_CAP} elements")
-    return out
+            p = f(p)
+        return p
+
+    return kernel
 
 
-def _w_max_tail(args) -> int:
-    n, lo, hi, map_value = args
-    m = MapId(map_value)
-    best = 0
-    for p in iter_range(RankRange(n, lo, hi)):
-        best = max(best, orbit(m, p).tail_length)
-    return best
+def _unsorted_after(n: int, map_id: MapId, k: int) -> Kernel:
+    """Whether the k-fold image differs from the identity."""
+    image, ident = _image(n, map_id, k, None), identity(n)
+    return lambda p: image(p) != ident
 
 
-def _w_l33_mismatches(args) -> int:
-    """Count p in a slice of S_{n-1} with some insertion i where deleting the
-    1 from the sorted insertion does not recover the sorted p."""
-    m, lo, hi = args
-    bad = 0
-    for p in iter_range(RankRange(m, lo, hi)):
-        want = s12_closed_form(p)
-        if any(
-            delete_one(s12_closed_form(ins(p, i))) != want for i in range(1, m + 2)
-        ):
-            bad += 1
-    return bad
+def _m12_unsorted_at_half(n: int) -> Kernel:
+    return _unsorted_after(n, MapId.MACHINE12, n // 2)
 
 
-def _w_insertion_property(args) -> list[int]:
-    """Per t in 1..n-1, failures of: every t-sortable p in S_{n-1} has exactly
-    t+1 of its n insertions t-sortable."""
-    m, lo, hi, n = args
-    fails = [0] * n  # index by t, slot 0 unused
-    for p in iter_range(RankRange(m, lo, hi)):
-        c0 = _min_sorts_s12(p)
-        counts = [_min_sorts_s12(ins(p, i)) for i in range(1, n + 1)]
-        for t in range(1, n):
-            if c0 <= t and sum(1 for c in counts if c <= t) != t + 1:
-                fails[t] += 1
-    return fails
+def _tail(n: int, map_id: MapId) -> Kernel:
+    """Orbit tail length: passes until the walk lands on a periodic point."""
+    return lambda p: orbit(map_id, p).tail_length
 
 
-def _min_sorts_s12(p: Perm) -> int:
-    ident = identity(len(p))
-    t = 0
-    while p != ident:
-        p = s12_closed_form(p)
-        t += 1
-    return t
+def _fixed_point(n: int, map_id: MapId) -> Kernel:
+    """The permutation if one pass fixes it, else None."""
+    f = pass_fn(map_id)
+    return lambda p: p if f(p) == p else None
 
 
-def _w_dot_mismatches(args) -> int:
-    """Permutations whose pass outputs differ between the two dot placements
-    of either base pattern."""
-    n, lo, hi = args
-    policies = [
+def _strategies_differ(n: int, map_id: MapId) -> Kernel:
+    closed = pass_fn(map_id, Strategy.CLOSED_FORM)
+    simulated = pass_fn(map_id, Strategy.SIMULATED)
+    return lambda p: closed(p) != simulated(p)
+
+
+def _dot_variants_differ(n: int) -> Kernel:
+    """Whether the two dot placements of either base pattern give different
+    pass outputs."""
+    pairs = [
         (dotted_policy(DottedPattern(base, 1)), dotted_policy(DottedPattern(base, 2)))
         for base in (12, 21)
     ]
-    bad = 0
-    for p in iter_range(RankRange(n, lo, hi)):
-        for pol1, pol2 in policies:
-            if run_pass(p, pol1)[0] != run_pass(p, pol2)[0]:
-                bad += 1
-                break
-    return bad
+    return lambda p: any(run_pass(p, one)[0] != run_pass(p, two)[0] for one, two in pairs)
 
 
-def _w_random_agreement(args) -> int:
-    """Failures of closed-form vs simulated agreement on random permutations;
-    lengths are drawn log-uniformly in [1, n_max]."""
-    count, n_max, seed = args
-    rng = random.Random(seed)
-    log_max = math.log(n_max)
-    bad = 0
-    for _ in range(count):
-        n = min(n_max, max(1, int(round(math.exp(rng.uniform(0.0, log_max))))))
-        vals = list(range(1, n + 1))
-        rng.shuffle(vals)
-        p = tuple(vals)
-        if s12_closed_form(p) != s12_simulated(p):
-            bad += 1
-        if s21_closed_form(p) != s21_simulated(p):
-            bad += 1
-    return bad
+def _machine21_sortable_mismatch(n: int) -> Kernel:
+    """One m21 pass sorts p, against: the valley-run reversal of p is the
+    decreasing permutation."""
+    m21, s21 = pass_fn(MapId.MACHINE21), pass_fn(MapId.S21)
+    ident, rev = identity(n), reverse_identity(n)
+    return lambda p: (m21(p) == ident) != (s21(p) == rev)
 
 
-def _p_m21_sorts(p: Perm) -> bool:
-    return west_pass(s21_closed_form(p)) == identity(len(p))
+def _machine21_fixed_mismatch(n: int) -> Kernel:
+    m21 = pass_fn(MapId.MACHINE21)
+    return lambda p: (m21(p) == p) != formulas.is_machine21_fixed_shape(p)
 
 
-def _p_m12_sorts(p: Perm) -> bool:
-    return west_pass(s12_closed_form(p)) == identity(len(p))
+def _deletion_differs(m: int) -> Kernel:
+    """Whether some insertion i of p in S_m, sorted by one s12 pass and with
+    the 1 deleted again, differs from the sorted p."""
+    s12 = pass_fn(MapId.S12)
+
+    def kernel(p: Perm) -> bool:
+        want = s12(p)
+        return any(delete_one(s12(ins(p, i))) != want for i in range(1, m + 2))
+
+    return kernel
 
 
-def _p_l41_mismatch(p: Perm) -> bool:
-    return _p_m21_sorts(p) != (s21_closed_form(p) == reverse_identity(len(p)))
+def _insertion_miss(m: int, t: int) -> Kernel:
+    """Whether p in S_m is t-sortable under s12 yet does not have exactly
+    t+1 of its m+1 insertions t-sortable."""
+    parent = _sort_time(m, MapId.S12, t, None)
+    child = _sort_time(m + 1, MapId.S12, t, None)
 
+    def kernel(p: Perm) -> bool:
+        if parent(p) is None:
+            return False
+        return sum(child(ins(p, i)) is not None for i in range(1, m + 2)) != t + 1
 
-def _p_m21_fixed(p: Perm) -> bool:
-    return west_pass(s21_closed_form(p)) == p
-
-
-def _p_m12_fixed(p: Perm) -> bool:
-    return west_pass(s12_closed_form(p)) == p
-
-
-def _p_l43_mismatch(p: Perm) -> bool:
-    return _p_m21_fixed(p) != formulas.is_machine21_fixed_shape(p)
-
-
-def _p_p31_mismatch(p: Perm) -> bool:
-    return s12_closed_form(p) != s12_simulated(p)
-
-
-def _p_p35_mismatch(p: Perm) -> bool:
-    return s21_closed_form(p) != s21_simulated(p)
-
-
-def _p_west_mismatch(p: Perm) -> bool:
-    return west_pass(p) != west_recursive(p)
-
-
-def _p_largest_not_last(p: Perm) -> bool:
-    n = len(p)
-    return s12_closed_form(p)[-1] != n or west_pass(p)[-1] != n
-
-
-def _p_l53_fail(p: Perm) -> bool:
-    cur = p
-    for _ in range(len(p) // 2):
-        cur = west_pass(s12_closed_form(cur))
-    return cur != identity(len(p))
-
-
-_PREDICATES: dict[str, Callable[[Perm], bool]] = {
-    "m21_sorts": _p_m21_sorts,
-    "m12_sorts": _p_m12_sorts,
-    "l41_mismatch": _p_l41_mismatch,
-    "m21_fixed": _p_m21_fixed,
-    "m12_fixed": _p_m12_fixed,
-    "l43_mismatch": _p_l43_mismatch,
-    "p31_mismatch": _p_p31_mismatch,
-    "p35_mismatch": _p_p35_mismatch,
-    "west_mismatch": _p_west_mismatch,
-    "largest_not_last": _p_largest_not_last,
-    "l53_fail": _p_l53_fail,
-}
-
-IMAGE_SET_CAP = 10**6
-
-
-# -- parallel driver ---------------------------------------------------------
-
-
-def _run_ranged(worker, n: int, jobs: int, extra: tuple) -> list:
-    """Run ``worker`` over a partition of S_n; jobs<=1 stays in-process."""
-    ranges = split_ranges(n, max(1, jobs) * 4 if jobs > 1 else 1)
-    argv = [(r.n, r.lo, r.hi, *extra) for r in ranges]
-    if jobs <= 1 or len(argv) == 1:
-        return [worker(a) for a in argv]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        return pool.map(worker, argv)
+    return kernel
 
 
 # -- public brute-force operations -------------------------------------------
@@ -367,9 +272,8 @@ def sort_histogram(
 ) -> tuple[list[int], int]:
     """Minimal-sort-count histogram over S_n: (buckets[0..t_cap], never)."""
     check_guard(n, force)
-    parts = _run_ranged(_w_sort_histogram, n, jobs, (map_id.value, t_cap, strategy))
-    buckets = [sum(col) for col in zip(*(b for b, _ in parts))]
-    return buckets, sum(s for _, s in parts)
+    counts = _tally(n, jobs, _sort_time, MapId(map_id), t_cap, strategy)
+    return [counts[t] for t in range(t_cap + 1)], counts[None]
 
 
 def _identity_fixed(map_id: MapId) -> bool:
@@ -386,8 +290,11 @@ def exact_sortable_counts(
 ) -> list[int]:
     """counts[t] = #{p in S_n : t-fold image of p is the identity}."""
     check_guard(n, force)
-    parts = _run_ranged(_w_exact_sortable, n, jobs, (MapId(map_id).value, t_cap, strategy))
-    return [sum(col) for col in zip(*parts)]
+    counts = [0] * (t_cap + 1)
+    for hits, c in _tally(n, jobs, _hit_times, MapId(map_id), t_cap, strategy).items():
+        for t in hits:
+            counts[t] += c
+    return counts
 
 
 def brute_t_sortable(
@@ -412,21 +319,19 @@ def brute_t_sortable(
 def brute_machine_sortable(
     machine: MapId, n: int, jobs: int = 1, force: bool = False
 ) -> int:
+    """Count permutations of length n that one pass of ``machine`` sorts."""
     check_guard(n, force)
-    key = {MapId.MACHINE12: "m12_sorts", MapId.MACHINE21: "m21_sorts"}[MapId(machine)]
-    return sum(_run_ranged(_w_count_pred, n, jobs, (key,)))
+    return _tally(n, jobs, _unsorted_after, MapId(machine), 1)[False]
 
 
 def brute_fixed_points(
     machine: MapId, n: int, collect: bool = False, jobs: int = 1, force: bool = False
 ) -> tuple[int, Optional[list[Perm]]]:
+    """Fixed points of ``machine`` in S_n: their count and, with ``collect``,
+    the list in lexicographic order."""
     check_guard(n, force)
-    key = {MapId.MACHINE12: "m12_fixed", MapId.MACHINE21: "m21_fixed"}[MapId(machine)]
-    if collect:
-        parts = _run_ranged(_w_collect_pred, n, jobs, (key,))
-        found = [p for part in parts for p in part]
-        return len(found), found
-    return sum(_run_ranged(_w_count_pred, n, jobs, (key,))), None
+    found = sorted(p for p in _tally(n, jobs, _fixed_point, MapId(machine)) if p is not None)
+    return len(found), (found if collect else None)
 
 
 def brute_image(
@@ -439,14 +344,14 @@ def brute_image(
 ) -> set[Perm]:
     """{k-fold image of p : p in S_n} as a set."""
     check_guard(n, force)
-    parts = _run_ranged(_w_image, n, jobs, (MapId(map_id).value, k, strategy))
-    return set().union(*parts)
+    return set(_tally(n, jobs, _image, MapId(map_id), k, strategy))
 
 
 def brute_ord(map_id: MapId, n: int, jobs: int = 1, force: bool = False) -> int:
-    """Largest orbit tail over S_n, computed exhaustively."""
+    """Largest orbit tail over S_n, computed exhaustively: the least k after
+    which every permutation has landed on a periodic point."""
     check_guard(n, force)
-    return max(_run_ranged(_w_max_tail, n, jobs, (MapId(map_id).value,)))
+    return max(_tally(n, jobs, _tail, MapId(map_id)))
 
 
 def insertion_positions_property(n: int, t: int, force: bool = False) -> bool:
@@ -455,8 +360,26 @@ def insertion_positions_property(n: int, t: int, force: bool = False) -> bool:
     if not 1 <= t < n:
         raise ValueError("need 1 <= t < n")
     check_guard(n, force)
-    fails = _w_insertion_property((n - 1, 0, math.factorial(n - 1), n))
-    return fails[t] == 0
+    return not _tally(n - 1, 1, _insertion_miss, t)[True]
+
+
+def _w_random_agreement(args) -> int:
+    """Failures of closed-form vs simulated agreement on random permutations;
+    lengths are drawn log-uniformly in [1, n_max]."""
+    count, n_max, seed = args
+    rng = random.Random(seed)
+    log_max = math.log(n_max)
+    bad = 0
+    for _ in range(count):
+        n = min(n_max, max(1, int(round(math.exp(rng.uniform(0.0, log_max))))))
+        vals = list(range(1, n + 1))
+        rng.shuffle(vals)
+        p = tuple(vals)
+        if s12_closed_form(p) != s12_simulated(p):
+            bad += 1
+        if s21_closed_form(p) != s21_simulated(p):
+            bad += 1
+    return bad
 
 
 def random_agreement_failures(
@@ -466,12 +389,8 @@ def random_agreement_failures(
     permutations of log-uniform length up to ``n_max``."""
     chunks = max(1, jobs)
     per = [count // chunks + (1 if i < count % chunks else 0) for i in range(chunks)]
-    argv = [(c, n_max, seed + i) for i, c in enumerate(per) if c]
-    if jobs <= 1 or len(argv) == 1:
-        return sum(_w_random_agreement(a) for a in argv)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        return sum(pool.map(_w_random_agreement, argv))
+    tasks = [(c, n_max, seed + i) for i, c in enumerate(per) if c]
+    return sum(_run(_w_random_agreement, tasks, jobs))
 
 
 # -- claim verification ------------------------------------------------------
@@ -526,47 +445,24 @@ def _count_row(n: int, param: str, expected: int, observed: int) -> Row:
     return Row(n, param, str(expected), str(observed), expected == observed)
 
 
-def _zero_row(n: int, param: str, observed: int) -> Row:
-    return Row(n, param, "0", str(observed), observed == 0)
-
-
 def _set_row(n: int, param: str, expected: set[Perm], observed: set[Perm]) -> Row:
     return Row(n, param, _perm_set_str(expected), _perm_set_str(observed), expected == observed)
 
 
-def _rows_red(n, jobs, force):
+def _zero_rows(n, jobs, force, label, shift, make_kernel, *params):
+    """One row: the permutations of S_{n-shift} whose kernel reports a
+    mismatch, expected to number zero.  ``{}`` in the label stands for n//2."""
     check_guard(n, force)
-    bad = sum(_run_ranged(_w_dot_mismatches, n, jobs, ()))
-    return [_zero_row(n, "dot-variant mismatches", bad)]
-
-
-def _rows_p31(n, jobs, force):
-    check_guard(n, force)
-    return [_zero_row(n, "closed vs simulated mismatches",
-                      sum(_run_ranged(_w_count_pred, n, jobs, ("p31_mismatch",))))]
-
-
-def _rows_p35(n, jobs, force):
-    check_guard(n, force)
-    return [_zero_row(n, "closed vs simulated mismatches",
-                      sum(_run_ranged(_w_count_pred, n, jobs, ("p35_mismatch",))))]
-
-
-def _rows_l33(n, jobs, force):
-    check_guard(n, force)
-    bad = sum(_run_ranged(_w_l33_mismatches, n - 1, jobs, ()))
-    return [_zero_row(n, "insertion commutation failures", bad)]
+    bad = _tally(n - shift, jobs, make_kernel, *params)[True]
+    return [Row(n, label.format(n // 2), "0", str(bad), bad == 0)]
 
 
 def _rows_t34(n, jobs, force):
     buckets, _ = sort_histogram(MapId.S12, n, n, jobs, force)
-    rows = []
-    cum = 0
-    by_t = list(buckets)
-    for t in range(1, n + 1):
-        cum = sum(by_t[: t + 1])
-        rows.append(_count_row(n, f"t={t}", formulas.count_t_sortable_s12(n, t), cum))
-    return rows
+    return [
+        _count_row(n, f"t={t}", formulas.count_t_sortable_s12(n, t), sum(buckets[: t + 1]))
+        for t in range(1, n + 1)
+    ]
 
 
 def _rows_t36(n, jobs, force):
@@ -577,21 +473,9 @@ def _rows_t36(n, jobs, force):
     ]
 
 
-def _rows_l41(n, jobs, force):
-    check_guard(n, force)
-    return [_zero_row(n, "characterization mismatches",
-                      sum(_run_ranged(_w_count_pred, n, jobs, ("l41_mismatch",))))]
-
-
 def _rows_t42(n, jobs, force):
     observed = brute_machine_sortable(MapId.MACHINE21, n, jobs, force)
     return [_count_row(n, "machine-sortable", formulas.count_machine21_sortable(n), observed)]
-
-
-def _rows_l43(n, jobs, force):
-    check_guard(n, force)
-    return [_zero_row(n, "shape-predicate mismatches",
-                      sum(_run_ranged(_w_count_pred, n, jobs, ("l43_mismatch",))))]
 
 
 def _rows_t44(n, jobs, force):
@@ -617,12 +501,6 @@ def _rows_t52(n, jobs, force):
     return [_set_row(n, f"power={n - 2}", formulas.image_s12_power(n), observed)]
 
 
-def _rows_l53(n, jobs, force):
-    check_guard(n, force)
-    bad = sum(_run_ranged(_w_count_pred, n, jobs, ("l53_fail",)))
-    return [_zero_row(n, f"not sorted within {n // 2} machine passes", bad)]
-
-
 def _rows_t54(n, jobs, force):
     k = n // 2 - 1
     rows = [_set_row(n, f"power={k}", formulas.image_machine12(n),
@@ -635,23 +513,24 @@ def _rows_t54(n, jobs, force):
     return rows
 
 
-# claim -> (row builder over one n, inclusive domain (lo, hi or None))
-_CLAIMS: dict[str, tuple[Callable, tuple[int, Optional[int]]]] = {
-    "RED": (_rows_red, (1, None)),
-    "P3_1": (_rows_p31, (1, None)),
-    "P3_5": (_rows_p35, (1, None)),
-    "L3_3": (_rows_l33, (2, None)),
-    "T3_4": (_rows_t34, (1, None)),
-    "T3_6": (_rows_t36, (1, None)),
-    "L4_1": (_rows_l41, (1, None)),
-    "T4_2": (_rows_t42, (1, None)),
-    "L4_3": (_rows_l43, (1, None)),
-    "T4_4": (_rows_t44, (1, None)),
-    "C5_1_min": (_rows_c51_min, (2, None)),
-    "C5_1_high": (_rows_c51_high, (2, None)),
-    "T5_2": (_rows_t52, (4, None)),
-    "L5_3": (_rows_l53, (2, None)),
-    "T5_4": (_rows_t54, (4, None)),
+# claim -> (least n, row builder over one n, *builder arguments); the
+# zero-mismatch claims share one builder and differ by its arguments
+_CLAIMS: dict[str, tuple] = {
+    "RED": (1, _zero_rows, "dot-variant mismatches", 0, _dot_variants_differ),
+    "P3_1": (1, _zero_rows, "closed vs simulated mismatches", 0, _strategies_differ, MapId.S12),
+    "P3_5": (1, _zero_rows, "closed vs simulated mismatches", 0, _strategies_differ, MapId.S21),
+    "L3_3": (2, _zero_rows, "insertion commutation failures", 1, _deletion_differs),
+    "T3_4": (1, _rows_t34),
+    "T3_6": (1, _rows_t36),
+    "L4_1": (1, _zero_rows, "characterization mismatches", 0, _machine21_sortable_mismatch),
+    "T4_2": (1, _rows_t42),
+    "L4_3": (1, _zero_rows, "shape-predicate mismatches", 0, _machine21_fixed_mismatch),
+    "T4_4": (1, _rows_t44),
+    "C5_1_min": (2, _rows_c51_min),
+    "C5_1_high": (2, _rows_c51_high),
+    "T5_2": (4, _rows_t52),
+    "L5_3": (2, _zero_rows, "not sorted within {} machine passes", 0, _m12_unsorted_at_half),
+    "T5_4": (4, _rows_t54),
 }
 
 CLAIM_IDS = tuple(_CLAIMS)
@@ -661,17 +540,17 @@ def verify(
     claim: str, n_min: int, n_max: int, jobs: int = 1, force: bool = False
 ) -> VerificationReport:
     """Compare the closed form of one claim against brute force over a range
-    of lengths.  The range is clamped to the claim's valid domain."""
+    of lengths.  The range is clamped below to the claim's valid domain."""
     if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known: {', '.join(_CLAIMS)}")
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
     check_guard(n_max, force)
-    builder, (lo, hi) = _CLAIMS[claim]
+    lo, build, *args = _CLAIMS[claim]
     start = time.monotonic()
     report = VerificationReport(claim, n_min, n_max)
-    for n in range(max(n_min, lo), (min(n_max, hi) if hi else n_max) + 1):
-        report.rows.extend(builder(n, jobs, force))
+    for n in range(max(n_min, lo), n_max + 1):
+        report.rows.extend(build(n, jobs, force, *args))
     report.elapsed = time.monotonic() - start
     return report
 

@@ -13,25 +13,6 @@ from math import comb, factorial
 from .engine import MapId, s21_closed_form
 from .perms import Perm, identity, reverse_identity, valley_runs
 
-CLAIM_IDS = (
-    "RED",
-    "P3_1",
-    "P3_5",
-    "L3_3",
-    "T3_4",
-    "T3_6",
-    "L4_1",
-    "T4_2",
-    "L4_3",
-    "T4_4",
-    "C5_1_min",
-    "C5_1_high",
-    "T5_2",
-    "L5_3",
-    "T5_4",
-)
-
-
 # -- one-pass sortability under the dotted maps ------------------------------
 
 

@@ -53,6 +53,10 @@ class TestSort:
         code, _, _ = run_cli(capsys, "sort", "--map", "s99", "1,2")
         assert code == 2
 
+    def test_negative_times_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "sort", "--map", "s12", "--times", "-1", "2,1")
+        assert code == 2 and err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestRuns:
     def test_peak(self, capsys):
@@ -104,6 +108,34 @@ class TestVerifyCommand:
             capsys, "verify", "--claim", "T3_4", "--n-max", "20", "--jobs", "1"
         )
         assert code == 2 and "guard" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--claim", "T4_2", "--n-min", "5", "--n-max", "3"],
+        ["--claim", "T5_2", "--n-max", "3"],
+        ["--claim", "T4_2", "--n-min", "0", "--n-max", "0"],
+        ["--claim", "all", "--n-min", "0", "--n-max", "0"],
+    ])
+    def test_inverted_or_empty_range_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv, "--jobs", "1")
+        assert code == 2 and out == "" and "PASS" not in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_all_leaves_out_empty_reports(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--claim", "all", "--n-max", "3", "--jobs", "1",
+            "--format", "json",
+        )
+        claims = [r["claim"] for r in json.loads(out)["reports"]]
+        assert code == 0
+        assert len(claims) == 13 and "T5_2" not in claims and "T5_4" not in claims
+
+    def test_oversized_sweep_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("pss.enumerator.KEY_CAP", 10)
+        code, out, err = run_cli(
+            capsys, "image", "--map", "west", "--n", "4", "--power", "0", "--jobs", "1"
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
 
     def test_round_trip_of_printed_permutations(self, capsys):
         code, out, _ = run_cli(

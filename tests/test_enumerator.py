@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +17,6 @@ from pss.enumerator import (
     brute_ord,
     brute_t_sortable,
     exact_sortable_counts,
-    for_each_in_range,
     insertion_positions_property,
     iter_range,
     random_agreement_failures,
@@ -24,6 +28,11 @@ from pss.enumerator import (
 from pss.guard import GuardExceeded
 from pss.perms import all_perms, identity
 
+CLAIMS = (
+    "RED", "P3_1", "P3_5", "L3_3", "T3_4", "T3_6", "L4_1", "T4_2",
+    "L4_3", "T4_4", "C5_1_min", "C5_1_high", "T5_2", "L5_3", "T5_4",
+)
+
 
 class TestRangeIteration:
     def test_full_range_is_S3(self):
@@ -32,10 +41,8 @@ class TestRangeIteration:
     def test_single_rank(self):
         assert list(iter_range(RankRange(3, 2, 3))) == [(2, 1, 3)]
 
-    def test_visitor(self):
-        seen = []
-        for_each_in_range(RankRange(3, 1, 4), seen.append)
-        assert seen == [(1, 3, 2), (2, 1, 3), (2, 3, 1)]
+    def test_partial_range(self):
+        assert list(iter_range(RankRange(3, 1, 4))) == [(1, 3, 2), (2, 1, 3), (2, 3, 1)]
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 7, 24, 100])
     def test_partition_covers_once(self, parts):
@@ -84,6 +91,7 @@ class TestBruteCounts:
         assert brute_ord(MapId.S12, 6) == 5
         assert brute_ord(MapId.S12, 1) == 0
         assert brute_ord(MapId.MACHINE12, 6) == 3
+        assert brute_ord(MapId.MACHINE12, 5, jobs=2) == 2
 
     @pytest.mark.parametrize("n,t", [(4, 2), (5, 1), (6, 4), (5, 3)])
     def test_insertion_positions_property(self, n, t):
@@ -122,12 +130,20 @@ class TestStrategyIndependence:
         b = brute_image(MapId.MACHINE12, 6, 2, strategy=Strategy.SIMULATED)
         assert a == b
 
+    def test_sweeps_reject_what_apply_rejects(self):
+        with pytest.raises(ValueError):
+            sort_histogram(MapId.S12, 4, 4, strategy=Strategy.RECURSIVE_WEST)
+        with pytest.raises(ValueError):
+            brute_image(MapId.WEST, 4, 1, strategy=Strategy.CLOSED_FORM)
+        with pytest.raises(ValueError):
+            sort_histogram(MapId.S21, 5, 5, jobs=2, strategy=Strategy.RECURSIVE_WEST)
+
 
 class TestVerify:
     def test_registry_matches_declared_claims(self):
         from pss.enumerator import CLAIM_IDS
 
-        assert set(CLAIM_IDS) == set(formulas.CLAIM_IDS)
+        assert CLAIM_IDS == CLAIMS
 
     def test_unknown_claim(self):
         with pytest.raises(ValueError):
@@ -137,10 +153,7 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify("T4_2", 5, 3)
 
-    @pytest.mark.parametrize("claim", [
-        "RED", "P3_1", "P3_5", "L3_3", "T3_4", "T3_6", "L4_1", "T4_2",
-        "L4_3", "T4_4", "C5_1_min", "C5_1_high", "T5_2", "L5_3", "T5_4",
-    ])
+    @pytest.mark.parametrize("claim", CLAIMS)
     def test_each_claim_passes_small(self, claim):
         report = verify(claim, 1, 6)
         assert report.overall_pass
@@ -157,6 +170,21 @@ class TestVerify:
                 verify(claim, 1, 6, jobs=jobs).to_dict()
                 == verify(claim, 1, 6, jobs=1).to_dict()
             )
+
+    def test_spawned_workers_give_the_same_report(self):
+        script = (
+            "import json, multiprocessing\n"
+            "from pss.enumerator import verify\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "print(json.dumps(verify('T5_4', 1, 6, jobs=2).to_dict()))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == verify("T5_4", 1, 6, jobs=1).to_dict()
 
     def test_verify_all_covers_registry(self):
         reports = verify_all(1, 4)
