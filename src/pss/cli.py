@@ -47,6 +47,17 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def _jobs(text: str) -> int:
+    """argparse type of ``--jobs``: a worker count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -208,14 +219,15 @@ def cmd_witness(args) -> int:
     return 0
 
 
+# claim -> closed-form count, called with (n, t) for T3_4 and with (n) otherwise
 _COUNTS = {
-    "T3_4": lambda n, t: formulas.count_t_sortable_s12(n, t),
-    "T3_6": lambda n, t: formulas.count_t_sortable_s21(n),
-    "T4_2": lambda n, t: formulas.count_machine21_sortable(n),
-    "T4_4": lambda n, t: formulas.count_machine21_fixed_points(n),
-    "C5_1_min": lambda n, t: formulas.count_min_sorted_s12(n),
-    "C5_1_high": lambda n, t: formulas.count_highly_sorted_s12(n),
-    "L5_3": lambda n, t: formulas.machine12_bound(n),
+    "T3_4": formulas.count_t_sortable_s12,
+    "T3_6": formulas.count_t_sortable_s21,
+    "T4_2": formulas.count_machine21_sortable,
+    "T4_4": formulas.count_machine21_fixed_points,
+    "C5_1_min": formulas.count_min_sorted_s12,
+    "C5_1_high": formulas.count_highly_sorted_s12,
+    "L5_3": formulas.machine12_bound,
 }
 
 
@@ -225,10 +237,13 @@ def cmd_count(args) -> int:
             f"no closed-form count for claim {args.claim!r}; "
             f"available: {', '.join(_COUNTS)}"
         )
-    if args.claim == "T3_4" and args.t is None:
+    takes_t = args.claim == "T3_4"
+    if takes_t and args.t is None:
         raise UsageError("claim T3_4 requires --t")
+    if not takes_t and args.t is not None:
+        raise UsageError(f"--t applies only to claim T3_4, not {args.claim}")
     try:
-        value = _COUNTS[args.claim](args.n, args.t)
+        value = _COUNTS[args.claim](*((args.n, args.t) if takes_t else (args.n,)))
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.format == "json":
@@ -252,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, jobs=False, force=False, fmt=False):
         if jobs:
-            p.add_argument("--jobs", type=int, default=None,
+            p.add_argument("--jobs", type=_jobs, default=None,
                            help="worker processes (default: all cores)")
         if force:
             p.add_argument("--force", action="store_true",

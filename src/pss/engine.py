@@ -281,24 +281,31 @@ def sorts_in(map_id: MapId, p: Perm, t_max: int) -> Optional[int]:
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    return _steps_to_identity(pass_fn(map_id), identity(len(p)), p, t_max)
+    f, ident = pass_fn(map_id), identity(len(p))
+    return _walk(f, ident, f(ident) == ident, p, t_max)[0]
 
 
-def _steps_to_identity(
-    f: Callable[[Perm], Perm], ident: Perm, p: Perm, t_max: int
-) -> Optional[int]:
-    """``sorts_in`` for the pass ``f``, with the identity of p's length given."""
-    seen = {p}
-    for t in range(t_max + 1):
+def _walk(
+    f: Callable[[Perm], Perm], ident: Perm, fixes_ident: bool, p: Perm,
+    cap: Optional[int] = None,
+) -> tuple[Optional[int], Optional[int], Optional[int]]:
+    """The rho shape of p's orbit under f: (first step at ``ident`` or None,
+    tail length, cycle length).  The walk stops at the first repeated state,
+    at ``ident`` if f fixes it (the orbit then ends in that one-cycle), or
+    after ``cap`` passes, leaving tail and cycle None if still open."""
+    seen: dict[Perm, int] = {}
+    hit: Optional[int] = None
+    while p not in seen:
+        step = seen[p] = len(seen)
         if p == ident:
-            return t
-        if t == t_max:
-            break
+            if fixes_ident:
+                return step, step, 1
+            hit = step
+        if step == cap:
+            return hit, None, None
         p = f(p)
-        if p in seen:
-            break
-        seen.add(p)
-    return None
+    tail = seen[p]
+    return hit, tail, len(seen) - tail
 
 
 @dataclass(frozen=True)
@@ -312,23 +319,6 @@ class OrbitReport:
 def orbit(map_id: MapId, p: Perm) -> OrbitReport:
     """Iterate until a state recurs; report the tail length, cycle length,
     and the first step at which the identity appears (if it does)."""
-    f = pass_fn(map_id)
-    ident = identity(len(p))
-    seen: dict[Perm, int] = {}
-    cur = p
-    step = 0
-    reaches: Optional[int] = None
-    while cur not in seen:
-        seen[cur] = step
-        if reaches is None and cur == ident:
-            reaches = step
-        cur = f(cur)
-        step += 1
-    tail = seen[cur]
-    return OrbitReport(
-        tail_length=tail,
-        cycle_length=step - tail,
-        reaches_identity_at=reaches,
-        is_periodic_point=tail == 0,
-    )
-
+    f, ident = pass_fn(map_id), identity(len(p))
+    hit, tail, cycle = _walk(f, ident, f(ident) == ident, p)
+    return OrbitReport(tail, cycle, hit, tail == 0)

@@ -1,12 +1,13 @@
 """Exhaustive sweeps over S_n and claim verification.
 
 Every brute-force statistic is one query on one map's functional graph, and
-every sweep is made by one primitive, ``_tally``.  A *kernel factory* is a
-top-level function ``make_kernel(n, *params)`` that returns a kernel: a
-function from a permutation of length n to a hashable key (a sort time, a
-tuple of hit times, an image, a bool, or a permutation or ``None``).
-``_tally`` counts the kernel's keys over S_n into a ``Counter``, and each
-public operation reduces that one Counter to its answer.
+every sweep is made by one primitive, ``_tally``: a top-level *kernel
+factory* ``make_kernel(n, *params)`` returns a kernel from a permutation of
+length n to a hashable key, and ``_tally`` counts the keys over S_n into a
+``Counter`` that each public operation reduces.  Most reduce the orbit-shape
+kernel, whose key is an orbit's (first step at the identity, tail, cycle)
+from the engine's one walker: the sort histogram buckets the first step,
+exact-t counts repeat it along the cycle, and the order is the largest tail.
 
 The sweep walks half-open rank ranges with the lexicographic successor
 (unranking happens only at range starts).  With more than one job the
@@ -36,20 +37,19 @@ from .engine import (
     DottedPattern,
     MapId,
     Strategy,
-    apply,
     dotted_policy,
-    orbit,
     pass_fn,
     run_pass,
     s12_closed_form,
     s12_simulated,
     s21_closed_form,
     s21_simulated,
-    _steps_to_identity,
+    _walk,
 )
 from .guard import GuardExceeded, check_guard
 from .perms import (
     Perm,
+    PermutationError,
     delete_one,
     format_perm,
     identity,
@@ -75,6 +75,8 @@ class RankRange:
 
 def split_ranges(n: int, parts: int) -> list[RankRange]:
     """Partition [0, n!) into at most ``parts`` contiguous ranges."""
+    if n < 1:
+        raise PermutationError("length must be >= 1")
     total = math.factorial(n)
     parts = max(1, min(parts, total))
     step, extra = divmod(total, parts)
@@ -144,31 +146,14 @@ def _tally(n: int, jobs: int, make_kernel: Callable, *params) -> Counter:
 Kernel = Callable[[Perm], Hashable]
 
 
-def _sort_time(n: int, map_id: MapId, t_cap: int, strategy: Optional[Strategy]) -> Kernel:
-    """Least t <= t_cap with the t-fold image the identity, else None; stops
-    early once the orbit cycles without the identity."""
+def _orbit_shape(
+    n: int, map_id: MapId, cap: Optional[int], strategy: Optional[Strategy]
+) -> Kernel:
+    """The orbit's (identity hit, tail, cycle), walked for at most ``cap``
+    passes (see ``engine._walk``)."""
     f, ident = pass_fn(map_id, strategy), identity(n)
-    return lambda p: _steps_to_identity(f, ident, p, t_cap)
-
-
-def _hit_times(n: int, map_id: MapId, t_cap: int, strategy: Optional[Strategy]) -> Kernel:
-    """Every t <= t_cap with the t-fold image the identity.  Needed for maps
-    that do not fix the identity, where sortability is not monotone in t."""
-    f, ident = pass_fn(map_id, strategy), identity(n)
-
-    def kernel(p: Perm) -> tuple[int, ...]:
-        index: dict[Perm, int] = {}
-        while p not in index and len(index) <= t_cap:
-            index[p] = len(index)
-            p = f(p)
-        t = index.get(ident)
-        if t is None:
-            return ()
-        if p not in index or t < index[p]:  # the identity is not on a cycle
-            return (t,)
-        return tuple(range(t, t_cap + 1, len(index) - index[p]))
-
-    return kernel
+    fixes_ident = f(ident) == ident
+    return lambda p: _walk(f, ident, fixes_ident, p, cap)
 
 
 def _image(n: int, map_id: MapId, k: int, strategy: Optional[Strategy]) -> Kernel:
@@ -181,21 +166,6 @@ def _image(n: int, map_id: MapId, k: int, strategy: Optional[Strategy]) -> Kerne
         return p
 
     return kernel
-
-
-def _unsorted_after(n: int, map_id: MapId, k: int) -> Kernel:
-    """Whether the k-fold image differs from the identity."""
-    image, ident = _image(n, map_id, k, None), identity(n)
-    return lambda p: image(p) != ident
-
-
-def _m12_unsorted_at_half(n: int) -> Kernel:
-    return _unsorted_after(n, MapId.MACHINE12, n // 2)
-
-
-def _tail(n: int, map_id: MapId) -> Kernel:
-    """Orbit tail length: passes until the walk lands on a periodic point."""
-    return lambda p: orbit(map_id, p).tail_length
 
 
 def _fixed_point(n: int, map_id: MapId) -> Kernel:
@@ -248,18 +218,24 @@ def _deletion_differs(m: int) -> Kernel:
 def _insertion_miss(m: int, t: int) -> Kernel:
     """Whether p in S_m is t-sortable under s12 yet does not have exactly
     t+1 of its m+1 insertions t-sortable."""
-    parent = _sort_time(m, MapId.S12, t, None)
-    child = _sort_time(m + 1, MapId.S12, t, None)
+    parent = _orbit_shape(m, MapId.S12, t, None)
+    child = _orbit_shape(m + 1, MapId.S12, t, None)
 
     def kernel(p: Perm) -> bool:
-        if parent(p) is None:
+        if parent(p)[0] is None:
             return False
-        return sum(child(ins(p, i)) is not None for i in range(1, m + 2)) != t + 1
+        return sum(child(ins(p, i))[0] is not None for i in range(1, m + 2)) != t + 1
 
     return kernel
 
 
 # -- public brute-force operations -------------------------------------------
+
+
+def _shapes(map_id, n, cap, jobs, force, strategy=None) -> Counter:
+    """Counter of orbit shapes (identity hit, tail, cycle) over S_n."""
+    check_guard(n, force)
+    return _tally(n, jobs, _orbit_shape, MapId(map_id), cap, strategy)
 
 
 def sort_histogram(
@@ -271,13 +247,10 @@ def sort_histogram(
     strategy: Optional[Strategy] = None,
 ) -> tuple[list[int], int]:
     """Minimal-sort-count histogram over S_n: (buckets[0..t_cap], never)."""
-    check_guard(n, force)
-    counts = _tally(n, jobs, _sort_time, MapId(map_id), t_cap, strategy)
-    return [counts[t] for t in range(t_cap + 1)], counts[None]
-
-
-def _identity_fixed(map_id: MapId) -> bool:
-    return apply(map_id, (1, 2)) == (1, 2)
+    hits: Counter = Counter()
+    for (hit, _, _), c in _shapes(map_id, n, t_cap, jobs, force, strategy).items():
+        hits[hit] += c
+    return [hits[t] for t in range(t_cap + 1)], hits[None]
 
 
 def exact_sortable_counts(
@@ -289,11 +262,12 @@ def exact_sortable_counts(
     strategy: Optional[Strategy] = None,
 ) -> list[int]:
     """counts[t] = #{p in S_n : t-fold image of p is the identity}."""
-    check_guard(n, force)
     counts = [0] * (t_cap + 1)
-    for hits, c in _tally(n, jobs, _hit_times, MapId(map_id), t_cap, strategy).items():
-        for t in hits:
-            counts[t] += c
+    for (hit, tail, cycle), c in _shapes(map_id, n, t_cap, jobs, force, strategy).items():
+        if hit is not None:  # the identity recurs only if it is on the cycle
+            on_cycle = tail is not None and hit >= tail
+            for t in range(hit, t_cap + 1, cycle) if on_cycle else (hit,):
+                counts[t] += c
     return counts
 
 
@@ -308,11 +282,7 @@ def brute_t_sortable(
     """Count permutations of length n whose t-fold image is the identity.
 
     For maps that fix the identity this is the usual "sorted within t
-    passes"; otherwise the exact t-fold image is tested.
-    """
-    if _identity_fixed(map_id):
-        buckets, _ = sort_histogram(map_id, n, t, jobs, force, strategy)
-        return sum(buckets)
+    passes"."""
     return exact_sortable_counts(map_id, n, t, jobs, force, strategy)[t]
 
 
@@ -321,7 +291,7 @@ def brute_machine_sortable(
 ) -> int:
     """Count permutations of length n that one pass of ``machine`` sorts."""
     check_guard(n, force)
-    return _tally(n, jobs, _unsorted_after, MapId(machine), 1)[False]
+    return _tally(n, jobs, _image, MapId(machine), 1, None)[identity(n)]
 
 
 def brute_fixed_points(
@@ -350,8 +320,7 @@ def brute_image(
 def brute_ord(map_id: MapId, n: int, jobs: int = 1, force: bool = False) -> int:
     """Largest orbit tail over S_n, computed exhaustively: the least k after
     which every permutation has landed on a periodic point."""
-    check_guard(n, force)
-    return max(_tally(n, jobs, _tail, MapId(map_id)))
+    return max(tail for _, tail, _ in _shapes(map_id, n, None, jobs, force))
 
 
 def insertion_positions_property(n: int, t: int, force: bool = False) -> bool:
@@ -451,10 +420,9 @@ def _set_row(n: int, param: str, expected: set[Perm], observed: set[Perm]) -> Ro
 
 def _zero_rows(n, jobs, force, label, shift, make_kernel, *params):
     """One row: the permutations of S_{n-shift} whose kernel reports a
-    mismatch, expected to number zero.  ``{}`` in the label stands for n//2."""
-    check_guard(n, force)
+    mismatch, expected to number zero."""
     bad = _tally(n - shift, jobs, make_kernel, *params)[True]
-    return [Row(n, label.format(n // 2), "0", str(bad), bad == 0)]
+    return [_count_row(n, label, 0, bad)]
 
 
 def _rows_t34(n, jobs, force):
@@ -484,10 +452,10 @@ def _rows_t44(n, jobs, force):
 
 
 def _rows_c51_min(n, jobs, force):
-    buckets, _ = sort_histogram(MapId.S12, n, n, jobs, force)
-    rows = [_count_row(n, "exactly n-1 sorts", formulas.count_min_sorted_s12(n), buckets[n - 1])]
-    rows.append(_count_row(n, "ord", n - 1, brute_ord(MapId.S12, n, jobs, force)))
-    return rows
+    shapes = _shapes(MapId.S12, n, None, jobs, force)
+    slowest = sum(c for (hit, _, _), c in shapes.items() if hit == n - 1)
+    return [_count_row(n, "exactly n-1 sorts", formulas.count_min_sorted_s12(n), slowest),
+            _count_row(n, "ord", n - 1, max(tail for _, tail, _ in shapes))]
 
 
 def _rows_c51_high(n, jobs, force):
@@ -499,6 +467,11 @@ def _rows_c51_high(n, jobs, force):
 def _rows_t52(n, jobs, force):
     observed = brute_image(MapId.S12, n, n - 2, jobs, force)
     return [_set_row(n, f"power={n - 2}", formulas.image_s12_power(n), observed)]
+
+
+def _rows_l53(n, jobs, force):
+    _, never = sort_histogram(MapId.MACHINE12, n, n // 2, jobs, force)
+    return [_count_row(n, f"not sorted within {n // 2} machine passes", 0, never)]
 
 
 def _rows_t54(n, jobs, force):
@@ -529,7 +502,7 @@ _CLAIMS: dict[str, tuple] = {
     "C5_1_min": (2, _rows_c51_min),
     "C5_1_high": (2, _rows_c51_high),
     "T5_2": (4, _rows_t52),
-    "L5_3": (2, _zero_rows, "not sorted within {} machine passes", 0, _m12_unsorted_at_half),
+    "L5_3": (2, _rows_l53),
     "T5_4": (4, _rows_t54),
 }
 

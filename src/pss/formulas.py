@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .engine import MapId, s21_closed_form
+from .engine import MapId, iterate, s21_closed_form
 from .perms import Perm, identity, reverse_identity, valley_runs
 
 # -- one-pass sortability under the dotted maps ------------------------------
@@ -182,22 +182,18 @@ def witness_pi_target(n: int, seed: Perm) -> Perm:
 def machine12_witness_check(family: str, n: int) -> tuple[Perm, Perm, Perm]:
     """Return (witness, claimed image, actual image after the claimed number
     of machine passes) for one witness family."""
-    from .engine import iterate  # local import avoids a cycle at module load
-
     if family == "even":
         w = witness_even(n)
         target = (2, 1) + identity(n)[2:]
-        steps = n // 2 - 1
     elif family == "cycle":
         w = witness_cycle(n)
         target = (2, 3, 1) + tuple(range(4, n + 1))
-        steps = n // 2 - 1
     elif family in ("pi213", "pi132", "pi312"):
         seed = tuple(int(c) for c in family[2:])
         w = witness_pi(n, seed)
         target = witness_pi_target(n, seed)
-        steps = n // 2 - 1
     else:
         raise ValueError(f"unknown witness family {family!r}")
+    steps = n // 2 - 1
     actual = iterate(MapId.MACHINE12, w, steps)
     return w, target, actual

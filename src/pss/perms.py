@@ -241,8 +241,6 @@ def successor(p: Perm) -> Optional[Perm]:
 
 
 def all_perms(n: int) -> Iterator[Perm]:
-    """All of S_n in lexicographic order."""
-    p: Optional[Perm] = identity(n)
-    while p is not None:
-        yield p
-        p = successor(p)
+    """All of S_n in lexicographic order (``itertools.permutations`` of a
+    sorted input), independent of ``successor``."""
+    return itertools.permutations(identity(n))

@@ -202,6 +202,33 @@ class TestOtherCommands:
         code, _, _ = run_cli(capsys, "count", "--claim", "T3_4", "--n", "9")
         assert code == 2
 
+    def test_count_rejects_stray_t(self, capsys):
+        code, out, err = run_cli(
+            capsys, "count", "--claim", "T4_2", "--n", "3", "--t", "5"
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["image", "--map", "s12", "--n", "-1", "--power", "1"],
+        ["fixed-points", "--machine", "m21", "--n", "-1"],
+    ])
+    def test_negative_n_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--jobs", "1")
+        assert code == 2 and out == "" and err == "error: length must be >= 1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--claim", "T4_2", "--n-max", "3"],
+        ["image", "--map", "s12", "--n", "3"],
+        ["fixed-points", "--machine", "m21", "--n", "3"],
+    ])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, capsys, argv, jobs):
+        code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert code == 2 and out == ""
+        assert len(errors) == 1 and "--jobs" in errors[0]
+
     def test_count_json_uses_decimal_strings(self, capsys):
         code, out, _ = run_cli(
             capsys, "count", "--claim", "T4_4", "--n", "30", "--format", "json"

@@ -28,6 +28,12 @@ perm_st = st.integers(1, 9).flatmap(
 )
 
 
+def complement(p):
+    """c(p) with c(v) = n+1-v; s21 = c o s12 o c is an oracle for s21 that
+    shares no code with it."""
+    return tuple(len(p) + 1 - v for v in p)
+
+
 class TestPolicies:
     def test_dotted_12_policy(self):
         allows = dotted_policy(DottedPattern(12, 1))
@@ -106,6 +112,7 @@ class TestClosedForms:
             s21 = s21_closed_form(p)
             assert s12 == s12_simulated(p) == run_pass(p, allows12)[0]
             assert s21 == s21_simulated(p) == run_pass(p, allows21)[0]
+            assert s21 == complement(s12_closed_form(complement(p)))
 
     @given(st.integers(1, 300).flatmap(
         lambda n: st.permutations(range(1, n + 1)).map(tuple)))
@@ -113,6 +120,7 @@ class TestClosedForms:
     def test_closed_equals_simulated_random(self, p):
         assert s12_closed_form(p) == s12_simulated(p)
         assert s21_closed_form(p) == s21_simulated(p)
+        assert s21_closed_form(p) == complement(s12_closed_form(complement(p)))
 
     @given(perm_st)
     def test_largest_entry_lands_last(self, p):
@@ -174,6 +182,7 @@ class TestIteration:
 
     def test_sorts_in(self):
         assert sorts_in(MapId.S12, (2, 3, 1), 5) == 2
+        assert sorts_in(MapId.S12, (2, 3, 1), 1) is None  # the cap binds
         assert sorts_in(MapId.S21, (2, 1), 4) is None
 
     @pytest.mark.parametrize("n", range(2, 8))
@@ -210,6 +219,10 @@ class TestOrbits:
     def test_orbit_anchor(self):
         rep = orbit(MapId.S12, (2, 3, 1))
         assert (rep.tail_length, rep.cycle_length, rep.reaches_identity_at) == (2, 1, 2)
+        # s21 does not fix the identity: 123 -> 321 -> 321
+        rep = orbit(MapId.S21, identity(3))
+        assert (rep.tail_length, rep.cycle_length, rep.reaches_identity_at) == (1, 1, 0)
+        assert not rep.is_periodic_point
 
     def test_machine21_fixed_point(self):
         rep = orbit(MapId.MACHINE21, (2, 1, 3))

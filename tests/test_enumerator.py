@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from pss.enumerator import (
     verify_all,
 )
 from pss.guard import GuardExceeded
-from pss.perms import all_perms, identity
+from pss.perms import PermutationError, all_perms, identity
 
 CLAIMS = (
     "RED", "P3_1", "P3_5", "L3_3", "T3_4", "T3_6", "L4_1", "T4_2",
@@ -56,6 +57,8 @@ class TestRangeIteration:
             RankRange(3, 4, 2)
         with pytest.raises(ValueError):
             RankRange(3, 0, 7)
+        with pytest.raises(PermutationError):
+            split_ranges(-1, 1)
 
 
 class TestBruteCounts:
@@ -63,6 +66,9 @@ class TestBruteCounts:
         assert brute_t_sortable(MapId.S12, 3, 1) == 4
         assert brute_t_sortable(MapId.S21, 4, 8) == 0
         assert brute_t_sortable(MapId.S21, 1, 3) == 1
+        buckets, never = sort_histogram(MapId.S12, 6, 6)
+        assert never == 0
+        assert exact_sortable_counts(MapId.S12, 6, 6) == list(itertools.accumulate(buckets))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_everything_s12_sorts_in_n_minus_1(self, n):

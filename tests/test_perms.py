@@ -189,10 +189,11 @@ class TestRanking:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_successor_is_lexicographic(self, n):
-        chain = list(all_perms(n))
-        assert chain == sorted(chain)
+        chain = [identity(n)]
+        while (nxt := successor(chain[-1])) is not None:
+            chain.append(nxt)
+        assert chain == list(all_perms(n)) == sorted(chain)
         assert len(chain) == math.factorial(n)
-        assert successor(chain[-1]) is None
 
 
 def test_perm_validation():
