@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 from .perms import Perm, identity
@@ -86,12 +87,12 @@ def dotted_policy(pattern: DottedPattern) -> PushPredicate:
     if pattern.base == 12:
 
         def allows12(stack: Sequence[int], v: int) -> bool:
-            return not stack or any(s > v for s in stack)
+            return not stack or max(stack) > v
 
         return allows12
 
     def allows21(stack: Sequence[int], v: int) -> bool:
-        return not stack or any(s < v for s in stack)
+        return not stack or min(stack) < v
 
     return allows21
 
@@ -241,15 +242,26 @@ _PASSES: dict[MapId, dict[Strategy, tuple[str, ...]]] = {
 }
 
 
-def pass_fn(map_id: MapId, strategy: Optional[Strategy] = None) -> Callable[[Perm], Perm]:
-    """The function computing one pass of the selected map; ValueError for a
+# each machine's first stage: the dotted map it runs under the machine's strategy
+DOTTED_STAGE = {MapId.MACHINE12: MapId.S12, MapId.MACHINE21: MapId.S21}
+
+
+def resolve(map_id: MapId, strategy: Optional[Strategy] = None) -> tuple[MapId, Strategy]:
+    """The map and its strategy, the map's default for None; ValueError for a
     strategy the map does not have."""
     map_id = MapId(map_id)
     by_strategy = _PASSES[map_id]
     strategy = next(iter(by_strategy)) if strategy is None else Strategy(strategy)
     if strategy not in by_strategy:
         raise ValueError(f"strategy {strategy.value} is not valid for map {map_id.value}")
-    stages = [globals()[name] for name in by_strategy[strategy]]
+    return map_id, strategy
+
+
+def pass_fn(map_id: MapId, strategy: Optional[Strategy] = None) -> Callable[[Perm], Perm]:
+    """The function computing one pass of the selected map; ValueError for a
+    strategy the map does not have."""
+    map_id, strategy = resolve(map_id, strategy)
+    stages = [globals()[name] for name in _PASSES[map_id][strategy]]
     if len(stages) == 1:
         return stages[0]
     dotted, west = stages
@@ -285,27 +297,41 @@ def sorts_in(map_id: MapId, p: Perm, t_max: int) -> Optional[int]:
     return _walk(f, ident, f(ident) == ident, p, t_max)[0]
 
 
+Walk = tuple[Optional[int], Optional[int], Optional[int], dict[Perm, int]]
+
+
 def _walk(
     f: Callable[[Perm], Perm], ident: Perm, fixes_ident: bool, p: Perm,
     cap: Optional[int] = None,
-) -> tuple[Optional[int], Optional[int], Optional[int]]:
+) -> Walk:
     """The rho shape of p's orbit under f: (first step at ``ident`` or None,
-    tail length, cycle length).  The walk stops at the first repeated state,
-    at ``ident`` if f fixes it (the orbit then ends in that one-cycle), or
-    after ``cap`` passes, leaving tail and cycle None if still open."""
+    tail length, cycle length, the states walked in order, each mapped to its
+    step).  The walk stops at the first repeated state, at ``ident`` if f
+    fixes it (the orbit then ends in that one-cycle), or after ``cap`` passes,
+    leaving tail and cycle None if still open."""
     seen: dict[Perm, int] = {}
     hit: Optional[int] = None
     while p not in seen:
         step = seen[p] = len(seen)
         if p == ident:
             if fixes_ident:
-                return step, step, 1
+                return step, step, 1, seen
             hit = step
         if step == cap:
-            return hit, None, None
+            return hit, None, None, seen
         p = f(p)
     tail = seen[p]
-    return hit, tail, len(seen) - tail
+    return hit, tail, len(seen) - tail, seen
+
+
+def _state_at(walk: Walk, k: int) -> Perm:
+    """The k-th state of a walked orbit: the state reached at step k or, past
+    the tail, the one at tail + (k - tail) mod cycle.  A walk capped below k
+    that is still open has no k-th state."""
+    _, tail, cycle, seen = walk
+    if k >= len(seen):
+        k = tail + (k - tail) % cycle
+    return next(islice(seen, k, None))
 
 
 @dataclass(frozen=True)
@@ -320,5 +346,5 @@ def orbit(map_id: MapId, p: Perm) -> OrbitReport:
     """Iterate until a state recurs; report the tail length, cycle length,
     and the first step at which the identity appears (if it does)."""
     f, ident = pass_fn(map_id), identity(len(p))
-    hit, tail, cycle = _walk(f, ident, f(ident) == ident, p)
+    hit, tail, cycle, _ = _walk(f, ident, f(ident) == ident, p)
     return OrbitReport(tail, cycle, hit, tail == 0)

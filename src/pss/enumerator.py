@@ -1,24 +1,39 @@
 """Exhaustive sweeps over S_n and claim verification.
 
 Every brute-force statistic is one query on one map's functional graph, and
-every sweep is made by one primitive, ``_tally``: a top-level *kernel
-factory* ``make_kernel(n, *params)`` returns a kernel from a permutation of
-length n to a hashable key, and ``_tally`` counts the keys over S_n into a
-``Counter`` that each public operation reduces.  Most reduce the orbit-shape
-kernel, whose key is an orbit's (first step at the identity, tail, cycle)
-from the engine's one walker: the sort histogram buckets the first step,
-exact-t counts repeat it along the cycle, and the order is the largest tail.
+every sweep is made by one primitive, ``_tally``: it walks S_n once and
+evaluates several kernels on each permutation, keeping one ``Counter`` of
+keys per kernel.  A top-level *kernel factory* ``make_kernel(facts,
+*params)`` builds a kernel from a permutation's facts to a hashable key.
+While it builds, it asks ``facts`` (a ``_Facts``) for what the kernel reads:
+orbit walks (the engine's one walker, giving the first step at the
+identity, tail, cycle and states) and k-th states of orbits.  Each fact is
+made once per permutation however many kernels read it.  A k-th state is
+read from a walk of that map when the sweep makes one that reaches step k,
+so pass images and k-fold images cost no passes of their own; past the
+tail, the state at step k is the one at tail + (k - tail) mod cycle.
+Facts are dropped with their permutation, so memory does not grow with n!.
+
+The public brute-force operations are one-kernel calls of ``_tally``, each
+reducing its Counter: the sort histogram buckets the first identity step,
+exact-t counts repeat it along the cycle, the order is the largest tail.
+
+``verify`` and ``verify_all`` are one path: a verification run gathers,
+for each S_m, the kernels of every (claim, n) that rides on it (L3_3 at n
+rides on S_{n-1}, the others on S_n) and sweeps each S_m once.  Each
+claim's rows, its closed forms (from :mod:`pss.formulas`) against brute
+force, are then reduced from its Counter into a
+:class:`VerificationReport`.  A sweep's time is split evenly across the
+claims in it, so the claims' ``elapsed`` sum to the run's time.
 
 The sweep walks half-open rank ranges with the lexicographic successor
-(unranking happens only at range starts).  With more than one job the
-ranges go to worker processes; the per-range Counters are summed, so the
-outcome is identical for any worker count.  Pool tasks carry only ints,
-``MapId``/``Strategy`` values and module-level functions, so they pickle
-under any start method.
-
-``verify`` pairs each registered claim's closed form (from
-:mod:`pss.formulas`) with its brute-force counterpart and emits a
-:class:`VerificationReport`.
+(unranking happens only at range starts).  With more than one job, S_n is
+cut into at most four ranges per job and no more ranges than it has blocks
+of ``BLOCK`` permutations, and the ranges go to worker processes; an S_n of
+at most ``BLOCK`` permutations is one range and starts no pool.  The
+per-range Counters are summed, so the outcome is identical for any worker
+count.  Pool tasks carry only ints, ``MapId``/``Strategy`` values and
+module-level functions, so they pickle under any start method.
 """
 
 from __future__ import annotations
@@ -29,21 +44,26 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
-from typing import Callable, Hashable, Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from . import formulas
 from .engine import (
+    DOTTED_STAGE,
     DottedPattern,
     MapId,
     Strategy,
     dotted_policy,
     pass_fn,
+    resolve,
     run_pass,
     s12_closed_form,
     s12_simulated,
     s21_closed_form,
     s21_simulated,
+    _state_at,
     _walk,
 )
 from .guard import GuardExceeded, check_guard
@@ -102,6 +122,86 @@ KEY_CAP = 10**6  # most distinct keys one sweep may hold
 BLOCK = 4096  # permutations counted between two checks of the cap
 
 
+class _Facts:
+    """What the kernels of one sweep of S_n share about each permutation p.
+
+    A kernel factory asks for what its kernel reads and gets back a position
+    in the list that ``of()`` builds for every p; position 0 holds p itself.
+
+    * ``walk(map_id, cap)``: p's orbit walk, ``engine._walk``'s (identity
+      hit, tail, cycle, states), for at most ``cap`` passes.
+    * ``state(map_id, k)``: the k-th state of p's orbit, read from the
+      sweep's longest walk of that map when it reaches step k.  Otherwise a
+      first state is one pass, a machine's first state is the west pass of
+      its dotted stage's first state (so m21(p) reuses s21(p)), and a later
+      state comes from a walk of its own capped at k.
+
+    Each fact is made once per p, whatever the number of kernels that read
+    it, and none outlives p.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n, self.ident = n, identity(n)
+        self._slots: dict[tuple, int] = {}
+
+    def walk(self, map_id: MapId, cap: Optional[int], strategy: Optional[Strategy] = None) -> int:
+        return self._slot(("walk", *resolve(map_id, strategy), cap))
+
+    def state(self, map_id: MapId, k: int, strategy: Optional[Strategy] = None) -> int:
+        return self._slot(("state", *resolve(map_id, strategy), k))
+
+    def _slot(self, fact: tuple) -> int:
+        return self._slots.setdefault(fact, len(self._slots) + 1)
+
+    def of(self) -> Callable[[Perm], list]:
+        """The function from p to the list of its facts; call it once every
+        kernel of the sweep is built."""
+        def reach(cap: Optional[int]) -> float:
+            return math.inf if cap is None else cap
+
+        longest: dict[tuple, Optional[int]] = {}  # (map, strategy) -> cap of its longest walk
+        for kind, map_id, strategy, cap in sorted(self._slots, key=lambda fact: reach(fact[3])):
+            if kind == "walk":
+                longest[map_id, strategy] = cap
+        steps: list[tuple[int, Callable, int]] = []  # (slot, function, slot it reads)
+        made: set[int] = set()
+
+        def make(fact: tuple) -> int:
+            slot = self._slot(fact)
+            if slot in made:
+                return slot
+            kind, map_id, strategy, k = fact
+            if kind == "walk":
+                f, ident = pass_fn(map_id, strategy), self.ident
+                fixes_ident = f(ident) == ident
+                steps.append((slot, lambda p: _walk(f, ident, fixes_ident, p, k), 0))
+            else:
+                cap = longest.get((map_id, strategy), -1)
+                if reach(cap) >= k:
+                    step = partial(_state_at, k=k), make(("walk", map_id, strategy, cap))
+                elif k == 1 and map_id in DOTTED_STAGE:
+                    step = pass_fn(MapId.WEST), make(("state", DOTTED_STAGE[map_id], strategy, 1))
+                elif k == 1:
+                    step = pass_fn(map_id, strategy), 0
+                else:
+                    step = partial(_state_at, k=k), make(("walk", map_id, strategy, k))
+                steps.append((slot, *step))
+            made.add(slot)
+            return slot
+
+        for fact in list(self._slots):
+            make(fact)
+        size = len(self._slots) + 1
+
+        def facts(p: Perm) -> list:
+            v = [p] * size
+            for slot, fn, read in steps:
+                v[slot] = fn(v[read])
+            return v
+
+        return facts
+
+
 def _check_cap(counts: Counter) -> None:
     if len(counts) > KEY_CAP:
         raise GuardExceeded(
@@ -119,112 +219,119 @@ def _run(worker: Callable, tasks: list, jobs: int) -> list:
         return pool.map(worker, tasks)
 
 
-def _tally_range(task: tuple) -> Counter:
-    n, lo, hi, make_kernel, params = task
-    kernel = make_kernel(n, *params)
+def _tally_range(task: tuple) -> list[Counter]:
+    n, lo, hi, specs = task
+    facts = _Facts(n)
+    kernels = [make_kernel(facts, *params) for make_kernel, params in specs]
+    of = facts.of()
+    counts = [Counter() for _ in kernels]
+    tallies = list(zip(counts, kernels))
     perms = iter_range(RankRange(n, lo, hi))
-    counts: Counter = Counter()
     for _ in range(lo, hi, BLOCK):
-        counts.update(map(kernel, islice(perms, BLOCK)))
-        _check_cap(counts)
+        for p in islice(perms, BLOCK):
+            v = of(p)
+            for c, kernel in tallies:
+                c[kernel(v)] += 1
+        for c in counts:
+            _check_cap(c)
     return counts
 
 
-def _tally(n: int, jobs: int, make_kernel: Callable, *params) -> Counter:
-    """Counter of ``make_kernel(n, *params)(p)`` over p in S_n."""
-    ranges = split_ranges(n, jobs * 4 if jobs > 1 else 1)
-    tasks = [(r.n, r.lo, r.hi, make_kernel, params) for r in ranges]
-    total: Counter = Counter()
+def _tally(n: int, jobs: int, specs: list[tuple]) -> list[Counter]:
+    """For each kernel spec ``(make_kernel, params)``, the Counter of
+    ``make_kernel(facts, *params)(facts of p)`` over p in S_n, all from one
+    sweep."""
+    # an S_n of at most BLOCK permutations is one task, so it starts no pool;
+    # split_ranges rejects n < 1
+    parts = 1 if jobs <= 1 or n < 1 else min(4 * jobs, -(-math.factorial(n) // BLOCK))
+    tasks = [(r.n, r.lo, r.hi, specs) for r in split_ranges(n, parts)]
+    totals = [Counter() for _ in specs]
     for counts in _run(_tally_range, tasks, jobs):
-        total.update(counts)
-    _check_cap(total)
-    return total
+        for total, c in zip(totals, counts):
+            total.update(c)
+    for total in totals:
+        _check_cap(total)
+    return totals
 
 
 # -- kernel factories (top level so they pickle) ------------------------------
 
-Kernel = Callable[[Perm], Hashable]
+Kernel = Callable[[list], Hashable]
 
 
 def _orbit_shape(
-    n: int, map_id: MapId, cap: Optional[int], strategy: Optional[Strategy]
+    facts: _Facts, map_id: MapId, cap: Optional[int], strategy: Optional[Strategy]
 ) -> Kernel:
     """The orbit's (identity hit, tail, cycle), walked for at most ``cap``
     passes (see ``engine._walk``)."""
-    f, ident = pass_fn(map_id, strategy), identity(n)
-    fixes_ident = f(ident) == ident
-    return lambda p: _walk(f, ident, fixes_ident, p, cap)
+    walk = facts.walk(map_id, cap, strategy)
+    return lambda v: v[walk][:3]
 
 
-def _image(n: int, map_id: MapId, k: int, strategy: Optional[Strategy]) -> Kernel:
+def _image(facts: _Facts, map_id: MapId, k: int, strategy: Optional[Strategy]) -> Kernel:
     """The k-fold image."""
-    f = pass_fn(map_id, strategy)
-
-    def kernel(p: Perm) -> Perm:
-        for _ in range(k):
-            p = f(p)
-        return p
-
-    return kernel
+    return itemgetter(facts.state(map_id, k, strategy))
 
 
-def _fixed_point(n: int, map_id: MapId) -> Kernel:
+def _fixed_point(facts: _Facts, map_id: MapId) -> Kernel:
     """The permutation if one pass fixes it, else None."""
-    f = pass_fn(map_id)
-    return lambda p: p if f(p) == p else None
+    image = facts.state(map_id, 1)
+    return lambda v: v[0] if v[image] == v[0] else None
 
 
-def _strategies_differ(n: int, map_id: MapId) -> Kernel:
-    closed = pass_fn(map_id, Strategy.CLOSED_FORM)
-    simulated = pass_fn(map_id, Strategy.SIMULATED)
-    return lambda p: closed(p) != simulated(p)
+def _strategies_differ(facts: _Facts, map_id: MapId) -> Kernel:
+    closed = facts.state(map_id, 1, Strategy.CLOSED_FORM)
+    simulated = facts.state(map_id, 1, Strategy.SIMULATED)
+    return lambda v: v[closed] != v[simulated]
 
 
-def _dot_variants_differ(n: int) -> Kernel:
+def _dot_variants_differ(facts: _Facts) -> Kernel:
     """Whether the two dot placements of either base pattern give different
     pass outputs."""
     pairs = [
         (dotted_policy(DottedPattern(base, 1)), dotted_policy(DottedPattern(base, 2)))
         for base in (12, 21)
     ]
-    return lambda p: any(run_pass(p, one)[0] != run_pass(p, two)[0] for one, two in pairs)
+    return lambda v: any(run_pass(v[0], one)[0] != run_pass(v[0], two)[0] for one, two in pairs)
 
 
-def _machine21_sortable_mismatch(n: int) -> Kernel:
+def _machine21_sortable_mismatch(facts: _Facts) -> Kernel:
     """One m21 pass sorts p, against: the valley-run reversal of p is the
     decreasing permutation."""
-    m21, s21 = pass_fn(MapId.MACHINE21), pass_fn(MapId.S21)
-    ident, rev = identity(n), reverse_identity(n)
-    return lambda p: (m21(p) == ident) != (s21(p) == rev)
+    m21, s21 = facts.state(MapId.MACHINE21, 1), facts.state(MapId.S21, 1)
+    ident, rev = facts.ident, reverse_identity(facts.n)
+    return lambda v: (v[m21] == ident) != (v[s21] == rev)
 
 
-def _machine21_fixed_mismatch(n: int) -> Kernel:
-    m21 = pass_fn(MapId.MACHINE21)
-    return lambda p: (m21(p) == p) != formulas.is_machine21_fixed_shape(p)
+def _machine21_fixed_mismatch(facts: _Facts) -> Kernel:
+    m21 = facts.state(MapId.MACHINE21, 1)
+    return lambda v: (v[m21] == v[0]) != formulas.is_machine21_fixed_shape(v[0])
 
 
-def _deletion_differs(m: int) -> Kernel:
+def _deletion_differs(facts: _Facts) -> Kernel:
     """Whether some insertion i of p in S_m, sorted by one s12 pass and with
     the 1 deleted again, differs from the sorted p."""
-    s12 = pass_fn(MapId.S12)
+    sorted_p, s12, m = facts.state(MapId.S12, 1), pass_fn(MapId.S12), facts.n
 
-    def kernel(p: Perm) -> bool:
-        want = s12(p)
+    def kernel(v: list) -> bool:
+        p, want = v[0], v[sorted_p]
         return any(delete_one(s12(ins(p, i))) != want for i in range(1, m + 2))
 
     return kernel
 
 
-def _insertion_miss(m: int, t: int) -> Kernel:
+def _insertion_miss(facts: _Facts, t: int) -> Kernel:
     """Whether p in S_m is t-sortable under s12 yet does not have exactly
     t+1 of its m+1 insertions t-sortable."""
-    parent = _orbit_shape(m, MapId.S12, t, None)
-    child = _orbit_shape(m + 1, MapId.S12, t, None)
+    parent, m = facts.walk(MapId.S12, t), facts.n
+    f, ident = pass_fn(MapId.S12), identity(m + 1)
+    fixes_ident = f(ident) == ident
 
-    def kernel(p: Perm) -> bool:
-        if parent(p)[0] is None:
+    def kernel(v: list) -> bool:
+        if v[parent][0] is None:
             return False
-        return sum(child(ins(p, i))[0] is not None for i in range(1, m + 2)) != t + 1
+        children = (_walk(f, ident, fixes_ident, ins(v[0], i), t) for i in range(1, m + 2))
+        return sum(child[0] is not None for child in children) != t + 1
 
     return kernel
 
@@ -235,7 +342,26 @@ def _insertion_miss(m: int, t: int) -> Kernel:
 def _shapes(map_id, n, cap, jobs, force, strategy=None) -> Counter:
     """Counter of orbit shapes (identity hit, tail, cycle) over S_n."""
     check_guard(n, force)
-    return _tally(n, jobs, _orbit_shape, MapId(map_id), cap, strategy)
+    return _tally(n, jobs, [(_orbit_shape, (MapId(map_id), cap, strategy))])[0]
+
+
+def _histogram(shapes: Counter, t_cap: int) -> tuple[list[int], int]:
+    """(buckets[0..t_cap], never) of the identity hits in orbit shapes."""
+    hits: Counter = Counter()
+    for (hit, _, _), c in shapes.items():
+        hits[hit] += c
+    return [hits[t] for t in range(t_cap + 1)], hits[None]
+
+
+def _exact_counts(shapes: Counter, t_cap: int) -> list[int]:
+    """counts[t] = how many orbits are at the identity at step t."""
+    counts = [0] * (t_cap + 1)
+    for (hit, tail, cycle), c in shapes.items():
+        if hit is not None:  # the identity recurs only if it is on the cycle
+            on_cycle = tail is not None and hit >= tail
+            for t in range(hit, t_cap + 1, cycle) if on_cycle else (hit,):
+                counts[t] += c
+    return counts
 
 
 def sort_histogram(
@@ -247,10 +373,7 @@ def sort_histogram(
     strategy: Optional[Strategy] = None,
 ) -> tuple[list[int], int]:
     """Minimal-sort-count histogram over S_n: (buckets[0..t_cap], never)."""
-    hits: Counter = Counter()
-    for (hit, _, _), c in _shapes(map_id, n, t_cap, jobs, force, strategy).items():
-        hits[hit] += c
-    return [hits[t] for t in range(t_cap + 1)], hits[None]
+    return _histogram(_shapes(map_id, n, t_cap, jobs, force, strategy), t_cap)
 
 
 def exact_sortable_counts(
@@ -262,13 +385,7 @@ def exact_sortable_counts(
     strategy: Optional[Strategy] = None,
 ) -> list[int]:
     """counts[t] = #{p in S_n : t-fold image of p is the identity}."""
-    counts = [0] * (t_cap + 1)
-    for (hit, tail, cycle), c in _shapes(map_id, n, t_cap, jobs, force, strategy).items():
-        if hit is not None:  # the identity recurs only if it is on the cycle
-            on_cycle = tail is not None and hit >= tail
-            for t in range(hit, t_cap + 1, cycle) if on_cycle else (hit,):
-                counts[t] += c
-    return counts
+    return _exact_counts(_shapes(map_id, n, t_cap, jobs, force, strategy), t_cap)
 
 
 def brute_t_sortable(
@@ -291,7 +408,11 @@ def brute_machine_sortable(
 ) -> int:
     """Count permutations of length n that one pass of ``machine`` sorts."""
     check_guard(n, force)
-    return _tally(n, jobs, _image, MapId(machine), 1, None)[identity(n)]
+    return _tally(n, jobs, [(_image, (MapId(machine), 1, None))])[0][identity(n)]
+
+
+def _fixed(points: Counter) -> list[Perm]:
+    return sorted(p for p in points if p is not None)
 
 
 def brute_fixed_points(
@@ -300,7 +421,7 @@ def brute_fixed_points(
     """Fixed points of ``machine`` in S_n: their count and, with ``collect``,
     the list in lexicographic order."""
     check_guard(n, force)
-    found = sorted(p for p in _tally(n, jobs, _fixed_point, MapId(machine)) if p is not None)
+    found = _fixed(_tally(n, jobs, [(_fixed_point, (MapId(machine),))])[0])
     return len(found), (found if collect else None)
 
 
@@ -314,7 +435,7 @@ def brute_image(
 ) -> set[Perm]:
     """{k-fold image of p : p in S_n} as a set."""
     check_guard(n, force)
-    return set(_tally(n, jobs, _image, MapId(map_id), k, strategy))
+    return set(_tally(n, jobs, [(_image, (MapId(map_id), k, strategy))])[0])
 
 
 def brute_ord(map_id: MapId, n: int, jobs: int = 1, force: bool = False) -> int:
@@ -329,7 +450,7 @@ def insertion_positions_property(n: int, t: int, force: bool = False) -> bool:
     if not 1 <= t < n:
         raise ValueError("need 1 <= t < n")
     check_guard(n, force)
-    return not _tally(n - 1, 1, _insertion_miss, t)[True]
+    return not _tally(n - 1, 1, [(_insertion_miss, (t,))])[0][True]
 
 
 def _w_random_agreement(args) -> int:
@@ -418,76 +539,105 @@ def _set_row(n: int, param: str, expected: set[Perm], observed: set[Perm]) -> Ro
     return Row(n, param, _perm_set_str(expected), _perm_set_str(observed), expected == observed)
 
 
-def _zero_rows(n, jobs, force, label, shift, make_kernel, *params):
+# the shape of the uncapped s12 walk, read by T3_4, C5_1_min and C5_1_high;
+# T5_2's image is a state of the same walk
+_S12_WALK = (_orbit_shape, (MapId.S12, None, None))
+
+
+def _zero_rows(n, label, shift, make_kernel, *params):
     """One row: the permutations of S_{n-shift} whose kernel reports a
     mismatch, expected to number zero."""
-    bad = _tally(n - shift, jobs, make_kernel, *params)[True]
-    return [_count_row(n, label, 0, bad)]
+    return n - shift, (make_kernel, params), lambda bad: [_count_row(n, label, 0, bad[True])]
 
 
-def _rows_t34(n, jobs, force):
-    buckets, _ = sort_histogram(MapId.S12, n, n, jobs, force)
-    return [
-        _count_row(n, f"t={t}", formulas.count_t_sortable_s12(n, t), sum(buckets[: t + 1]))
-        for t in range(1, n + 1)
-    ]
+def _rows_t34(n):
+    def rows(shapes):
+        buckets, _ = _histogram(shapes, n)
+        return [
+            _count_row(n, f"t={t}", formulas.count_t_sortable_s12(n, t), sum(buckets[: t + 1]))
+            for t in range(1, n + 1)
+        ]
+
+    return n, _S12_WALK, rows
 
 
-def _rows_t36(n, jobs, force):
-    counts = exact_sortable_counts(MapId.S21, n, 2 * n, jobs, force)
-    expected = formulas.count_t_sortable_s21(n)
-    return [
-        _count_row(n, f"t={t}", expected, counts[t]) for t in range(1, 2 * n + 1)
-    ]
+def _rows_t36(n):
+    def rows(shapes):
+        counts = _exact_counts(shapes, 2 * n)
+        expected = formulas.count_t_sortable_s21(n)
+        return [_count_row(n, f"t={t}", expected, counts[t]) for t in range(1, 2 * n + 1)]
+
+    return n, (_orbit_shape, (MapId.S21, 2 * n, None)), rows
 
 
-def _rows_t42(n, jobs, force):
-    observed = brute_machine_sortable(MapId.MACHINE21, n, jobs, force)
-    return [_count_row(n, "machine-sortable", formulas.count_machine21_sortable(n), observed)]
+def _rows_t42(n):
+    def rows(images):
+        observed = images[identity(n)]
+        return [_count_row(n, "machine-sortable", formulas.count_machine21_sortable(n), observed)]
+
+    return n, (_image, (MapId.MACHINE21, 1, None)), rows
 
 
-def _rows_t44(n, jobs, force):
-    observed, _ = brute_fixed_points(MapId.MACHINE21, n, False, jobs, force)
-    return [_count_row(n, "fixed points", formulas.count_machine21_fixed_points(n), observed)]
+def _rows_t44(n):
+    def rows(points):
+        observed = len(_fixed(points))
+        return [_count_row(n, "fixed points", formulas.count_machine21_fixed_points(n), observed)]
+
+    return n, (_fixed_point, (MapId.MACHINE21,)), rows
 
 
-def _rows_c51_min(n, jobs, force):
-    shapes = _shapes(MapId.S12, n, None, jobs, force)
-    slowest = sum(c for (hit, _, _), c in shapes.items() if hit == n - 1)
-    return [_count_row(n, "exactly n-1 sorts", formulas.count_min_sorted_s12(n), slowest),
-            _count_row(n, "ord", n - 1, max(tail for _, tail, _ in shapes))]
+def _rows_c51_min(n):
+    def rows(shapes):
+        slowest = sum(c for (hit, _, _), c in shapes.items() if hit == n - 1)
+        return [_count_row(n, "exactly n-1 sorts", formulas.count_min_sorted_s12(n), slowest),
+                _count_row(n, "ord", n - 1, max(tail for _, tail, _ in shapes))]
+
+    return n, _S12_WALK, rows
 
 
-def _rows_c51_high(n, jobs, force):
-    buckets, _ = sort_histogram(MapId.S12, n, n, jobs, force)
-    observed = sum(buckets[: n - 1])
-    return [_count_row(n, "within n-2 sorts", formulas.count_highly_sorted_s12(n), observed)]
+def _rows_c51_high(n):
+    def rows(shapes):
+        buckets, _ = _histogram(shapes, n)
+        observed = sum(buckets[: n - 1])
+        return [_count_row(n, "within n-2 sorts", formulas.count_highly_sorted_s12(n), observed)]
+
+    return n, _S12_WALK, rows
 
 
-def _rows_t52(n, jobs, force):
-    observed = brute_image(MapId.S12, n, n - 2, jobs, force)
-    return [_set_row(n, f"power={n - 2}", formulas.image_s12_power(n), observed)]
+def _rows_t52(n):
+    def rows(images):
+        return [_set_row(n, f"power={n - 2}", formulas.image_s12_power(n), set(images))]
+
+    return n, (_image, (MapId.S12, n - 2, None)), rows
 
 
-def _rows_l53(n, jobs, force):
-    _, never = sort_histogram(MapId.MACHINE12, n, n // 2, jobs, force)
-    return [_count_row(n, f"not sorted within {n // 2} machine passes", 0, never)]
+def _rows_l53(n):
+    def rows(shapes):
+        _, never = _histogram(shapes, n // 2)
+        return [_count_row(n, f"not sorted within {n // 2} machine passes", 0, never)]
+
+    return n, (_orbit_shape, (MapId.MACHINE12, n // 2, None)), rows
 
 
-def _rows_t54(n, jobs, force):
+def _rows_t54(n):
     k = n // 2 - 1
-    rows = [_set_row(n, f"power={k}", formulas.image_machine12(n),
-                     brute_image(MapId.MACHINE12, n, k, jobs, force))]
-    families = ["even"] if n % 2 == 0 else ["cycle", "pi213", "pi132", "pi312"]
-    for fam in families:
-        _, target, actual = formulas.machine12_witness_check(fam, n)
-        rows.append(Row(n, f"witness {fam}", format_perm(target), format_perm(actual),
-                        target == actual))
-    return rows
+
+    def rows(images):
+        out = [_set_row(n, f"power={k}", formulas.image_machine12(n), set(images))]
+        families = ["even"] if n % 2 == 0 else ["cycle", "pi213", "pi132", "pi312"]
+        for fam in families:
+            _, target, actual = formulas.machine12_witness_check(fam, n)
+            out.append(Row(n, f"witness {fam}", format_perm(target), format_perm(actual),
+                           target == actual))
+        return out
+
+    return n, (_image, (MapId.MACHINE12, k, None)), rows
 
 
-# claim -> (least n, row builder over one n, *builder arguments); the
-# zero-mismatch claims share one builder and differ by its arguments
+# claim -> (least n, builder, *builder arguments).  For one n, a builder
+# gives the S_m the claim's kernel rides on, the kernel spec, and the function
+# from the kernel's Counter to the rows.  The zero-mismatch claims share one
+# builder and differ by its arguments.
 _CLAIMS: dict[str, tuple] = {
     "RED": (1, _zero_rows, "dot-variant mismatches", 0, _dot_variants_differ),
     "P3_1": (1, _zero_rows, "closed vs simulated mismatches", 0, _strategies_differ, MapId.S12),
@@ -509,26 +659,45 @@ _CLAIMS: dict[str, tuple] = {
 CLAIM_IDS = tuple(_CLAIMS)
 
 
+def _verify(
+    claims: Sequence[str], n_min: int, n_max: int, jobs: int, force: bool
+) -> list[VerificationReport]:
+    """Reports of ``claims`` over n_min..n_max, from one sweep of each S_m
+    that a claim's kernel rides on.  A sweep's time is split evenly across
+    the claims in it, and each claim is charged its own row reduction."""
+    for claim in claims:
+        if claim not in _CLAIMS:
+            raise ValueError(f"unknown claim {claim!r}; known: {', '.join(_CLAIMS)}")
+    if n_min > n_max:
+        raise ValueError("n_min must not exceed n_max")
+    check_guard(n_max, force)
+    reports = {claim: VerificationReport(claim, n_min, n_max) for claim in claims}
+    riders: dict[int, list] = {}  # S_m -> [(claim, kernel spec, rows)]
+    for claim in claims:
+        lo, build, *args = _CLAIMS[claim]
+        for n in range(max(n_min, lo), n_max + 1):
+            m, spec, rows = build(n, *args)
+            riders.setdefault(m, []).append((claim, spec, rows))
+    for m in sorted(riders):  # n = m + shift, so each claim's rows come in n order
+        start = time.monotonic()
+        counts = _tally(m, jobs, [spec for _, spec, _ in riders[m]])
+        share = (time.monotonic() - start) / len(counts)
+        for (claim, _, rows), c in zip(riders[m], counts):
+            start = time.monotonic()
+            reports[claim].rows.extend(rows(c))
+            reports[claim].elapsed += share + time.monotonic() - start
+    return list(reports.values())
+
+
 def verify(
     claim: str, n_min: int, n_max: int, jobs: int = 1, force: bool = False
 ) -> VerificationReport:
     """Compare the closed form of one claim against brute force over a range
     of lengths.  The range is clamped below to the claim's valid domain."""
-    if claim not in _CLAIMS:
-        raise ValueError(f"unknown claim {claim!r}; known: {', '.join(_CLAIMS)}")
-    if n_min > n_max:
-        raise ValueError("n_min must not exceed n_max")
-    check_guard(n_max, force)
-    lo, build, *args = _CLAIMS[claim]
-    start = time.monotonic()
-    report = VerificationReport(claim, n_min, n_max)
-    for n in range(max(n_min, lo), n_max + 1):
-        report.rows.extend(build(n, jobs, force, *args))
-    report.elapsed = time.monotonic() - start
-    return report
+    return _verify([claim], n_min, n_max, jobs, force)[0]
 
 
 def verify_all(
     n_min: int, n_max: int, jobs: int = 1, force: bool = False
 ) -> list[VerificationReport]:
-    return [verify(c, n_min, n_max, jobs, force) for c in CLAIM_IDS]
+    return _verify(CLAIM_IDS, n_min, n_max, jobs, force)

@@ -39,13 +39,21 @@ class TestPolicies:
         allows = dotted_policy(DottedPattern(12, 1))
         assert allows((1, 5), 4)  # 5 on the stack exceeds 4
         assert not allows((3,), 5)
+        assert allows((6,), 5)
+        assert allows((6, 9, 7), 5)  # all above
+        assert not allows((2, 1, 3), 5)  # all below
         assert allows((), 7)
+        assert allows([], 7)
 
     def test_dotted_21_policy(self):
         allows = dotted_policy(DottedPattern(21, 1))
         assert not allows((3,), 1)
         assert allows((3,), 4)
+        assert allows((4, 1), 3)  # 1 on the stack is below 3
+        assert not allows((6, 9, 7), 5)  # all above
+        assert allows((2, 1, 3), 5)  # all below
         assert allows((), 1)
+        assert allows([], 1)
 
     def test_west_policy(self):
         allows = west_policy()

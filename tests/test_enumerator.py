@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from pss import formulas
-from pss.engine import MapId, Strategy, apply
+from pss import enumerator
+from pss.engine import MapId, Strategy, apply, iterate, orbit
 from pss.enumerator import (
     RankRange,
     brute_fixed_points,
@@ -92,6 +94,24 @@ class TestBruteCounts:
         }
         assert brute_image(MapId.MACHINE12, 5, 1) == formulas.image_machine12(5)
         assert brute_image(MapId.S12, 4, 0) == set(all_perms(4))
+
+    @pytest.mark.parametrize("map_id", list(MapId))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_image_is_iterate(self, map_id, n):
+        perms = list(all_perms(n))
+        for k in range(3 * n + 1):
+            assert brute_image(map_id, n, k) == {iterate(map_id, p, k) for p in perms}
+
+    @pytest.mark.parametrize("map_id", list(MapId))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_image_of_a_huge_power(self, map_id, n):
+        """Past every tail, the 10**6-fold image equals the image at any
+        power congruent to 10**6 modulo every cycle length."""
+        reports = [orbit(map_id, p) for p in all_perms(n)]
+        k0 = max(r.tail_length for r in reports)
+        period = math.lcm(*(r.cycle_length for r in reports))
+        k = k0 + (10**6 - k0) % period
+        assert brute_image(map_id, n, 10**6) == {iterate(map_id, p, k) for p in all_perms(n)}
 
     def test_ord_anchors(self):
         assert brute_ord(MapId.S12, 6) == 5
@@ -191,6 +211,32 @@ class TestVerify:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == verify("T5_4", 1, 6, jobs=1).to_dict()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_all_claims_report_as_each_alone(self, jobs):
+        for report in verify_all(1, 7, jobs=jobs):
+            assert report.to_dict() == verify(report.claim, 1, 7, jobs=jobs).to_dict()
+
+    def test_each_length_is_swept_once(self, monkeypatch):
+        walked = []
+
+        def counting(r):
+            walked.append(r.n)
+            return iter_range(r)
+
+        monkeypatch.setattr(enumerator, "iter_range", counting)
+        verify_all(1, 6)
+        assert walked == [1, 2, 3, 4, 5, 6]
+        walked.clear()
+        verify_all(6, 6)  # L3_3 at n = 6 rides on S_5
+        assert walked == [5, 6]
+
+    def test_small_sweeps_start_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        assert all(r.overall_pass for r in verify_all(1, 6, jobs=2))
 
     def test_verify_all_covers_registry(self):
         reports = verify_all(1, 4)
