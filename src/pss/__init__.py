@@ -10,7 +10,6 @@ from .engine import (
     MapId,
     OrbitReport,
     StackTrace,
-    Strategy,
     apply,
     dotted_policy,
     iterate,

@@ -152,8 +152,8 @@ def cmd_image(args) -> int:
             power = int(args.power)
         except ValueError:
             raise UsageError(f"--power must be an integer or 'auto', got {args.power!r}")
-        if power < 0:
-            raise UsageError("--power must be nonnegative")
+    if power < 0:  # 'auto' is negative for n = 1
+        raise UsageError(f"--power must be nonnegative, got {power}")
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     image = enumerator.brute_image(m, args.n, power, jobs=jobs, force=args.force)
     if args.format == "json":

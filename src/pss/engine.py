@@ -13,10 +13,12 @@ Five maps are exposed:
 * ``m12`` / ``m21`` -- the two-stage machines: a dotted pass followed by a
   west pass.
 
-Each dotted map has a closed form (run reversal) and a simulated form
-(explicit stack); the two are interchangeable and cross-checked in the test
-suite.  The dot position of a dotted pattern never changes the push
-predicate, so both dot placements of a base produce the same map.
+A dotted map's pass is its closed form (run reversal).  The explicit
+stacks (``s12_simulated``, ``s21_simulated``), ``west_recursive`` and the
+generic ``run_pass`` are oracles: public, called by name, and checked
+against the default passes by the test suite and claims P3_1/P3_5.  The dot
+position of a dotted pattern never changes the push predicate, so both dot
+placements of a base produce the same map.
 """
 
 from __future__ import annotations
@@ -35,12 +37,6 @@ class MapId(str, Enum):
     S21 = "s21"
     MACHINE12 = "m12"
     MACHINE21 = "m21"
-
-
-class Strategy(str, Enum):
-    SIMULATED = "simulated"
-    CLOSED_FORM = "closed-form"
-    RECURSIVE_WEST = "recursive-west"
 
 
 @dataclass(frozen=True)
@@ -72,17 +68,20 @@ class StackTrace:
         return tuple(e.value for e in self.events if e.op == "pop")
 
 
+# (stack as stored, bottom to top; candidate entry) -> whether to push it
 PushPredicate = Callable[[Sequence[int], int], bool]
 
 
 def dotted_policy(pattern: DottedPattern) -> PushPredicate:
     """Push predicate of a dotted pattern.
 
-    The predicate receives the stack read top-to-bottom and the candidate
-    entry; it answers whether the candidate, prepended to that reading,
-    takes part in an occurrence of the base pattern.  An empty stack always
-    admits a push.  The dot position drops out of this condition, which is
-    why both placements of the dot define the same map.
+    The predicate receives the stack bottom to top and the candidate entry;
+    it answers whether the candidate, prepended to the stack read
+    top-to-bottom, takes part in an occurrence of the base pattern, that is
+    whether some stack entry exceeds it (12) or is below it (21), whatever
+    their order.  An empty stack always admits a push.  The dot position
+    drops out of this condition, which is why both placements of the dot
+    define the same map.
     """
     if pattern.base == 12:
 
@@ -102,7 +101,7 @@ def west_policy() -> PushPredicate:
     is smaller than the top."""
 
     def allows(stack: Sequence[int], v: int) -> bool:
-        return not stack or v < stack[0]
+        return not stack or v < stack[-1]
 
     return allows
 
@@ -114,14 +113,15 @@ def run_pass(
 
     Repeatedly: if input remains and the policy permits, push the next input
     value; otherwise pop the top to the output.  Once the input is exhausted
-    the stack is flushed top-to-bottom.
+    the stack is flushed top-to-bottom.  The policy sees the stack as
+    stored, bottom to top, with the top last.
     """
     stack: list[int] = []
     out: list[int] = []
     events: list[TraceEvent] = []
     step = 0
     for v in p:
-        while stack and not policy(stack[::-1], v):
+        while stack and not policy(stack, v):
             out.append(stack.pop())
             if want_trace:
                 events.append(TraceEvent("pop", out[-1], step))
@@ -223,63 +223,42 @@ def west_recursive(p: Perm) -> Perm:
 
 # -- dispatch, iteration, orbits ---------------------------------------------
 
-# map -> strategy -> names of the passes applied in order.  The first strategy
-# listed for a map is its default.  For the machines the strategy selects how
-# the dotted stage is computed; the west stage is always the simulated pass.
-# Passes are looked up by name when ``pass_fn`` is called, so a rebound module
-# attribute (a profiler's counting wrapper, say) is the one that runs.
-_PASSES: dict[MapId, dict[Strategy, tuple[str, ...]]] = {
-    MapId.WEST: {Strategy.SIMULATED: ("west_pass",),
-                 Strategy.RECURSIVE_WEST: ("west_recursive",)},
-    MapId.S12: {Strategy.CLOSED_FORM: ("s12_closed_form",),
-                Strategy.SIMULATED: ("s12_simulated",)},
-    MapId.S21: {Strategy.CLOSED_FORM: ("s21_closed_form",),
-                Strategy.SIMULATED: ("s21_simulated",)},
-    MapId.MACHINE12: {Strategy.CLOSED_FORM: ("s12_closed_form", "west_pass"),
-                      Strategy.SIMULATED: ("s12_simulated", "west_pass")},
-    MapId.MACHINE21: {Strategy.CLOSED_FORM: ("s21_closed_form", "west_pass"),
-                      Strategy.SIMULATED: ("s21_simulated", "west_pass")},
+# map -> names of the passes applied in order: a machine is its dotted map's
+# closed form, then the west pass.  Passes are looked up by name when
+# ``pass_fn`` is called, so a rebound module attribute (a profiler's counting
+# wrapper, say) is the one that runs.
+_PASSES: dict[MapId, tuple[str, ...]] = {
+    MapId.WEST: ("west_pass",),
+    MapId.S12: ("s12_closed_form",),
+    MapId.S21: ("s21_closed_form",),
+    MapId.MACHINE12: ("s12_closed_form", "west_pass"),
+    MapId.MACHINE21: ("s21_closed_form", "west_pass"),
 }
 
 
-# each machine's first stage: the dotted map it runs under the machine's strategy
+# each machine's first stage: its dotted map
 DOTTED_STAGE = {MapId.MACHINE12: MapId.S12, MapId.MACHINE21: MapId.S21}
 
 
-def resolve(map_id: MapId, strategy: Optional[Strategy] = None) -> tuple[MapId, Strategy]:
-    """The map and its strategy, the map's default for None; ValueError for a
-    strategy the map does not have."""
-    map_id = MapId(map_id)
-    by_strategy = _PASSES[map_id]
-    strategy = next(iter(by_strategy)) if strategy is None else Strategy(strategy)
-    if strategy not in by_strategy:
-        raise ValueError(f"strategy {strategy.value} is not valid for map {map_id.value}")
-    return map_id, strategy
-
-
-def pass_fn(map_id: MapId, strategy: Optional[Strategy] = None) -> Callable[[Perm], Perm]:
-    """The function computing one pass of the selected map; ValueError for a
-    strategy the map does not have."""
-    map_id, strategy = resolve(map_id, strategy)
-    stages = [globals()[name] for name in _PASSES[map_id][strategy]]
+def pass_fn(map_id: MapId) -> Callable[[Perm], Perm]:
+    """The function computing one pass of the map."""
+    stages = [globals()[name] for name in _PASSES[MapId(map_id)]]
     if len(stages) == 1:
         return stages[0]
     dotted, west = stages
     return lambda p: west(dotted(p))
 
 
-def apply(map_id: MapId, p: Perm, strategy: Optional[Strategy] = None) -> Perm:
-    """Apply one pass of the selected map."""
-    return pass_fn(map_id, strategy)(p)
+def apply(map_id: MapId, p: Perm) -> Perm:
+    """Apply one pass of the map."""
+    return pass_fn(map_id)(p)
 
 
-def iterate(
-    map_id: MapId, p: Perm, t: int, strategy: Optional[Strategy] = None
-) -> Perm:
+def iterate(map_id: MapId, p: Perm, t: int) -> Perm:
     """t-fold application; t = 0 returns ``p`` unchanged."""
     if t < 0:
         raise ValueError("iteration count must be nonnegative")
-    step = pass_fn(map_id, strategy)
+    step = pass_fn(map_id)
     for _ in range(t):
         p = step(p)
     return p

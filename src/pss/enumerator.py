@@ -32,8 +32,8 @@ cut into at most four ranges per job and no more ranges than it has blocks
 of ``BLOCK`` permutations, and the ranges go to worker processes; an S_n of
 at most ``BLOCK`` permutations is one range and starts no pool.  The
 per-range Counters are summed, so the outcome is identical for any worker
-count.  Pool tasks carry only ints, ``MapId``/``Strategy`` values and
-module-level functions, so they pickle under any start method.
+count.  Pool tasks carry only ints, ``MapId`` values and module-level
+functions, so they pickle under any start method.
 """
 
 from __future__ import annotations
@@ -54,10 +54,8 @@ from .engine import (
     DOTTED_STAGE,
     DottedPattern,
     MapId,
-    Strategy,
     dotted_policy,
     pass_fn,
-    resolve,
     run_pass,
     s12_closed_form,
     s12_simulated,
@@ -144,11 +142,11 @@ class _Facts:
         self.n, self.ident = n, identity(n)
         self._slots: dict[tuple, int] = {}
 
-    def walk(self, map_id: MapId, cap: Optional[int], strategy: Optional[Strategy] = None) -> int:
-        return self._slot(("walk", *resolve(map_id, strategy), cap))
+    def walk(self, map_id: MapId, cap: Optional[int]) -> int:
+        return self._slot(("walk", map_id, cap))
 
-    def state(self, map_id: MapId, k: int, strategy: Optional[Strategy] = None) -> int:
-        return self._slot(("state", *resolve(map_id, strategy), k))
+    def state(self, map_id: MapId, k: int) -> int:
+        return self._slot(("state", map_id, k))
 
     def _slot(self, fact: tuple) -> int:
         return self._slots.setdefault(fact, len(self._slots) + 1)
@@ -159,10 +157,10 @@ class _Facts:
         def reach(cap: Optional[int]) -> float:
             return math.inf if cap is None else cap
 
-        longest: dict[tuple, Optional[int]] = {}  # (map, strategy) -> cap of its longest walk
-        for kind, map_id, strategy, cap in sorted(self._slots, key=lambda fact: reach(fact[3])):
+        longest: dict[MapId, Optional[int]] = {}  # map -> cap of its longest walk
+        for kind, map_id, cap in sorted(self._slots, key=lambda fact: reach(fact[2])):
             if kind == "walk":
-                longest[map_id, strategy] = cap
+                longest[map_id] = cap
         steps: list[tuple[int, Callable, int]] = []  # (slot, function, slot it reads)
         made: set[int] = set()
 
@@ -170,21 +168,21 @@ class _Facts:
             slot = self._slot(fact)
             if slot in made:
                 return slot
-            kind, map_id, strategy, k = fact
+            kind, map_id, k = fact
             if kind == "walk":
-                f, ident = pass_fn(map_id, strategy), self.ident
+                f, ident = pass_fn(map_id), self.ident
                 fixes_ident = f(ident) == ident
                 steps.append((slot, lambda p: _walk(f, ident, fixes_ident, p, k), 0))
             else:
-                cap = longest.get((map_id, strategy), -1)
+                cap = longest.get(map_id, -1)
                 if reach(cap) >= k:
-                    step = partial(_state_at, k=k), make(("walk", map_id, strategy, cap))
+                    step = partial(_state_at, k=k), make(("walk", map_id, cap))
                 elif k == 1 and map_id in DOTTED_STAGE:
-                    step = pass_fn(MapId.WEST), make(("state", DOTTED_STAGE[map_id], strategy, 1))
+                    step = pass_fn(MapId.WEST), make(("state", DOTTED_STAGE[map_id], 1))
                 elif k == 1:
-                    step = pass_fn(map_id, strategy), 0
+                    step = pass_fn(map_id), 0
                 else:
-                    step = partial(_state_at, k=k), make(("walk", map_id, strategy, k))
+                    step = partial(_state_at, k=k), make(("walk", map_id, k))
                 steps.append((slot, *step))
             made.add(slot)
             return slot
@@ -259,18 +257,16 @@ def _tally(n: int, jobs: int, specs: list[tuple]) -> list[Counter]:
 Kernel = Callable[[list], Hashable]
 
 
-def _orbit_shape(
-    facts: _Facts, map_id: MapId, cap: Optional[int], strategy: Optional[Strategy]
-) -> Kernel:
+def _orbit_shape(facts: _Facts, map_id: MapId, cap: Optional[int]) -> Kernel:
     """The orbit's (identity hit, tail, cycle), walked for at most ``cap``
     passes (see ``engine._walk``)."""
-    walk = facts.walk(map_id, cap, strategy)
+    walk = facts.walk(map_id, cap)
     return lambda v: v[walk][:3]
 
 
-def _image(facts: _Facts, map_id: MapId, k: int, strategy: Optional[Strategy]) -> Kernel:
+def _image(facts: _Facts, map_id: MapId, k: int) -> Kernel:
     """The k-fold image."""
-    return itemgetter(facts.state(map_id, k, strategy))
+    return itemgetter(facts.state(map_id, k))
 
 
 def _fixed_point(facts: _Facts, map_id: MapId) -> Kernel:
@@ -279,10 +275,12 @@ def _fixed_point(facts: _Facts, map_id: MapId) -> Kernel:
     return lambda v: v[0] if v[image] == v[0] else None
 
 
-def _strategies_differ(facts: _Facts, map_id: MapId) -> Kernel:
-    closed = facts.state(map_id, 1, Strategy.CLOSED_FORM)
-    simulated = facts.state(map_id, 1, Strategy.SIMULATED)
-    return lambda v: v[closed] != v[simulated]
+def _closed_vs_simulated(facts: _Facts, map_id: MapId) -> Kernel:
+    """Whether the dotted map's pass (its closed form) differs from its
+    simulated stack."""
+    closed = facts.state(map_id, 1)
+    simulated = s12_simulated if map_id is MapId.S12 else s21_simulated
+    return lambda v: v[closed] != simulated(v[0])
 
 
 def _dot_variants_differ(facts: _Facts) -> Kernel:
@@ -339,10 +337,12 @@ def _insertion_miss(facts: _Facts, t: int) -> Kernel:
 # -- public brute-force operations -------------------------------------------
 
 
-def _shapes(map_id, n, cap, jobs, force, strategy=None) -> Counter:
+def _shapes(map_id, n, cap, jobs, force) -> Counter:
     """Counter of orbit shapes (identity hit, tail, cycle) over S_n."""
+    if cap is not None and cap < 0:
+        raise ValueError("pass count must be nonnegative")
     check_guard(n, force)
-    return _tally(n, jobs, [(_orbit_shape, (MapId(map_id), cap, strategy))])[0]
+    return _tally(n, jobs, [(_orbit_shape, (MapId(map_id), cap))])[0]
 
 
 def _histogram(shapes: Counter, t_cap: int) -> tuple[list[int], int]:
@@ -365,42 +365,27 @@ def _exact_counts(shapes: Counter, t_cap: int) -> list[int]:
 
 
 def sort_histogram(
-    map_id: MapId,
-    n: int,
-    t_cap: int,
-    jobs: int = 1,
-    force: bool = False,
-    strategy: Optional[Strategy] = None,
+    map_id: MapId, n: int, t_cap: int, jobs: int = 1, force: bool = False
 ) -> tuple[list[int], int]:
     """Minimal-sort-count histogram over S_n: (buckets[0..t_cap], never)."""
-    return _histogram(_shapes(map_id, n, t_cap, jobs, force, strategy), t_cap)
+    return _histogram(_shapes(map_id, n, t_cap, jobs, force), t_cap)
 
 
 def exact_sortable_counts(
-    map_id: MapId,
-    n: int,
-    t_cap: int,
-    jobs: int = 1,
-    force: bool = False,
-    strategy: Optional[Strategy] = None,
+    map_id: MapId, n: int, t_cap: int, jobs: int = 1, force: bool = False
 ) -> list[int]:
     """counts[t] = #{p in S_n : t-fold image of p is the identity}."""
-    return _exact_counts(_shapes(map_id, n, t_cap, jobs, force, strategy), t_cap)
+    return _exact_counts(_shapes(map_id, n, t_cap, jobs, force), t_cap)
 
 
 def brute_t_sortable(
-    map_id: MapId,
-    n: int,
-    t: int,
-    jobs: int = 1,
-    force: bool = False,
-    strategy: Optional[Strategy] = None,
+    map_id: MapId, n: int, t: int, jobs: int = 1, force: bool = False
 ) -> int:
     """Count permutations of length n whose t-fold image is the identity.
 
     For maps that fix the identity this is the usual "sorted within t
     passes"."""
-    return exact_sortable_counts(map_id, n, t, jobs, force, strategy)[t]
+    return exact_sortable_counts(map_id, n, t, jobs, force)[t]
 
 
 def brute_machine_sortable(
@@ -408,7 +393,7 @@ def brute_machine_sortable(
 ) -> int:
     """Count permutations of length n that one pass of ``machine`` sorts."""
     check_guard(n, force)
-    return _tally(n, jobs, [(_image, (MapId(machine), 1, None))])[0][identity(n)]
+    return _tally(n, jobs, [(_image, (MapId(machine), 1))])[0][identity(n)]
 
 
 def _fixed(points: Counter) -> list[Perm]:
@@ -426,16 +411,13 @@ def brute_fixed_points(
 
 
 def brute_image(
-    map_id: MapId,
-    n: int,
-    k: int,
-    jobs: int = 1,
-    force: bool = False,
-    strategy: Optional[Strategy] = None,
+    map_id: MapId, n: int, k: int, jobs: int = 1, force: bool = False
 ) -> set[Perm]:
     """{k-fold image of p : p in S_n} as a set."""
+    if k < 0:
+        raise ValueError("power must be nonnegative")
     check_guard(n, force)
-    return set(_tally(n, jobs, [(_image, (MapId(map_id), k, strategy))])[0])
+    return set(_tally(n, jobs, [(_image, (MapId(map_id), k))])[0])
 
 
 def brute_ord(map_id: MapId, n: int, jobs: int = 1, force: bool = False) -> int:
@@ -541,7 +523,7 @@ def _set_row(n: int, param: str, expected: set[Perm], observed: set[Perm]) -> Ro
 
 # the shape of the uncapped s12 walk, read by T3_4, C5_1_min and C5_1_high;
 # T5_2's image is a state of the same walk
-_S12_WALK = (_orbit_shape, (MapId.S12, None, None))
+_S12_WALK = (_orbit_shape, (MapId.S12, None))
 
 
 def _zero_rows(n, label, shift, make_kernel, *params):
@@ -567,7 +549,7 @@ def _rows_t36(n):
         expected = formulas.count_t_sortable_s21(n)
         return [_count_row(n, f"t={t}", expected, counts[t]) for t in range(1, 2 * n + 1)]
 
-    return n, (_orbit_shape, (MapId.S21, 2 * n, None)), rows
+    return n, (_orbit_shape, (MapId.S21, 2 * n)), rows
 
 
 def _rows_t42(n):
@@ -575,7 +557,7 @@ def _rows_t42(n):
         observed = images[identity(n)]
         return [_count_row(n, "machine-sortable", formulas.count_machine21_sortable(n), observed)]
 
-    return n, (_image, (MapId.MACHINE21, 1, None)), rows
+    return n, (_image, (MapId.MACHINE21, 1)), rows
 
 
 def _rows_t44(n):
@@ -608,7 +590,7 @@ def _rows_t52(n):
     def rows(images):
         return [_set_row(n, f"power={n - 2}", formulas.image_s12_power(n), set(images))]
 
-    return n, (_image, (MapId.S12, n - 2, None)), rows
+    return n, (_image, (MapId.S12, n - 2)), rows
 
 
 def _rows_l53(n):
@@ -616,7 +598,7 @@ def _rows_l53(n):
         _, never = _histogram(shapes, n // 2)
         return [_count_row(n, f"not sorted within {n // 2} machine passes", 0, never)]
 
-    return n, (_orbit_shape, (MapId.MACHINE12, n // 2, None)), rows
+    return n, (_orbit_shape, (MapId.MACHINE12, n // 2)), rows
 
 
 def _rows_t54(n):
@@ -631,7 +613,7 @@ def _rows_t54(n):
                            target == actual))
         return out
 
-    return n, (_image, (MapId.MACHINE12, k, None)), rows
+    return n, (_image, (MapId.MACHINE12, k)), rows
 
 
 # claim -> (least n, builder, *builder arguments).  For one n, a builder
@@ -640,8 +622,8 @@ def _rows_t54(n):
 # builder and differ by its arguments.
 _CLAIMS: dict[str, tuple] = {
     "RED": (1, _zero_rows, "dot-variant mismatches", 0, _dot_variants_differ),
-    "P3_1": (1, _zero_rows, "closed vs simulated mismatches", 0, _strategies_differ, MapId.S12),
-    "P3_5": (1, _zero_rows, "closed vs simulated mismatches", 0, _strategies_differ, MapId.S21),
+    "P3_1": (1, _zero_rows, "closed vs simulated mismatches", 0, _closed_vs_simulated, MapId.S12),
+    "P3_5": (1, _zero_rows, "closed vs simulated mismatches", 0, _closed_vs_simulated, MapId.S21),
     "L3_3": (2, _zero_rows, "insertion commutation failures", 1, _deletion_differs),
     "T3_4": (1, _rows_t34),
     "T3_6": (1, _rows_t36),

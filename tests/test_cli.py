@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,8 +6,12 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pss.cli import main
+from pss.engine import MapId
+from pss.enumerator import CLAIM_IDS
 from pss.perms import parse
 
 
@@ -218,6 +223,14 @@ class TestOtherCommands:
         assert code == 2 and out == "" and err == "error: length must be >= 1\n"
 
     @pytest.mark.parametrize("argv", [
+        ["image", "--map", "s12", "--n", "1", "--power", "auto"],
+        ["image", "--map", "m12", "--n", "1", "--power", "auto"],
+    ])
+    def test_negative_auto_power_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--jobs", "1")
+        assert code == 2 and out == "" and err == "error: --power must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("argv", [
         ["verify", "--claim", "T4_2", "--n-max", "3"],
         ["image", "--map", "s12", "--n", "3"],
         ["fixed-points", "--machine", "m21", "--n", "3"],
@@ -236,3 +249,63 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert code == 0 and isinstance(doc["count"], str)
         assert int(doc["count"]) > 10**15
+
+
+# -- random argv ---------------------------------------------------------------
+
+SMALL_INT = st.integers(-2, 6).map(str)
+PERM = st.integers(1, 5).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(lambda p: ",".join(map(str, p))))
+JUNK = st.sampled_from(["", "-", "--", "--bogus", "x", "1.5", "1,1", "3,1", "auto", "all",
+                        "--help", "--n", "s99"])
+MAP = st.sampled_from([m.value for m in MapId])
+CLAIM = st.sampled_from(CLAIM_IDS)
+FORMAT = ("--format", st.sampled_from(["table", "json", "csv"]))
+SWEEP = [("--jobs", st.just("1")), ("--force", None), FORMAT]
+
+# subcommand -> its options, each with a strategy for its value (None for a
+# flag); "" is the positional permutation
+GRAMMAR = {
+    "sort": [("--map", MAP), ("--times", SMALL_INT), ("--trace", None), ("", PERM)],
+    "runs": [("--kind", st.sampled_from(["peak", "valley"])), ("", PERM)],
+    "verify": [("--claim", st.one_of(CLAIM, st.just("all"))), ("--n-min", SMALL_INT), *SWEEP],
+    "image": [("--map", MAP), ("--n", SMALL_INT),
+              ("--power", st.one_of(SMALL_INT, st.just("auto"))), *SWEEP],
+    "fixed-points": [("--machine", MAP), ("--n", SMALL_INT), ("--list", None), *SWEEP],
+    "orbit": [("--map", MAP), ("", PERM), FORMAT],
+    "witness": [("--family", st.sampled_from(["even", "cycle", "pi213", "pi132", "pi312"])),
+                ("--n", SMALL_INT), ("--check", None)],
+    "count": [("--claim", CLAIM), ("--n", SMALL_INT), ("--t", SMALL_INT), FORMAT],
+}
+
+
+@st.composite
+def argvs(draw):
+    """An argv from GRAMMAR: each option kept with probability 3/4, in any
+    order, and up to two junk tokens anywhere.  verify always ends with an
+    --n-max of at most 6, so no run is long."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    words = []
+    for option, value in draw(st.permutations(GRAMMAR[command])):
+        if draw(st.integers(0, 3)):
+            words.append(([option] if option else []) + ([draw(value)] if value is not None else []))
+    for junk in draw(st.lists(JUNK, max_size=2)):
+        words.insert(draw(st.integers(0, len(words))), [junk])
+    if command == "verify":
+        words.append(["--n-max", draw(SMALL_INT)])
+    return [command] + [token for word in words for token in word]
+
+
+@given(argvs())
+@example(["image", "--map", "s12", "--n", "1", "--power", "auto"])
+@example(["image", "--map", "m12", "--n", "1", "--power", "auto"])
+@settings(max_examples=150, deadline=None)
+def test_random_argv_exits_cleanly(argv):
+    """Exit code 0, 1 or 2 and never a traceback.  The examples are known
+    failures that a conjunction of four draws makes too rare to find at
+    random in 150 runs."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from pss.engine import (
     DottedPattern,
     MapId,
-    Strategy,
     apply,
     dotted_policy,
     iterate,
@@ -60,6 +59,9 @@ class TestPolicies:
         assert not allows((2,), 3)
         assert allows((4,), 2)
         assert allows((), 9)
+        # the stack comes bottom to top: only the top, its last entry, counts
+        assert not allows((5, 2), 3)
+        assert allows((2, 5), 3)
 
     def test_dotted_pattern_validation(self):
         with pytest.raises(ValueError):
@@ -161,21 +163,16 @@ class TestApply:
     def test_machine21_anchor(self):
         assert apply(MapId.MACHINE21, (1, 2, 3)) == (1, 2, 3)
 
-    def test_invalid_strategy_pairing(self):
-        with pytest.raises(ValueError):
-            apply(MapId.WEST, (1, 2), Strategy.CLOSED_FORM)
-        with pytest.raises(ValueError):
-            apply(MapId.S12, (1, 2), Strategy.RECURSIVE_WEST)
-
     @given(perm_st, st.sampled_from(list(MapId)))
-    def test_strategies_agree(self, p, map_id):
-        outs = set()
-        for s in (Strategy.SIMULATED, Strategy.CLOSED_FORM, Strategy.RECURSIVE_WEST):
-            try:
-                outs.add(apply(map_id, p, s))
-            except ValueError:
-                pass
-        assert len(outs) == 1
+    def test_apply_is_its_oracle(self, p, map_id):
+        oracle = {
+            MapId.WEST: west_recursive,
+            MapId.S12: s12_simulated,
+            MapId.S21: s21_simulated,
+            MapId.MACHINE12: lambda q: west_recursive(s12_simulated(q)),
+            MapId.MACHINE21: lambda q: west_recursive(s21_simulated(q)),
+        }[map_id]
+        assert apply(map_id, p) == oracle(p)
 
 
 class TestIteration:

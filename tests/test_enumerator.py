@@ -5,13 +5,15 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from pss import formulas
 from pss import enumerator
-from pss.engine import MapId, Strategy, apply, iterate, orbit
+from pss.engine import MapId, iterate, orbit, s12_simulated, s21_simulated, west_recursive
 from pss.enumerator import (
     RankRange,
     brute_fixed_points,
@@ -71,6 +73,13 @@ class TestBruteCounts:
         buckets, never = sort_histogram(MapId.S12, 6, 6)
         assert never == 0
         assert exact_sortable_counts(MapId.S12, 6, 6) == list(itertools.accumulate(buckets))
+        for negative_pass_count in (
+            lambda: sort_histogram(MapId.S12, 3, -1),
+            lambda: exact_sortable_counts(MapId.S12, 3, -2),
+            lambda: brute_t_sortable(MapId.S12, 3, -1),
+        ):
+            with pytest.raises(ValueError, match="nonnegative"):
+                negative_pass_count()
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_everything_s12_sorts_in_n_minus_1(self, n):
@@ -94,6 +103,8 @@ class TestBruteCounts:
         }
         assert brute_image(MapId.MACHINE12, 5, 1) == formulas.image_machine12(5)
         assert brute_image(MapId.S12, 4, 0) == set(all_perms(4))
+        with pytest.raises(ValueError, match="power must be nonnegative"):
+            brute_image(MapId.S12, 3, -1)
 
     @pytest.mark.parametrize("map_id", list(MapId))
     @pytest.mark.parametrize("n", range(1, 6))
@@ -139,30 +150,49 @@ class TestBruteCounts:
         assert random_agreement_failures(2000, 200, seed=7) == 0
 
 
-class TestStrategyIndependence:
-    @pytest.mark.parametrize("map_id", [MapId.S12, MapId.S21, MapId.MACHINE12])
-    def test_histogram_same_under_both_strategies(self, map_id):
-        a = sort_histogram(map_id, 6, 6, strategy=Strategy.CLOSED_FORM)
-        b = sort_histogram(map_id, 6, 6, strategy=Strategy.SIMULATED)
-        assert a == b
+# each map's pass built from the oracles alone, sharing no code with the sweep
+ORACLE = {
+    MapId.S12: s12_simulated,
+    MapId.S21: s21_simulated,
+    MapId.MACHINE12: lambda p: west_recursive(s12_simulated(p)),
+}
+ORACLE_N = 6
 
-    def test_exact_counts_same_under_both_strategies(self):
-        a = exact_sortable_counts(MapId.S21, 6, 12, strategy=Strategy.CLOSED_FORM)
-        b = exact_sortable_counts(MapId.S21, 6, 12, strategy=Strategy.SIMULATED)
-        assert a == b
 
-    def test_image_same_under_both_strategies(self):
-        a = brute_image(MapId.MACHINE12, 6, 2, strategy=Strategy.CLOSED_FORM)
-        b = brute_image(MapId.MACHINE12, 6, 2, strategy=Strategy.SIMULATED)
-        assert a == b
+@lru_cache(maxsize=None)
+def oracle_orbits(map_id):
+    """The first 2n + 1 states of each orbit in S_n, by plain iteration."""
+    orbits = []
+    for p in all_perms(ORACLE_N):
+        states = [p]
+        for _ in range(2 * ORACLE_N):
+            states.append(ORACLE[map_id](states[-1]))
+        orbits.append(states)
+    return orbits
 
-    def test_sweeps_reject_what_apply_rejects(self):
-        with pytest.raises(ValueError):
-            sort_histogram(MapId.S12, 4, 4, strategy=Strategy.RECURSIVE_WEST)
-        with pytest.raises(ValueError):
-            brute_image(MapId.WEST, 4, 1, strategy=Strategy.CLOSED_FORM)
-        with pytest.raises(ValueError):
-            sort_histogram(MapId.S21, 5, 5, jobs=2, strategy=Strategy.RECURSIVE_WEST)
+
+class TestOracles:
+    @pytest.mark.parametrize("map_id", list(ORACLE))
+    def test_histogram_is_oracle(self, map_id):
+        ident = identity(ORACLE_N)
+        first = Counter(
+            next((t for t, q in enumerate(states[: ORACLE_N + 1]) if q == ident), None)
+            for states in oracle_orbits(map_id)
+        )
+        want = [first[t] for t in range(ORACLE_N + 1)], first[None]
+        assert sort_histogram(map_id, ORACLE_N, ORACLE_N) == want
+
+    @pytest.mark.parametrize("map_id", list(ORACLE))
+    def test_exact_counts_is_oracle(self, map_id):
+        ident, orbits = identity(ORACLE_N), oracle_orbits(map_id)
+        want = [sum(states[t] == ident for states in orbits) for t in range(2 * ORACLE_N + 1)]
+        assert exact_sortable_counts(map_id, ORACLE_N, 2 * ORACLE_N) == want
+
+    @pytest.mark.parametrize("map_id", list(ORACLE))
+    def test_image_is_oracle(self, map_id):
+        for k in (1, 2, ORACLE_N, 2 * ORACLE_N):
+            want = {states[k] for states in oracle_orbits(map_id)}
+            assert brute_image(map_id, ORACLE_N, k) == want
 
 
 class TestVerify:
