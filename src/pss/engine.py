@@ -255,13 +255,15 @@ def apply(map_id: MapId, p: Perm) -> Perm:
 
 
 def iterate(map_id: MapId, p: Perm, t: int) -> Perm:
-    """t-fold application; t = 0 returns ``p`` unchanged."""
+    """t-fold application; t = 0 returns ``p`` unchanged, without a pass.
+    The orbit is walked for at most t passes, so a t past the orbit's tail
+    costs no more than the tail and one cycle."""
     if t < 0:
         raise ValueError("iteration count must be nonnegative")
-    step = pass_fn(map_id)
-    for _ in range(t):
-        p = step(p)
-    return p
+    if t == 0:
+        return p
+    f, ident = pass_fn(map_id), identity(len(p))
+    return _state_at(_walk(f, ident, f(ident) == ident, p, t), t)
 
 
 def sorts_in(map_id: MapId, p: Perm, t_max: int) -> Optional[int]:

@@ -6,13 +6,24 @@ evaluates several kernels on each permutation, keeping one ``Counter`` of
 keys per kernel.  A top-level *kernel factory* ``make_kernel(facts,
 *params)`` builds a kernel from a permutation's facts to a hashable key.
 While it builds, it asks ``facts`` (a ``_Facts``) for what the kernel reads:
-orbit walks (the engine's one walker, giving the first step at the
-identity, tail, cycle and states) and k-th states of orbits.  Each fact is
-made once per permutation however many kernels read it.  A k-th state is
-read from a walk of that map when the sweep makes one that reaches step k,
-so pass images and k-fold images cost no passes of their own; past the
-tail, the state at step k is the one at tail + (k - tail) mod cycle.
-Facts are dropped with their permutation, so memory does not grow with n!.
+orbit walks (the first step at the identity, tail and cycle of the engine's
+one walker) and k-th states of orbits.  Each fact is made once per
+permutation however many kernels read it.  A first state is one pass,
+shared by every kernel and walk of that map; a later k-th state is stored
+by a walk of that map that reaches step k, so k-fold images cost no passes
+of their own, and past the tail the state at step k is the one at tail +
+(k - tail) mod cycle.
+
+A walk is dynamic programming on the map's functional graph, restricted to
+its one-pass image: p's walk is composed from the walk of its first state
+q, which is walked once and memoised.  The memo is keyed on ``bytes(q)``;
+its value is an interned (hit, tail, cycle, q's last walked state if q is
+periodic or its walk is open, the stored states read at step k - 1).  Each
+walk of a sweep has its own memo per rank range, dropped with the range;
+it holds at most the one-pass image of S_n ((n-1)! states for s12 and s21,
+326 for m12 at n = 8), and a memo that reaches ``MEMO_CAP`` states is
+cleared.  Permutations themselves are dropped once counted, so no memory
+grows with n!.
 
 The public brute-force operations are one-kernel calls of ``_tally``, each
 reducing its Counter: the sort histogram buckets the first identity step,
@@ -44,7 +55,6 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Hashable, Iterator, Optional, Sequence
@@ -117,7 +127,52 @@ def iter_range(r: RankRange) -> Iterator[Perm]:
 # -- the sweep primitive -----------------------------------------------------
 
 KEY_CAP = 10**6  # most distinct keys one sweep may hold
+MEMO_CAP = 10**6  # most first states one walk memo may hold; a full memo is cleared
 BLOCK = 4096  # permutations counted between two checks of the cap
+
+
+def _walker(
+    f: Callable[[Perm], Perm], ident: Perm, cap: Optional[int], ks: Sequence[int]
+) -> Callable[[Perm, Perm], tuple]:
+    """The function from p and its first state q = f(p) to p's walk record
+    under f: ``engine._walk``'s (identity hit, tail, cycle) for at most
+    ``cap`` passes, then p's k-th state for each k in ``ks`` (1 <= k <= cap).
+
+    q's walk, capped one pass lower, is walked once and its summary memoised
+    (see ``_Facts``).  p's hit and tail are q's shifted by one and its cycle
+    is q's, unless p is q's last walked state: p then lies on q's cycle, so
+    its walk closes on p with tail 0 and all of q's walk as its cycle."""
+    fixes_ident = f(ident) == ident
+    if cap == 0:
+        return lambda p, q: _walk(f, ident, fixes_ident, p, 0)[:3]
+    sub = None if cap is None else cap - 1
+    memo: dict[bytes, tuple] = {}
+    interned: dict[tuple, tuple] = {}
+
+    def summary(q: Perm) -> tuple:
+        if len(memo) >= MEMO_CAP:
+            memo.clear()
+            interned.clear()
+        walk = _walk(f, ident, fixes_ident, q, sub)
+        hit, tail, cycle, seen = walk
+        last = next(reversed(seen)) if tail in (None, 0) else None
+        s = (hit, tail, cycle, last, *(_state_at(walk, k - 1) for k in ks))
+        return interned.setdefault(s, s)
+
+    def record(p: Perm, q: Perm) -> tuple:
+        key = bytes(q)
+        s = memo.get(key)
+        if s is None:
+            s = memo[key] = summary(q)
+        hit, tail, cycle, last = s[:4]
+        hit = 0 if p == ident else None if hit is None else hit + 1
+        if p == last:  # p is periodic: its walk is its cycle
+            shape = hit, 0, cycle if tail == 0 else cap
+        else:
+            shape = hit, None if tail is None else tail + 1, cycle
+        return shape + s[4:]
+
+    return record
 
 
 class _Facts:
@@ -126,16 +181,26 @@ class _Facts:
     A kernel factory asks for what its kernel reads and gets back a position
     in the list that ``of()`` builds for every p; position 0 holds p itself.
 
-    * ``walk(map_id, cap)``: p's orbit walk, ``engine._walk``'s (identity
-      hit, tail, cycle, states), for at most ``cap`` passes.
-    * ``state(map_id, k)``: the k-th state of p's orbit, read from the
-      sweep's longest walk of that map when it reaches step k.  Otherwise a
-      first state is one pass, a machine's first state is the west pass of
-      its dotted stage's first state (so m21(p) reuses s21(p)), and a later
-      state comes from a walk of its own capped at k.
+    * ``walk(map_id, cap)``: p's walk record, ``engine._walk``'s (identity
+      hit, tail, cycle) for at most ``cap`` passes, then the later states
+      the walk stores.
+    * ``state(map_id, k)``: the k-th state of p's orbit.  The 0-th is p; a
+      first state is one pass, and a machine's first state is the west pass
+      of its dotted stage's first state (so m12(p) and m21(p) reuse s12(p)
+      and s21(p)).  A later state is stored by the sweep's longest walk of
+      that map when it reaches step k, else by a walk of its own capped at k.
+
+    A walk reads p's first state from these facts and looks the rest of the
+    orbit up in a memo keyed on ``bytes`` of that state (see ``_walker``), so
+    it costs one shared pass and one lookup once the memo holds the state.
+    A memo value is an interned (hit, tail, cycle, last walked state if
+    periodic or open, the states at step k - 1 for the k the walk stores).
+    Each memo belongs to the function ``of()`` returns, which a sweep makes
+    once per rank range, so it is dropped with the range; it holds at most
+    the one-pass image of S_n, and is cleared when it reaches ``MEMO_CAP``.
 
     Each fact is made once per p, whatever the number of kernels that read
-    it, and none outlives p.
+    it.
     """
 
     def __init__(self, n: int) -> None:
@@ -146,7 +211,7 @@ class _Facts:
         return self._slot(("walk", map_id, cap))
 
     def state(self, map_id: MapId, k: int) -> int:
-        return self._slot(("state", map_id, k))
+        return 0 if k == 0 else self._slot(("state", map_id, k))
 
     def _slot(self, fact: tuple) -> int:
         return self._slots.setdefault(fact, len(self._slots) + 1)
@@ -161,30 +226,37 @@ class _Facts:
         for kind, map_id, cap in sorted(self._slots, key=lambda fact: reach(fact[2])):
             if kind == "walk":
                 longest[map_id] = cap
-        steps: list[tuple[int, Callable, int]] = []  # (slot, function, slot it reads)
+        home: dict[tuple, tuple] = {}  # later state -> the walk that stores it
+        stored: dict[tuple, list[int]] = {}  # walk -> the k of the states it stores
+        for fact in list(self._slots):
+            kind, map_id, k = fact
+            if kind == "state" and k > 1:
+                cap = longest.get(map_id, -1)
+                walk = home[fact] = "walk", map_id, cap if reach(cap) >= k else k
+                self._slot(walk)
+                stored.setdefault(walk, []).append(k)
+        steps: list[tuple[int, Callable[[list], object]]] = []  # (slot, function of the list)
         made: set[int] = set()
 
         def make(fact: tuple) -> int:
             slot = self._slot(fact)
             if slot in made:
                 return slot
+            made.add(slot)
             kind, map_id, k = fact
             if kind == "walk":
-                f, ident = pass_fn(map_id), self.ident
-                fixes_ident = f(ident) == ident
-                steps.append((slot, lambda p: _walk(f, ident, fixes_ident, p, k), 0))
+                first = make(("state", map_id, 1)) if k != 0 else 0
+                record = _walker(pass_fn(map_id), self.ident, k, stored.get(fact, ()))
+                steps.append((slot, lambda v: record(v[0], v[first])))
+            elif k > 1:
+                walk = make(home[fact])
+                i = 3 + stored[home[fact]].index(k)
+                steps.append((slot, lambda v: v[walk][i]))
             else:
-                cap = longest.get(map_id, -1)
-                if reach(cap) >= k:
-                    step = partial(_state_at, k=k), make(("walk", map_id, cap))
-                elif k == 1 and map_id in DOTTED_STAGE:
-                    step = pass_fn(MapId.WEST), make(("state", DOTTED_STAGE[map_id], 1))
-                elif k == 1:
-                    step = pass_fn(map_id), 0
-                else:
-                    step = partial(_state_at, k=k), make(("walk", map_id, k))
-                steps.append((slot, *step))
-            made.add(slot)
+                f, read = pass_fn(map_id), 0
+                if map_id in DOTTED_STAGE:
+                    f, read = pass_fn(MapId.WEST), make(("state", DOTTED_STAGE[map_id], 1))
+                steps.append((slot, lambda v: f(v[read])))
             return slot
 
         for fact in list(self._slots):
@@ -193,8 +265,8 @@ class _Facts:
 
         def facts(p: Perm) -> list:
             v = [p] * size
-            for slot, fn, read in steps:
-                v[slot] = fn(v[read])
+            for slot, fn in steps:
+                v[slot] = fn(v)
             return v
 
         return facts
@@ -238,18 +310,18 @@ def _tally_range(task: tuple) -> list[Counter]:
 def _tally(n: int, jobs: int, specs: list[tuple]) -> list[Counter]:
     """For each kernel spec ``(make_kernel, params)``, the Counter of
     ``make_kernel(facts, *params)(facts of p)`` over p in S_n, all from one
-    sweep."""
+    sweep.  Equal specs are one kernel and share one Counter."""
     # an S_n of at most BLOCK permutations is one task, so it starts no pool;
     # split_ranges rejects n < 1
     parts = 1 if jobs <= 1 or n < 1 else min(4 * jobs, -(-math.factorial(n) // BLOCK))
-    tasks = [(r.n, r.lo, r.hi, specs) for r in split_ranges(n, parts)]
-    totals = [Counter() for _ in specs]
+    totals = {spec: Counter() for spec in specs}
+    tasks = [(r.n, r.lo, r.hi, list(totals)) for r in split_ranges(n, parts)]
     for counts in _run(_tally_range, tasks, jobs):
-        for total, c in zip(totals, counts):
+        for total, c in zip(totals.values(), counts):
             total.update(c)
-    for total in totals:
+    for total in totals.values():
         _check_cap(total)
-    return totals
+    return [totals[spec] for spec in specs]
 
 
 # -- kernel factories (top level so they pickle) ------------------------------
@@ -521,8 +593,9 @@ def _set_row(n: int, param: str, expected: set[Perm], observed: set[Perm]) -> Ro
     return Row(n, param, _perm_set_str(expected), _perm_set_str(observed), expected == observed)
 
 
-# the shape of the uncapped s12 walk, read by T3_4, C5_1_min and C5_1_high;
-# T5_2's image is a state of the same walk
+# the shape of the uncapped s12 walk, read by T3_4, C5_1_min and C5_1_high
+# from the one Counter that ``_tally`` keeps for equal specs; T5_2's image is
+# a state of the same walk
 _S12_WALK = (_orbit_shape, (MapId.S12, None))
 
 

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -57,6 +58,14 @@ class TestSort:
     def test_unknown_map(self, capsys):
         code, _, _ = run_cli(capsys, "sort", "--map", "s99", "1,2")
         assert code == 2
+
+    @pytest.mark.parametrize("map_id", ["m21", "s21", "m12"])
+    def test_huge_times_stops_at_the_cycle(self, capsys, map_id):
+        _, want, _ = run_cli(capsys, "sort", "--map", map_id, "--times", "10", "3,1,2")
+        start = time.monotonic()
+        code, out, _ = run_cli(capsys, "sort", "--map", map_id, "--times", "100000000", "3,1,2")
+        assert code == 0 and out == want
+        assert time.monotonic() - start < 10
 
     def test_negative_times_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sort", "--map", "s12", "--times", "-1", "2,1")

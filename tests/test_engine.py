@@ -180,6 +180,14 @@ class TestIteration:
         assert iterate(MapId.S12, (2, 3, 1), 2) == (1, 2, 3)
         assert iterate(MapId.S12, identity(5), 7) == identity(5)
 
+    @pytest.mark.parametrize("map_id", list(MapId))
+    def test_iterate_is_repeated_apply(self, map_id):
+        for p in all_perms(5):
+            q = p
+            for t in range(16):
+                assert iterate(map_id, p, t) == q
+                q = apply(map_id, q)
+
     def test_machine12_sorts_S5_in_two(self):
         ident = identity(5)
         for p in all_perms(5):

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -13,7 +14,16 @@ import pytest
 
 from pss import formulas
 from pss import enumerator
-from pss.engine import MapId, iterate, orbit, s12_simulated, s21_simulated, west_recursive
+from pss.engine import (
+    MapId,
+    _state_at,
+    _walk,
+    iterate,
+    orbit,
+    s12_simulated,
+    s21_simulated,
+    west_recursive,
+)
 from pss.enumerator import (
     RankRange,
     brute_fixed_points,
@@ -152,9 +162,11 @@ class TestBruteCounts:
 
 # each map's pass built from the oracles alone, sharing no code with the sweep
 ORACLE = {
+    MapId.WEST: west_recursive,
     MapId.S12: s12_simulated,
     MapId.S21: s21_simulated,
     MapId.MACHINE12: lambda p: west_recursive(s12_simulated(p)),
+    MapId.MACHINE21: lambda p: west_recursive(s21_simulated(p)),
 }
 ORACLE_N = 6
 
@@ -185,14 +197,69 @@ class TestOracles:
     @pytest.mark.parametrize("map_id", list(ORACLE))
     def test_exact_counts_is_oracle(self, map_id):
         ident, orbits = identity(ORACLE_N), oracle_orbits(map_id)
-        want = [sum(states[t] == ident for states in orbits) for t in range(2 * ORACLE_N + 1)]
-        assert exact_sortable_counts(map_id, ORACLE_N, 2 * ORACLE_N) == want
+        for t_cap in (0, 1, 2 * ORACLE_N):
+            want = [sum(states[t] == ident for states in orbits) for t in range(t_cap + 1)]
+            assert exact_sortable_counts(map_id, ORACLE_N, t_cap) == want
 
     @pytest.mark.parametrize("map_id", list(ORACLE))
     def test_image_is_oracle(self, map_id):
         for k in (1, 2, ORACLE_N, 2 * ORACLE_N):
             want = {states[k] for states in oracle_orbits(map_id)}
             assert brute_image(map_id, ORACLE_N, k) == want
+
+
+def synthetic_map(seed: int, ident_at: int):
+    """A function on S_5 whose graph has one cycle of each length 1..5 and
+    trees of random depth hanging off them, with the identity at position
+    ``ident_at`` of the order it is built in: 0 is the fixed point, 1..14
+    lie on the longer cycles, and later positions are in the trees."""
+    rng = random.Random(seed)
+    perms = list(all_perms(5))
+    rng.shuffle(perms)
+    ident = perms.index(identity(5))
+    perms[ident], perms[ident_at] = perms[ident_at], perms[ident]
+    image, at = {}, 0
+    for length in range(1, 6):
+        cycle = perms[at : at + length]
+        image.update(zip(cycle, cycle[1:] + cycle[:1]))
+        at += length
+    for i in range(at, len(perms)):
+        image[perms[i]] = perms[rng.randrange(i)]
+    return image.__getitem__
+
+
+class TestMemoisedWalk:
+    """``enumerator._walker`` composes each walk from the walk of its first
+    state; the five maps have no cycle longer than 1 at small n, so these
+    tests drive it with synthetic maps that do."""
+
+    @pytest.mark.parametrize("cap", [None, 0, 1, 3])
+    @pytest.mark.parametrize("ident_at", [0, 4, 12, 119])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_walk_record_is_the_walk(self, seed, ident_at, cap):
+        f, ident = synthetic_map(seed, ident_at), identity(5)
+        ks = [k for k in (1, 2, 3, 7, 100) if cap is None or k <= cap]
+        record = enumerator._walker(f, ident, cap, ks)
+        perms = list(all_perms(5))
+        random.Random(seed).shuffle(perms)
+        for p in perms:
+            walk = _walk(f, ident, f(ident) == ident, p, cap)
+            assert record(p, f(p)) == walk[:3] + tuple(_state_at(walk, k) for k in ks), p
+
+    def test_synthetic_maps_have_long_cycles(self):
+        f = synthetic_map(1, 119)
+        cycles = Counter(_walk(f, identity(5), False, p)[2] for p in all_perms(5))
+        assert set(cycles) == {1, 2, 3, 4, 5}
+
+    def test_a_cleared_memo_gives_the_same_walks(self, monkeypatch):
+        want = [r.to_dict() for r in verify_all(1, 6)]
+        monkeypatch.setattr(enumerator, "MEMO_CAP", 2)
+        assert [r.to_dict() for r in verify_all(1, 6)] == want
+        f, ident = synthetic_map(3, 4), identity(5)
+        record = enumerator._walker(f, ident, None, [2])
+        for p in all_perms(5):
+            walk = _walk(f, ident, f(ident) == ident, p)
+            assert record(p, f(p)) == walk[:3] + (_state_at(walk, 2),)
 
 
 class TestVerify:
