@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import Callable, Optional, Sequence
 
 from .perms import Perm, identity
@@ -186,6 +185,8 @@ def west_pass(p: Perm) -> Perm:
 
 def s12_closed_form(p: Perm) -> Perm:
     """Reverse each peak run in place; equals one simulated base-12 pass."""
+    if not p:
+        return ()
     out: list[int] = []
     start = 0
     cur = p[0]
@@ -200,6 +201,8 @@ def s12_closed_form(p: Perm) -> Perm:
 
 def s21_closed_form(p: Perm) -> Perm:
     """Reverse each valley run in place; equals one simulated base-21 pass."""
+    if not p:
+        return ()
     out: list[int] = []
     start = 0
     cur = p[0]
@@ -256,14 +259,17 @@ def apply(map_id: MapId, p: Perm) -> Perm:
 
 def iterate(map_id: MapId, p: Perm, t: int) -> Perm:
     """t-fold application; t = 0 returns ``p`` unchanged, without a pass.
-    The orbit is walked for at most t passes, so a t past the orbit's tail
-    costs no more than the tail and one cycle."""
+    The orbit is walked with a cap of t passes, and that walk is closed iff
+    tail + cycle <= t (or the orbit reaches the identity by step t, if the
+    map fixes it; see ``_walk``).  So a t past the orbit's tail reduces
+    modulo the cycle and costs no more than the tail and one cycle, and the
+    walk holds O(1) states whatever t is."""
     if t < 0:
         raise ValueError("iteration count must be nonnegative")
     if t == 0:
         return p
     f, ident = pass_fn(map_id), identity(len(p))
-    return _state_at(_walk(f, ident, f(ident) == ident, p, t), t)
+    return _walk(f, ident, f(ident) == ident, p, t, (t,))[4][0]
 
 
 def sorts_in(map_id: MapId, p: Perm, t_max: int) -> Optional[int]:
@@ -278,41 +284,115 @@ def sorts_in(map_id: MapId, p: Perm, t_max: int) -> Optional[int]:
     return _walk(f, ident, f(ident) == ident, p, t_max)[0]
 
 
-Walk = tuple[Optional[int], Optional[int], Optional[int], dict[Perm, int]]
+# (identity hit, tail, cycle, last walked state, the k-th states asked for)
+Walk = tuple[Optional[int], Optional[int], Optional[int], Perm, tuple[Perm, ...]]
 
 
 def _walk(
     f: Callable[[Perm], Perm], ident: Perm, fixes_ident: bool, p: Perm,
-    cap: Optional[int] = None,
+    cap: Optional[int] = None, ks: Sequence[int] = (),
 ) -> Walk:
-    """The rho shape of p's orbit under f: (first step at ``ident`` or None,
-    tail length, cycle length, the states walked in order, each mapped to its
-    step).  The walk stops at the first repeated state, at ``ident`` if f
-    fixes it (the orbit then ends in that one-cycle), or after ``cap`` passes,
-    leaving tail and cycle None if still open."""
-    seen: dict[Perm, int] = {}
+    """The rho shape of p's orbit under f, walked for at most ``cap`` passes
+    while holding O(1) states: (first step at ``ident`` or None, tail
+    length, cycle length, the last walked state, the k-th state for each k
+    in ``ks``).
+
+    The walk is closed iff tail + cycle <= cap, or f fixes ``ident`` and the
+    orbit reaches it by step ``cap`` (the identity is then the orbit's fixed
+    point, and tail + cycle may be cap + 1); an open walk has tail and cycle
+    None.  The last walked state is the one at step tail + cycle - 1 of a
+    closed walk and at step ``cap`` of an open one.  The k-th state is the
+    one at step k or, past the tail, at tail + (k - tail) mod cycle; an open
+    walk has the k-th states for k <= cap only.
+
+    Each state is compared with the one before it, so an orbit that ends on
+    a fixed point closes at the pass that reaches it, as the identity does
+    when f fixes it.  A longer cycle is found by Brent's power-of-two
+    tortoise (Brent, BIT 20, 1980), which may take it past step tail +
+    cycle, and its tail by a second walk from p.  A capped walk also keeps
+    the hash of each state before step ``cap``: the state at step cap is
+    new if its hash is not among them, and otherwise p's orbit is walked
+    again to tell.  So a walk of an orbit that ends on a fixed point takes
+    the passes of a walk that keeps every state, capped or not.
+    """
+    got: dict[int, Perm] = {}
     hit: Optional[int] = None
-    while p not in seen:
-        step = seen[p] = len(seen)
-        if p == ident:
+    hashes: Optional[set[int]] = None if cap is None else set()
+    x, step, tortoise, at = p, 0, p, 0  # the tortoise is the state at step ``at``
+    while True:
+        if step in ks:
+            got[step] = x
+        if x == ident:
             if fixes_ident:
-                return step, step, 1, seen
-            hit = step
+                return step, step, 1, x, _states(f, got, ks, x, step, 1)
+            if hit is None:
+                hit = step
+        if step > at and x == tortoise:
+            cycle = step - at
+            break
+        if step == 2 * at + 1:  # the tortoise moves to steps 1, 3, 7, 15, ...
+            tortoise, at = x, step
         if step == cap:
-            return hit, None, None, seen
-        p = f(p)
-    tail = seen[p]
-    return hit, tail, len(seen) - tail, seen
+            cycle = _recurrence(f, p, x, cap) if hash(x) in hashes else None
+            if cycle is None:
+                return hit, None, None, x, tuple(got[k] for k in ks)
+            break
+        if hashes is not None:
+            hashes.add(hash(x))
+        y = f(x)
+        if y == x:
+            return hit, step, 1, x, _states(f, got, ks, x, step, 1)
+        x, step = y, step + 1
+    tail, last = _tail(f, p, cycle)
+    return hit, tail, cycle, last, _states(f, got, ks, x, step, cycle)
 
 
-def _state_at(walk: Walk, k: int) -> Perm:
-    """The k-th state of a walked orbit: the state reached at step k or, past
-    the tail, the one at tail + (k - tail) mod cycle.  A walk capped below k
-    that is still open has no k-th state."""
-    _, tail, cycle, seen = walk
-    if k >= len(seen):
-        k = tail + (k - tail) % cycle
-    return next(islice(seen, k, None))
+def _recurrence(f: Callable[[Perm], Perm], p: Perm, x: Perm, cap: int) -> Optional[int]:
+    """The cycle length of x, the state at step ``cap`` of p's orbit, if x
+    is also the state at an earlier step, else None.  The walk compared x
+    with the state at step cap - 1 already, so p's orbit is walked to step
+    cap - 2."""
+    y = p
+    for j in range(cap - 1):
+        if j:
+            y = f(y)
+        if y == x:
+            break
+    else:
+        return None
+    cycle, y = 1, f(x)
+    while y != x:
+        cycle, y = cycle + 1, f(y)
+    return cycle
+
+
+def _tail(f: Callable[[Perm], Perm], p: Perm, cycle: int) -> tuple[int, Perm]:
+    """(tail length, the state at step tail + cycle - 1) of p's orbit with
+    this cycle length: a walk ``cycle`` steps ahead of one from p meets it
+    first at step tail."""
+    last, ahead = p, p
+    for _ in range(cycle):
+        last, ahead = ahead, f(ahead)
+    tail = 0
+    while p != ahead:
+        p, last, ahead, tail = f(p), ahead, f(ahead), tail + 1
+    return tail, last
+
+
+def _states(
+    f: Callable[[Perm], Perm], got: dict[int, Perm], ks: Sequence[int], x: Perm,
+    step: int, cycle: int,
+) -> tuple[Perm, ...]:
+    """The k-th states of a closed walk that got those up to ``step``, where
+    it holds x, a periodic state: a later one is (k - step) mod cycle passes
+    past x."""
+    def ahead(k: int) -> Perm:
+        y = x
+        for _ in range((k - step) % cycle):
+            y = f(y)
+        return y
+
+    return tuple(got[k] if k <= step else ahead(k) for k in ks)
 
 
 @dataclass(frozen=True)
@@ -327,5 +407,5 @@ def orbit(map_id: MapId, p: Perm) -> OrbitReport:
     """Iterate until a state recurs; report the tail length, cycle length,
     and the first step at which the identity appears (if it does)."""
     f, ident = pass_fn(map_id), identity(len(p))
-    hit, tail, cycle, _ = _walk(f, ident, f(ident) == ident, p)
+    hit, tail, cycle = _walk(f, ident, f(ident) == ident, p)[:3]
     return OrbitReport(tail, cycle, hit, tail == 0)

@@ -71,7 +71,6 @@ from .engine import (
     s12_simulated,
     s21_closed_form,
     s21_simulated,
-    _state_at,
     _walk,
 )
 from .guard import GuardExceeded, check_guard
@@ -146,6 +145,7 @@ def _walker(
     if cap == 0:
         return lambda p, q: _walk(f, ident, fixes_ident, p, 0)[:3]
     sub = None if cap is None else cap - 1
+    before = [k - 1 for k in ks]
     memo: dict[bytes, tuple] = {}
     interned: dict[tuple, tuple] = {}
 
@@ -153,10 +153,8 @@ def _walker(
         if len(memo) >= MEMO_CAP:
             memo.clear()
             interned.clear()
-        walk = _walk(f, ident, fixes_ident, q, sub)
-        hit, tail, cycle, seen = walk
-        last = next(reversed(seen)) if tail in (None, 0) else None
-        s = (hit, tail, cycle, last, *(_state_at(walk, k - 1) for k in ks))
+        hit, tail, cycle, last, states = _walk(f, ident, fixes_ident, q, sub, before)
+        s = (hit, tail, cycle, last if tail in (None, 0) else None, *states)
         return interned.setdefault(s, s)
 
     def record(p: Perm, q: Perm) -> tuple:

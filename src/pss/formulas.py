@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .engine import MapId, iterate, s21_closed_form
-from .perms import Perm, identity, reverse_identity, valley_runs
+from .perms import Perm, identity, reverse_identity
 
 # -- one-pass sortability under the dotted maps ------------------------------
 
@@ -54,15 +54,22 @@ def count_machine21_sortable(n: int) -> int:
 def is_machine21_fixed_shape(p: Perm) -> bool:
     """Structural test for fixed points of the 21 machine: every valley run
     increases, and each run's last entry exceeds everything in the previous
-    run."""
-    segments = valley_runs(p).segments(p)
-    for seg in segments:
-        if any(seg[i] >= seg[i + 1] for i in range(len(seg) - 1)):
+    run.
+
+    One scan: a descent must start a new valley run (at a left-to-right
+    minimum), and then each run increases, so its largest entry is its last
+    one, which must exceed the previous run's last entry."""
+    if not p:
+        return True
+    low, end = p[0], 0  # the current run's first entry; the previous run's last
+    for a, b in zip(p, p[1:]):
+        if b < low:  # b starts a new valley run and a ends the current one
+            if a <= end:
+                return False
+            low, end = b, a
+        elif b < a:
             return False
-    for prev, nxt in zip(segments, segments[1:]):
-        if nxt[-1] <= max(prev):
-            return False
-    return True
+    return p[-1] > end
 
 
 @lru_cache(maxsize=None)

@@ -16,8 +16,6 @@ from pss import formulas
 from pss import enumerator
 from pss.engine import (
     MapId,
-    _state_at,
-    _walk,
     iterate,
     orbit,
     s12_simulated,
@@ -42,6 +40,7 @@ from pss.enumerator import (
 )
 from pss.guard import GuardExceeded
 from pss.perms import PermutationError, all_perms, identity
+from walk_oracle import dict_walk, state_at, synthetic_map
 
 CLAIMS = (
     "RED", "P3_1", "P3_5", "L3_3", "T3_4", "T3_6", "L4_1", "T4_2",
@@ -208,26 +207,6 @@ class TestOracles:
             assert brute_image(map_id, ORACLE_N, k) == want
 
 
-def synthetic_map(seed: int, ident_at: int):
-    """A function on S_5 whose graph has one cycle of each length 1..5 and
-    trees of random depth hanging off them, with the identity at position
-    ``ident_at`` of the order it is built in: 0 is the fixed point, 1..14
-    lie on the longer cycles, and later positions are in the trees."""
-    rng = random.Random(seed)
-    perms = list(all_perms(5))
-    rng.shuffle(perms)
-    ident = perms.index(identity(5))
-    perms[ident], perms[ident_at] = perms[ident_at], perms[ident]
-    image, at = {}, 0
-    for length in range(1, 6):
-        cycle = perms[at : at + length]
-        image.update(zip(cycle, cycle[1:] + cycle[:1]))
-        at += length
-    for i in range(at, len(perms)):
-        image[perms[i]] = perms[rng.randrange(i)]
-    return image.__getitem__
-
-
 class TestMemoisedWalk:
     """``enumerator._walker`` composes each walk from the walk of its first
     state; the five maps have no cycle longer than 1 at small n, so these
@@ -243,12 +222,12 @@ class TestMemoisedWalk:
         perms = list(all_perms(5))
         random.Random(seed).shuffle(perms)
         for p in perms:
-            walk = _walk(f, ident, f(ident) == ident, p, cap)
-            assert record(p, f(p)) == walk[:3] + tuple(_state_at(walk, k) for k in ks), p
+            walk = dict_walk(f, ident, f(ident) == ident, p, cap)
+            assert record(p, f(p)) == walk[:3] + tuple(state_at(walk, k) for k in ks), p
 
     def test_synthetic_maps_have_long_cycles(self):
         f = synthetic_map(1, 119)
-        cycles = Counter(_walk(f, identity(5), False, p)[2] for p in all_perms(5))
+        cycles = Counter(dict_walk(f, identity(5), False, p)[2] for p in all_perms(5))
         assert set(cycles) == {1, 2, 3, 4, 5}
 
     def test_a_cleared_memo_gives_the_same_walks(self, monkeypatch):
@@ -258,8 +237,8 @@ class TestMemoisedWalk:
         f, ident = synthetic_map(3, 4), identity(5)
         record = enumerator._walker(f, ident, None, [2])
         for p in all_perms(5):
-            walk = _walk(f, ident, f(ident) == ident, p)
-            assert record(p, f(p)) == walk[:3] + (_state_at(walk, 2),)
+            walk = dict_walk(f, ident, f(ident) == ident, p)
+            assert record(p, f(p)) == walk[:3] + (state_at(walk, 2),)
 
 
 class TestVerify:

@@ -4,7 +4,21 @@ import pytest
 
 from pss import formulas
 from pss.engine import MapId, apply, iterate
-from pss.perms import all_perms, identity, reverse_identity
+from pss.perms import all_perms, identity, reverse_identity, valley_runs
+
+
+def fixed_shape_by_segments(p):
+    """The definition of the m21 fixed-point shape, read off the valley-run
+    segments: every run increases, and each run's last entry exceeds
+    everything in the previous run."""
+    segments = valley_runs(p).segments(p)
+    for seg in segments:
+        if any(seg[i] >= seg[i + 1] for i in range(len(seg) - 1)):
+            return False
+    for prev, nxt in zip(segments, segments[1:]):
+        if nxt[-1] <= max(prev):
+            return False
+    return True
 
 
 class TestSortableCounts:
@@ -59,6 +73,11 @@ class TestMachine21:
         assert not formulas.is_machine21_fixed_shape((3, 1, 2))
         for n in (1, 3, 6):
             assert formulas.is_machine21_fixed_shape(identity(n))
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_fixed_shape_is_its_segment_definition(self, n):
+        for p in all_perms(n):
+            assert formulas.is_machine21_fixed_shape(p) == fixed_shape_by_segments(p), p
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_fixed_shape_matches_machine(self, n):
