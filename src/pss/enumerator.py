@@ -5,14 +5,17 @@ every sweep is made by one primitive, ``_tally``: it walks S_n once and
 evaluates several kernels on each permutation, keeping one ``Counter`` of
 keys per kernel.  A top-level *kernel factory* ``make_kernel(facts,
 *params)`` builds a kernel from a permutation's facts to a hashable key.
-While it builds, it asks ``facts`` (a ``_Facts``) for what the kernel reads:
-orbit walks (the first step at the identity, tail and cycle of the engine's
-one walker) and k-th states of orbits.  Each fact is made once per
-permutation however many kernels read it.  A first state is one pass,
-shared by every kernel and walk of that map; a later k-th state is stored
-by a walk of that map that reaches step k, so k-fold images cost no passes
-of their own, and past the tail the state at step k is the one at tail +
-(k - tail) mod cycle.
+A kernel is built once per rank range and may keep state for that range,
+provided its key for p depends on p alone: RED's keeps the stack after each
+prefix of the last p it saw, so the next p resumes from the prefix the two
+share (see ``_dot_variants_differ``).  While it builds, it asks ``facts``
+(a ``_Facts``) for what the kernel reads: orbit walks (the first step at
+the identity, tail and cycle of the engine's one walker) and k-th states of
+orbits.  Each fact is made once per permutation however many kernels read
+it.  A first state is one pass, shared by every kernel and walk of that
+map; a later k-th state is stored by a walk of that map that reaches step
+k, so k-fold images cost no passes of their own, and past the tail the
+state at step k is the one at tail + (k - tail) mod cycle.
 
 A walk is dynamic programming on the map's functional graph, restricted to
 its one-pass image: p's walk is composed from the walk of its first state
@@ -64,6 +67,7 @@ from .engine import (
     DOTTED_STAGE,
     DottedPattern,
     MapId,
+    PushPredicate,
     dotted_policy,
     pass_fn,
     run_pass,
@@ -353,14 +357,58 @@ def _closed_vs_simulated(facts: _Facts, map_id: MapId) -> Kernel:
     return lambda v: v[closed] != simulated(v[0])
 
 
+def _lockstep(one: PushPredicate, two: PushPredicate) -> Callable[[Perm], bool]:
+    """The function from p to ``run_pass(p, one)[0] != run_pass(p, two)[0]``,
+    made by one stack that asks both predicates at every decision and
+    resumes from the prefix p shares with the p before it (see
+    ``_dot_variants_differ``)."""
+    prev: Perm = ()
+    stacks: list[tuple] = [()]  # stacks[j]: the stack after prev[:j]
+
+    def differ(p: Perm) -> bool:
+        nonlocal prev
+        j, top = 0, len(stacks) - 1
+        while j < top and p[j] == prev[j]:
+            j += 1
+        prev = p
+        del stacks[j + 1:]
+        stack = list(stacks[j])
+        for v in p[j:]:
+            while stack:
+                push = one(stack, v)
+                if (not push) != (not two(stack, v)):  # the passes differ from here on
+                    del stacks[1:]
+                    return run_pass(p, one)[0] != run_pass(p, two)[0]
+                if push:
+                    break
+                stack.pop()
+            stack.append(v)
+            stacks.append(tuple(stack))
+        return False
+
+    return differ
+
+
 def _dot_variants_differ(facts: _Facts) -> Kernel:
     """Whether the two dot placements of either base pattern give different
-    pass outputs."""
-    pairs = [
-        (dotted_policy(DottedPattern(base, 1)), dotted_policy(DottedPattern(base, 2)))
+    pass outputs, i.e. ``run_pass(p, one)[0] != run_pass(p, two)[0]`` for
+    ``one, two = dotted_policy(DottedPattern(base, 1))``, ``(base, 2)``.
+
+    Each base runs one stack in lockstep: both predicates are asked at every
+    push/pop decision, and while they agree the two passes are one pass, so
+    their outputs are equal and are not built (the final flush asks no
+    predicate).  The kernel keeps the stack after each prefix p[:j] of the
+    last p it saw, one tuple per depth, for its rank range; each p resumes
+    from the longest prefix it shares with that p, about n - 2.7 entries in
+    lexicographic order.  At the first disagreement the base falls back to
+    the two ``run_pass`` calls and drops its stored stacks, so the next p
+    starts at depth 0.  The answer is therefore ``run_pass``'s for any pair
+    of predicates and any order of permutations."""
+    bases = [
+        _lockstep(dotted_policy(DottedPattern(base, 1)), dotted_policy(DottedPattern(base, 2)))
         for base in (12, 21)
     ]
-    return lambda v: any(run_pass(v[0], one)[0] != run_pass(v[0], two)[0] for one, two in pairs)
+    return lambda v: any(differ(v[0]) for differ in bases)
 
 
 def _machine21_sortable_mismatch(facts: _Facts) -> Kernel:

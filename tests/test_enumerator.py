@@ -15,9 +15,12 @@ import pytest
 from pss import formulas
 from pss import enumerator
 from pss.engine import (
+    DottedPattern,
     MapId,
+    dotted_policy,
     iterate,
     orbit,
+    run_pass,
     s12_simulated,
     s21_simulated,
     west_recursive,
@@ -157,6 +160,82 @@ class TestBruteCounts:
 
     def test_random_agreement(self):
         assert random_agreement_failures(2000, 200, seed=7) == 0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_west_literature_anchors(self, n):
+        """West's sort counts from outside the paper: 1-sortable is Catalan
+        (Knuth), 2-sortable is 2(3n)!/((n+1)!(2n+1)!) (West 1990, Zeilberger
+        1992), (n-2)-sortable misses only the (n-2)! permutations ending in
+        n 1 (West 1990), and n-1 passes sort everything."""
+        buckets, never = sort_histogram(MapId.WEST, n, n)
+        assert never == 0
+
+        def within(t):
+            return sum(buckets[: t + 1])
+
+        f = math.factorial
+        assert within(1) == math.comb(2 * n, n) // (n + 1)
+        assert within(2) == 2 * f(3 * n) // (f(n + 1) * f(2 * n + 1))
+        if n >= 2:
+            assert within(n - 2) == f(n) - f(n - 2)
+        assert within(n - 1) == f(n)
+
+
+# the one dot placement a mutant of ``dotted_policy`` changes: (base, 2)'s
+# predicate, which then parts from (base, 1)'s on some stacks
+RED_MUTANTS = {
+    "base 12": (12, lambda stack, v: not stack or max(stack) >= v - 1),
+    "base 21": (21, lambda stack, v: not stack or min(stack) <= v + 1),
+    # west's test on stacks of three or more, so the passes part late, after
+    # a resumed prefix
+    "deep stacks": (12, lambda stack, v: not stack or (
+        stack[-1] if len(stack) >= 3 else max(stack)) > v),
+}
+
+
+def mutated(name):
+    """``dotted_policy`` with RED_MUTANTS[name] as one dot placement."""
+    base, allows = RED_MUTANTS[name]
+
+    def policy(pattern):
+        return allows if pattern == DottedPattern(base, 2) else dotted_policy(pattern)
+
+    return policy
+
+
+def dot_variants_differ(policy, p):
+    """RED's question asked of ``run_pass`` directly."""
+    return any(
+        run_pass(p, policy(DottedPattern(base, 1)))[0]
+        != run_pass(p, policy(DottedPattern(base, 2)))[0]
+        for base in (12, 21)
+    )
+
+
+class TestDotVariants:
+    @pytest.mark.parametrize("name", RED_MUTANTS)
+    def test_red_counts_every_mismatch_of_a_mutant(self, monkeypatch, name):
+        policy = mutated(name)
+        monkeypatch.setattr(enumerator, "dotted_policy", policy)
+        report = verify("RED", 1, 6)
+        assert [row.n for row in report.rows] == list(range(1, 7))
+        for row in report.rows:
+            bad = sum(dot_variants_differ(policy, p) for p in all_perms(row.n))
+            assert row.observed == str(bad)
+            assert row.passed == (bad == 0)
+        assert not report.overall_pass, "the mutant never made the passes part"
+
+    @pytest.mark.parametrize("name", [None, *RED_MUTANTS])
+    def test_any_order_of_permutations(self, monkeypatch, name):
+        """The stored stacks of one p never answer for an unrelated p."""
+        policy = dotted_policy if name is None else mutated(name)
+        monkeypatch.setattr(enumerator, "dotted_policy", policy)
+        kernel = enumerator._dot_variants_differ(enumerator._Facts(6))
+        lex = list(all_perms(6))
+        shuffled = lex[:]
+        random.Random(8).shuffle(shuffled)
+        for p in lex + lex[::-1] + shuffled:
+            assert kernel([p]) == dot_variants_differ(policy, p), p
 
 
 # each map's pass built from the oracles alone, sharing no code with the sweep
