@@ -138,8 +138,14 @@ def cmd_verify(args) -> int:
     return 0 if all(r.overall_pass for r in reports) else 1
 
 
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise UsageError(f"--n must be >= 1, got {n}")
+
+
 def cmd_image(args) -> int:
     m = MapId(args.map)
+    _check_n(args.n)
     if args.power == "auto":
         if m is MapId.S12:
             power = args.n - 2
@@ -147,13 +153,15 @@ def cmd_image(args) -> int:
             power = args.n // 2 - 1
         else:
             raise UsageError(f"--power auto is not defined for map {m.value}")
+        if power < 0:
+            raise UsageError(f"--power auto gives a negative power ({power}) at --n {args.n}")
     else:
         try:
             power = int(args.power)
         except ValueError:
             raise UsageError(f"--power must be an integer or 'auto', got {args.power!r}")
-    if power < 0:  # 'auto' is negative for n = 1
-        raise UsageError(f"--power must be nonnegative, got {power}")
+        if power < 0:
+            raise UsageError(f"--power must be nonnegative, got {power}")
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     image = enumerator.brute_image(m, args.n, power, jobs=jobs, force=args.force)
     if args.format == "json":
@@ -172,6 +180,7 @@ def cmd_fixed_points(args) -> int:
     m = MapId(args.machine)
     if m not in (MapId.MACHINE12, MapId.MACHINE21):
         raise UsageError("--machine must be m12 or m21")
+    _check_n(args.n)
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     count, found = enumerator.brute_fixed_points(
         m, args.n, collect=args.list, jobs=jobs, force=args.force

@@ -184,34 +184,47 @@ def west_pass(p: Perm) -> Perm:
 
 
 def s12_closed_form(p: Perm) -> Perm:
-    """Reverse each peak run in place; equals one simulated base-12 pass."""
+    """Reverse each peak run in place; equals one simulated base-12 pass.
+
+    The pass starts from a copy of p and makes one comparison per entry,
+    against the current run's first entry, to find where each run ends.  A
+    one-entry run is already in place, so only runs longer than one entry
+    are written back reversed; near the end of an orbit most runs hold one
+    entry."""
     if not p:
         return ()
-    out: list[int] = []
-    start = 0
+    out = list(p)
+    start = i = 0
     cur = p[0]
-    for i in range(1, len(p)):
-        if p[i] > cur:
-            out.extend(p[start:i][::-1])
-            start = i
-            cur = p[i]
-    out.extend(p[start:][::-1])
+    for v in p:  # v = p[i]
+        if v > cur:
+            if i - start > 1:  # p[start:i] reversed, in one copy
+                out[start:i] = p[i - 1:start - 1 if start else None:-1]
+            start, cur = i, v
+        i += 1
+    if i - start > 1:
+        out[start:] = p[:start - 1 if start else None:-1]
     return tuple(out)
 
 
 def s21_closed_form(p: Perm) -> Perm:
-    """Reverse each valley run in place; equals one simulated base-21 pass."""
+    """Reverse each valley run in place; equals one simulated base-21 pass.
+
+    As ``s12_closed_form``: one comparison per entry, and only runs longer
+    than one entry are written back reversed."""
     if not p:
         return ()
-    out: list[int] = []
-    start = 0
+    out = list(p)
+    start = i = 0
     cur = p[0]
-    for i in range(1, len(p)):
-        if p[i] < cur:
-            out.extend(p[start:i][::-1])
-            start = i
-            cur = p[i]
-    out.extend(p[start:][::-1])
+    for v in p:  # v = p[i]
+        if v < cur:
+            if i - start > 1:  # p[start:i] reversed, in one copy
+                out[start:i] = p[i - 1:start - 1 if start else None:-1]
+            start, cur = i, v
+        i += 1
+    if i - start > 1:
+        out[start:] = p[:start - 1 if start else None:-1]
     return tuple(out)
 
 

@@ -85,7 +85,6 @@ from .perms import (
     format_perm,
     identity,
     ins,
-    reverse_identity,
     successor,
     unrank,
 )
@@ -412,11 +411,10 @@ def _dot_variants_differ(facts: _Facts) -> Kernel:
 
 
 def _machine21_sortable_mismatch(facts: _Facts) -> Kernel:
-    """One m21 pass sorts p, against: the valley-run reversal of p is the
-    decreasing permutation."""
-    m21, s21 = facts.state(MapId.MACHINE21, 1), facts.state(MapId.S21, 1)
-    ident, rev = facts.ident, reverse_identity(facts.n)
-    return lambda v: (v[m21] == ident) != (v[s21] == rev)
+    """One m21 pass sorts p, against the structural test on p, which shares
+    no code with the pass."""
+    m21, ident = facts.state(MapId.MACHINE21, 1), facts.ident
+    return lambda v: (v[m21] == ident) != formulas.is_machine21_sortable(v[0])
 
 
 def _machine21_fixed_mismatch(facts: _Facts) -> Kernel:

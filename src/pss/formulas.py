@@ -10,8 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .engine import MapId, iterate, s21_closed_form
-from .perms import Perm, identity, reverse_identity
+from .engine import MapId, iterate
+from .perms import Perm, identity
 
 # -- one-pass sortability under the dotted maps ------------------------------
 
@@ -39,8 +39,21 @@ def count_t_sortable_s21(n: int) -> int:
 
 def is_machine21_sortable(p: Perm) -> bool:
     """A permutation sorts in one pass of the 21 machine iff its valley-run
-    reversal is the decreasing permutation."""
-    return s21_closed_form(p) == reverse_identity(len(p))
+    reversal is the decreasing permutation: every valley run increases, and
+    each run's first entry exceeds the next run's last entry.
+
+    One scan: an entry below the current run's first entry starts a new
+    valley run; any other entry must exceed the one before it and stay below
+    the previous run's first entry."""
+    if not p:
+        return True
+    low, bound = p[0], len(p) + 1  # the current run's first entry; the previous run's
+    for a, b in zip(p, p[1:]):
+        if b < low:
+            low, bound = b, low
+        elif not a < b < bound:
+            return False
+    return True
 
 
 def count_machine21_sortable(n: int) -> int:

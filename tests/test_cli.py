@@ -229,15 +229,36 @@ class TestOtherCommands:
     ])
     def test_negative_n_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--jobs", "1")
-        assert code == 2 and out == "" and err == "error: length must be >= 1\n"
+        assert code == 2 and out == "" and err == "error: --n must be >= 1, got -1\n"
+
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    @pytest.mark.parametrize("argv", [
+        ["image", "--map", "s12"],
+        ["image", "--map", "m12"],
+        ["image", "--map", "s21"],
+        ["image", "--map", "s12", "--power", "3"],
+        ["fixed-points", "--machine", "m21"],
+    ])
+    def test_n_below_one_names_n(self, capsys, argv, n):
+        """--n is checked before anything derived from it, such as --power auto."""
+        code, out, err = run_cli(capsys, *argv, "--n", n, "--jobs", "1")
+        assert code == 2 and out == "" and err == f"error: --n must be >= 1, got {n}\n"
 
     @pytest.mark.parametrize("argv", [
         ["image", "--map", "s12", "--n", "1", "--power", "auto"],
         ["image", "--map", "m12", "--n", "1", "--power", "auto"],
+        ["image", "--map", "m12", "--n", "1"],
     ])
     def test_negative_auto_power_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--jobs", "1")
-        assert code == 2 and out == "" and err == "error: --power must be nonnegative, got -1\n"
+        assert code == 2 and out == ""
+        assert err == "error: --power auto gives a negative power (-1) at --n 1\n"
+
+    def test_negative_power_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "image", "--map", "s12", "--n", "3", "--power", "-2", "--jobs", "1"
+        )
+        assert code == 2 and out == "" and err == "error: --power must be nonnegative, got -2\n"
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--claim", "T4_2", "--n-max", "3"],

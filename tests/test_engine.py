@@ -33,6 +33,43 @@ perm_st = st.integers(1, 9).flatmap(
 )
 
 
+def near_sorted(n, swaps):
+    """The identity of length n with entries i and i + 1 (from 0) swapped
+    for each i in ``swaps``, in turn."""
+    p = list(range(1, n + 1))
+    for i in swaps:
+        p[i], p[i + 1] = p[i + 1], p[i]
+    return tuple(p)
+
+
+def rotation(n):
+    return tuple(range(2, n + 1)) + (1,)
+
+
+def shuffled(n, seed):
+    p = list(range(1, n + 1))
+    random.Random(seed).shuffle(p)
+    return tuple(p)
+
+
+near_sorted_st = st.integers(2, 300).flatmap(
+    lambda n: st.lists(st.integers(0, n - 2), max_size=6).map(lambda swaps: near_sorted(n, swaps))
+)
+
+# (base, map, closed form, simulated stack)
+DOTTED = [
+    (12, MapId.S12, s12_closed_form, s12_simulated),
+    (21, MapId.S21, s21_closed_form, s21_simulated),
+]
+
+
+def assert_passes_agree(p, bases=DOTTED):
+    """Closed form == simulated stack == ``run_pass`` with the dotted policy."""
+    for base, _, closed, simulated in bases:
+        allows = dotted_policy(DottedPattern(base, 1))
+        assert closed(p) == simulated(p) == run_pass(p, allows)[0], (base, p)
+
+
 def complement(p):
     """c(p) with c(v) = n+1-v; s21 = c o s12 o c is an oracle for s21 that
     shares no code with it."""
@@ -137,6 +174,32 @@ class TestClosedForms:
         assert s12_closed_form(p) == s12_simulated(p)
         assert s21_closed_form(p) == s21_simulated(p)
         assert s21_closed_form(p) == complement(s12_closed_form(complement(p)))
+
+    @pytest.mark.parametrize("start", [
+        shuffled(50, 1), shuffled(300, 2), shuffled(1000, 3), rotation(300),
+    ], ids=["random50", "random300", "random1000", "rotation300"])
+    @pytest.mark.parametrize("dotted", DOTTED, ids=["s12", "s21"])
+    def test_every_orbit_state(self, start, dotted):
+        """Along an orbit the runs shrink to one entry, which the closed
+        forms leave in place and a random permutation seldom shows."""
+        _, map_id, closed, _ = dotted
+        rep = orbit(map_id, start)
+        p = start
+        for _ in range(rep.tail_length + rep.cycle_length):
+            assert_passes_agree(p, [dotted])
+            p = closed(p)
+
+    @pytest.mark.parametrize("p", [
+        *(rotation(n) for n in (2, 3, 4, 10, 1000)),
+        *(near_sorted(n, random.Random(n + k).choices(range(n - 1), k=k))
+          for n in (2, 3, 10, 1000) for k in (1, 3, 8)),
+    ])
+    def test_mostly_one_entry_runs(self, p):
+        assert_passes_agree(p)
+
+    @given(near_sorted_st)
+    def test_near_sorted(self, p):
+        assert_passes_agree(p)
 
     @given(perm_st)
     def test_largest_entry_lands_last(self, p):

@@ -12,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pss import formulas
-from pss import enumerator
+from pss import engine, enumerator, formulas
 from pss.engine import (
     DottedPattern,
     MapId,
@@ -42,7 +41,7 @@ from pss.enumerator import (
     verify_all,
 )
 from pss.guard import GuardExceeded
-from pss.perms import PermutationError, all_perms, identity
+from pss.perms import PermutationError, all_perms, identity, peak_runs, valley_runs
 from walk_oracle import dict_walk, state_at, synthetic_map
 
 CLAIMS = (
@@ -236,6 +235,32 @@ class TestDotVariants:
         random.Random(8).shuffle(shuffled)
         for p in lex + lex[::-1] + shuffled:
             assert kernel([p]) == dot_variants_differ(policy, p), p
+
+
+def pairs_unreversed(runs):
+    """A dotted closed form that reverses each run of ``runs(p)`` but the
+    two-entry ones: the closed forms' one-entry guard moved off by one."""
+    def closed(p):
+        return tuple(v for seg in runs(p).segments(p) for v in (seg if len(seg) == 2 else seg[::-1]))
+
+    return closed
+
+
+class TestClosedFormMutant:
+    def test_p3_1_and_p3_5_catch_unreversed_pairs(self, monkeypatch):
+        """The sweep reads each pass through ``engine.pass_fn``, so a closed
+        form rebound in ``engine`` is the one P3_1 and P3_5 check."""
+        mutants = {"P3_1": (pairs_unreversed(peak_runs), s12_simulated),
+                   "P3_5": (pairs_unreversed(valley_runs), s21_simulated)}
+        monkeypatch.setattr(engine, "s12_closed_form", mutants["P3_1"][0])
+        monkeypatch.setattr(engine, "s21_closed_form", mutants["P3_5"][0])
+        for claim, (mutant, simulated) in mutants.items():
+            report = verify(claim, 2, 5)
+            assert [row.n for row in report.rows] == [2, 3, 4, 5]
+            for row in report.rows:
+                bad = sum(mutant(p) != simulated(p) for p in all_perms(row.n))
+                assert bad and row.observed == str(bad) and not row.passed, (claim, row)
+            assert not report.overall_pass
 
 
 # each map's pass built from the oracles alone, sharing no code with the sweep

@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 
 from pss import formulas
-from pss.engine import MapId, apply, iterate
+from pss.engine import MapId, apply, iterate, s21_closed_form
 from pss.perms import all_perms, identity, reverse_identity, valley_runs
 
 
@@ -67,6 +67,18 @@ class TestMachine21:
             assert formulas.is_machine21_sortable(p) == (
                 apply(MapId.MACHINE21, p) == ident
             )
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_sortable_is_its_reversal_definition(self, n):
+        """The structural scan against the characterization it replaced: the
+        valley-run reversal of p is the decreasing permutation."""
+        rev = reverse_identity(n)
+        accepted = 0
+        for p in all_perms(n):
+            sortable = formulas.is_machine21_sortable(p)
+            assert sortable == (s21_closed_form(p) == rev), p
+            accepted += sortable
+        assert accepted == (2 ** (n - 1) if n else 1)
 
     def test_fixed_shape_examples(self):
         assert formulas.is_machine21_fixed_shape((2, 1, 3))
