@@ -3,14 +3,21 @@
 Every brute-force statistic is one query on one map's functional graph, and
 every sweep is made by one primitive, ``_tally``: it walks S_n once and
 evaluates several kernels on each permutation, keeping one ``Counter`` of
-keys per kernel.  A top-level *kernel factory* ``make_kernel(facts,
-*params)`` builds a kernel from a permutation's facts to a hashable key.
-A kernel is built once per rank range and may keep state for that range,
-provided its key for p depends on p alone: RED's keeps the stack after each
-prefix of the last p it saw, so the next p resumes from the prefix the two
-share (see ``_dot_variants_differ``).  While it builds, it asks ``facts``
-(a ``_Facts``) for what the kernel reads: orbit walks (the first step at
-the identity, tail and cycle of the engine's one walker) and k-th states of
+keys per kernel.  The sweep is columnar.  It takes each rank range in
+chunks of ``CHUNK`` permutations, in rank order, and turns a chunk into one
+*column* per fact, the list of that fact for each p of the chunk, built with
+``map`` over the columns it reads.  A top-level *kernel factory*
+``make_kernel(facts, *params)`` builds a kernel from a chunk's columns to
+an iterable of hashable keys, one per permutation in the chunk's order,
+mostly C-level ``map`` calls over ``operator`` functions; each Counter is
+then advanced by ``Counter.update(kernel(columns))`` and its size checked
+against ``KEY_CAP`` after every chunk.  A kernel is built once per rank
+range and may keep state for that range, provided its key for p depends on
+p alone: RED's keeps the stack after each prefix of the last p it saw, so
+the next p resumes from the prefix the two share (see
+``_dot_variants_differ``).  While it builds, it asks ``facts`` (a
+``_Facts``) for what the kernel reads: orbit walks (the first step at the
+identity, tail and cycle of the engine's one walker) and k-th states of
 orbits.  Each fact is made once per permutation however many kernels read
 it.  A first state is one pass, shared by every kernel and walk of that
 map; a later k-th state is stored by a walk of that map that reaches step
@@ -25,8 +32,8 @@ periodic or its walk is open, the stored states read at step k - 1).  Each
 walk of a sweep has its own memo per rank range, dropped with the range;
 it holds at most the one-pass image of S_n ((n-1)! states for s12 and s21,
 326 for m12 at n = 8), and a memo that reaches ``MEMO_CAP`` states is
-cleared.  Permutations themselves are dropped once counted, so no memory
-grows with n!.
+cleared.  Permutations and their columns are dropped once their chunk is
+counted, so no memory grows with n!.
 
 The public brute-force operations are one-kernel calls of ``_tally``, each
 reducing its Counter: the sort histogram buckets the first identity step,
@@ -58,9 +65,9 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import itemgetter
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from itertools import islice, repeat
+from operator import eq, getitem, itemgetter, ne, or_
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from . import formulas
 from .engine import (
@@ -71,9 +78,7 @@ from .engine import (
     dotted_policy,
     pass_fn,
     run_pass,
-    s12_closed_form,
     s12_simulated,
-    s21_closed_form,
     s21_simulated,
     _walk,
 )
@@ -130,7 +135,8 @@ def iter_range(r: RankRange) -> Iterator[Perm]:
 
 KEY_CAP = 10**6  # most distinct keys one sweep may hold
 MEMO_CAP = 10**6  # most first states one walk memo may hold; a full memo is cleared
-BLOCK = 4096  # permutations counted between two checks of the cap
+BLOCK = 4096  # fewest permutations per rank range worth a worker process
+CHUNK = 256  # permutations per fact column; the key cap is checked after each chunk
 
 
 def _walker(
@@ -179,8 +185,11 @@ def _walker(
 class _Facts:
     """What the kernels of one sweep of S_n share about each permutation p.
 
-    A kernel factory asks for what its kernel reads and gets back a position
-    in the list that ``of()`` builds for every p; position 0 holds p itself.
+    A kernel factory asks for what its kernel reads and gets back a slot: the
+    position of that fact's column in the list that ``of()`` builds for each
+    chunk of permutations.  A column holds the fact of every p of the chunk,
+    in the chunk's (rank) order, and is made by ``map`` over the columns it
+    reads; slot 0 holds the chunk itself.
 
     * ``walk(map_id, cap)``: p's walk record, ``engine._walk``'s (identity
       hit, tail, cycle) for at most ``cap`` passes, then the later states
@@ -201,7 +210,7 @@ class _Facts:
     the one-pass image of S_n, and is cleared when it reaches ``MEMO_CAP``.
 
     Each fact is made once per p, whatever the number of kernels that read
-    it.
+    it, and each walk sees the permutations in rank order.
     """
 
     def __init__(self, n: int) -> None:
@@ -217,8 +226,10 @@ class _Facts:
     def _slot(self, fact: tuple) -> int:
         return self._slots.setdefault(fact, len(self._slots) + 1)
 
-    def of(self) -> Callable[[Perm], list]:
-        """The function from p to the list of its facts; call it once every
+    def of(self) -> Callable[[list[Perm]], list[list]]:
+        """The function from a chunk of permutations, in rank order, to its
+        fact columns: column ``slot`` holds that fact of each p of the chunk,
+        in the chunk's order, and column 0 is the chunk.  Call it once every
         kernel of the sweep is built."""
         def reach(cap: Optional[int]) -> float:
             return math.inf if cap is None else cap
@@ -236,7 +247,7 @@ class _Facts:
                 walk = home[fact] = "walk", map_id, cap if reach(cap) >= k else k
                 self._slot(walk)
                 stored.setdefault(walk, []).append(k)
-        steps: list[tuple[int, Callable[[list], object]]] = []  # (slot, function of the list)
+        steps: list[tuple[int, Callable[[list], list]]] = []  # (slot, function of the columns)
         made: set[int] = set()
 
         def make(fact: tuple) -> int:
@@ -248,29 +259,29 @@ class _Facts:
             if kind == "walk":
                 first = make(("state", map_id, 1)) if k != 0 else 0
                 record = _walker(pass_fn(map_id), self.ident, k, stored.get(fact, ()))
-                steps.append((slot, lambda v: record(v[0], v[first])))
+                steps.append((slot, lambda cols: list(map(record, cols[0], cols[first]))))
             elif k > 1:
                 walk = make(home[fact])
-                i = 3 + stored[home[fact]].index(k)
-                steps.append((slot, lambda v: v[walk][i]))
+                at = itemgetter(3 + stored[home[fact]].index(k))
+                steps.append((slot, lambda cols: list(map(at, cols[walk]))))
             else:
                 f, read = pass_fn(map_id), 0
                 if map_id in DOTTED_STAGE:
                     f, read = pass_fn(MapId.WEST), make(("state", DOTTED_STAGE[map_id], 1))
-                steps.append((slot, lambda v: f(v[read])))
+                steps.append((slot, lambda cols: list(map(f, cols[read]))))
             return slot
 
         for fact in list(self._slots):
             make(fact)
         size = len(self._slots) + 1
 
-        def facts(p: Perm) -> list:
-            v = [p] * size
+        def columns(chunk: list[Perm]) -> list[list]:
+            cols = [chunk] * size
             for slot, fn in steps:
-                v[slot] = fn(v)
-            return v
+                cols[slot] = fn(cols)
+            return cols
 
-        return facts
+        return columns
 
 
 def _check_cap(counts: Counter) -> None:
@@ -295,23 +306,20 @@ def _tally_range(task: tuple) -> list[Counter]:
     facts = _Facts(n)
     kernels = [make_kernel(facts, *params) for make_kernel, params in specs]
     of = facts.of()
-    counts = [Counter() for _ in kernels]
-    tallies = list(zip(counts, kernels))
+    tallies = [(Counter(), kernel) for kernel in kernels]
     perms = iter_range(RankRange(n, lo, hi))
-    for _ in range(lo, hi, BLOCK):
-        for p in islice(perms, BLOCK):
-            v = of(p)
-            for c, kernel in tallies:
-                c[kernel(v)] += 1
-        for c in counts:
+    for _ in range(lo, hi, CHUNK):
+        cols = of(list(islice(perms, CHUNK)))
+        for c, kernel in tallies:
+            c.update(kernel(cols))
             _check_cap(c)
-    return counts
+    return [c for c, _ in tallies]
 
 
 def _tally(n: int, jobs: int, specs: list[tuple]) -> list[Counter]:
-    """For each kernel spec ``(make_kernel, params)``, the Counter of
-    ``make_kernel(facts, *params)(facts of p)`` over p in S_n, all from one
-    sweep.  Equal specs are one kernel and share one Counter."""
+    """For each kernel spec ``(make_kernel, params)``, the Counter of the
+    keys that ``make_kernel(facts, *params)`` gives the permutations of S_n,
+    all from one sweep.  Equal specs are one kernel and share one Counter."""
     # an S_n of at most BLOCK permutations is one task, so it starts no pool;
     # split_ranges rejects n < 1
     parts = 1 if jobs <= 1 or n < 1 else min(4 * jobs, -(-math.factorial(n) // BLOCK))
@@ -326,26 +334,31 @@ def _tally(n: int, jobs: int, specs: list[tuple]) -> list[Counter]:
 
 
 # -- kernel factories (top level so they pickle) ------------------------------
+#
+# A factory asks ``facts`` for the columns its kernel reads; the kernel maps
+# one chunk's columns to the chunk's keys, one per permutation and in the
+# chunk's order, so a kernel with state sees the permutations in rank order.
 
-Kernel = Callable[[list], Hashable]
+Kernel = Callable[[list[list]], Iterable[Hashable]]
 
 
 def _orbit_shape(facts: _Facts, map_id: MapId, cap: Optional[int]) -> Kernel:
     """The orbit's (identity hit, tail, cycle), walked for at most ``cap``
     passes (see ``engine._walk``)."""
-    walk = facts.walk(map_id, cap)
-    return lambda v: v[walk][:3]
+    walk, shape = facts.walk(map_id, cap), itemgetter(slice(3))
+    return lambda cols: map(shape, cols[walk])
 
 
 def _image(facts: _Facts, map_id: MapId, k: int) -> Kernel:
-    """The k-fold image."""
+    """The k-fold image: its fact column itself."""
     return itemgetter(facts.state(map_id, k))
 
 
 def _fixed_point(facts: _Facts, map_id: MapId) -> Kernel:
     """The permutation if one pass fixes it, else None."""
     image = facts.state(map_id, 1)
-    return lambda v: v[0] if v[image] == v[0] else None
+    # (None, p)[p == image]
+    return lambda cols: map(getitem, zip(repeat(None), cols[0]), map(eq, cols[0], cols[image]))
 
 
 def _closed_vs_simulated(facts: _Facts, map_id: MapId) -> Kernel:
@@ -353,7 +366,7 @@ def _closed_vs_simulated(facts: _Facts, map_id: MapId) -> Kernel:
     simulated stack."""
     closed = facts.state(map_id, 1)
     simulated = s12_simulated if map_id is MapId.S12 else s21_simulated
-    return lambda v: v[closed] != simulated(v[0])
+    return lambda cols: map(ne, cols[closed], map(simulated, cols[0]))
 
 
 def _lockstep(one: PushPredicate, two: PushPredicate) -> Callable[[Perm], bool]:
@@ -397,29 +410,31 @@ def _dot_variants_differ(facts: _Facts) -> Kernel:
     push/pop decision, and while they agree the two passes are one pass, so
     their outputs are equal and are not built (the final flush asks no
     predicate).  The kernel keeps the stack after each prefix p[:j] of the
-    last p it saw, one tuple per depth, for its rank range; each p resumes
-    from the longest prefix it shares with that p, about n - 2.7 entries in
-    lexicographic order.  At the first disagreement the base falls back to
-    the two ``run_pass`` calls and drops its stored stacks, so the next p
-    starts at depth 0.  The answer is therefore ``run_pass``'s for any pair
-    of predicates and any order of permutations."""
-    bases = [
+    last p it saw, one tuple per depth, for its rank range; each p of a
+    chunk, taken in the chunk's (rank) order, resumes from the longest prefix
+    it shares with that p, about n - 2.7 entries in lexicographic order.  At
+    the first disagreement the base falls back to the two ``run_pass`` calls
+    and drops its stored stacks, so the next p starts at depth 0.  The
+    answer is therefore ``run_pass``'s for any pair of predicates and any
+    order of permutations."""
+    twelve, twenty_one = (
         _lockstep(dotted_policy(DottedPattern(base, 1)), dotted_policy(DottedPattern(base, 2)))
         for base in (12, 21)
-    ]
-    return lambda v: any(differ(v[0]) for differ in bases)
+    )
+    return lambda cols: map(or_, map(twelve, cols[0]), map(twenty_one, cols[0]))
 
 
 def _machine21_sortable_mismatch(facts: _Facts) -> Kernel:
     """One m21 pass sorts p, against the structural test on p, which shares
     no code with the pass."""
     m21, ident = facts.state(MapId.MACHINE21, 1), facts.ident
-    return lambda v: (v[m21] == ident) != formulas.is_machine21_sortable(v[0])
+    sortable = formulas.is_machine21_sortable
+    return lambda cols: map(ne, map(eq, cols[m21], repeat(ident)), map(sortable, cols[0]))
 
 
 def _machine21_fixed_mismatch(facts: _Facts) -> Kernel:
-    m21 = facts.state(MapId.MACHINE21, 1)
-    return lambda v: (v[m21] == v[0]) != formulas.is_machine21_fixed_shape(v[0])
+    m21, fixed_shape = facts.state(MapId.MACHINE21, 1), formulas.is_machine21_fixed_shape
+    return lambda cols: map(ne, map(eq, cols[m21], cols[0]), map(fixed_shape, cols[0]))
 
 
 def _deletion_differs(facts: _Facts) -> Kernel:
@@ -427,11 +442,10 @@ def _deletion_differs(facts: _Facts) -> Kernel:
     the 1 deleted again, differs from the sorted p."""
     sorted_p, s12, m = facts.state(MapId.S12, 1), pass_fn(MapId.S12), facts.n
 
-    def kernel(v: list) -> bool:
-        p, want = v[0], v[sorted_p]
+    def differs(p: Perm, want: Perm) -> bool:
         return any(delete_one(s12(ins(p, i))) != want for i in range(1, m + 2))
 
-    return kernel
+    return lambda cols: map(differs, cols[0], cols[sorted_p])
 
 
 def _insertion_miss(facts: _Facts, t: int) -> Kernel:
@@ -441,13 +455,13 @@ def _insertion_miss(facts: _Facts, t: int) -> Kernel:
     f, ident = pass_fn(MapId.S12), identity(m + 1)
     fixes_ident = f(ident) == ident
 
-    def kernel(v: list) -> bool:
-        if v[parent][0] is None:
+    def miss(p: Perm, walk: tuple) -> bool:
+        if walk[0] is None:
             return False
-        children = (_walk(f, ident, fixes_ident, ins(v[0], i), t) for i in range(1, m + 2))
+        children = (_walk(f, ident, fixes_ident, ins(p, i), t) for i in range(1, m + 2))
         return sum(child[0] is not None for child in children) != t + 1
 
-    return kernel
+    return lambda cols: map(miss, cols[0], cols[parent])
 
 
 # -- public brute-force operations -------------------------------------------
@@ -553,8 +567,10 @@ def insertion_positions_property(n: int, t: int, force: bool = False) -> bool:
 
 def _w_random_agreement(args) -> int:
     """Failures of closed-form vs simulated agreement on random permutations;
-    lengths are drawn log-uniformly in [1, n_max]."""
+    lengths are drawn log-uniformly in [1, n_max].  Both passes come from
+    ``engine.pass_fn``, as the sweep's do."""
     count, n_max, seed = args
+    s12, s21 = pass_fn(MapId.S12), pass_fn(MapId.S21)
     rng = random.Random(seed)
     log_max = math.log(n_max)
     bad = 0
@@ -563,9 +579,9 @@ def _w_random_agreement(args) -> int:
         vals = list(range(1, n + 1))
         rng.shuffle(vals)
         p = tuple(vals)
-        if s12_closed_form(p) != s12_simulated(p):
+        if s12(p) != s12_simulated(p):
             bad += 1
-        if s21_closed_form(p) != s21_simulated(p):
+        if s21(p) != s21_simulated(p):
             bad += 1
     return bad
 

@@ -233,8 +233,11 @@ class TestDotVariants:
         lex = list(all_perms(6))
         shuffled = lex[:]
         random.Random(8).shuffle(shuffled)
-        for p in lex + lex[::-1] + shuffled:
-            assert kernel([p]) == dot_variants_differ(policy, p), p
+        perms = lex + lex[::-1] + shuffled
+        keys = list(kernel([perms]))  # fact column 0 holds the chunk itself
+        assert len(keys) == len(perms)
+        for p, key in zip(perms, keys):
+            assert key == dot_variants_differ(policy, p), p
 
 
 def pairs_unreversed(runs):
@@ -261,6 +264,14 @@ class TestClosedFormMutant:
                 bad = sum(mutant(p) != simulated(p) for p in all_perms(row.n))
                 assert bad and row.observed == str(bad) and not row.passed, (claim, row)
             assert not report.overall_pass
+
+    def test_random_agreement_reads_the_engine_passes(self, monkeypatch):
+        """``random_agreement_failures`` takes both passes from
+        ``engine.pass_fn``, as the sweep does."""
+        assert random_agreement_failures(200, 50, seed=1) == 0
+        for name in ("s12_closed_form", "s21_closed_form"):
+            monkeypatch.setattr(engine, name, lambda p: p[::-1])
+        assert random_agreement_failures(200, 50, seed=1) > 0
 
 
 # each map's pass built from the oracles alone, sharing no code with the sweep
@@ -396,6 +407,17 @@ class TestVerify:
     def test_all_claims_report_as_each_alone(self, jobs):
         for report in verify_all(1, 7, jobs=jobs):
             assert report.to_dict() == verify(report.claim, 1, 7, jobs=jobs).to_dict()
+
+    def test_chunk_length_does_not_change_reports(self, monkeypatch):
+        """Chunk boundaries, and with ``MEMO_CAP`` = 2 memo clears, fall
+        mid-range: 11 divides none of 3!..7!."""
+        want = {jobs: [r.to_dict() for r in verify_all(1, 7, jobs=jobs)] for jobs in (1, 2)}
+        monkeypatch.setattr(enumerator, "CHUNK", 11)
+        assert all(math.factorial(n) % 11 for n in range(3, 8))
+        for memo_cap in (enumerator.MEMO_CAP, 2):
+            monkeypatch.setattr(enumerator, "MEMO_CAP", memo_cap)
+            for jobs in (1, 2):
+                assert [r.to_dict() for r in verify_all(1, 7, jobs=jobs)] == want[jobs], (memo_cap, jobs)
 
     def test_each_length_is_swept_once(self, monkeypatch):
         walked = []
