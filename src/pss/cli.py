@@ -178,8 +178,6 @@ def cmd_image(args) -> int:
 
 def cmd_fixed_points(args) -> int:
     m = MapId(args.machine)
-    if m not in (MapId.MACHINE12, MapId.MACHINE21):
-        raise UsageError("--machine must be m12 or m21")
     _check_n(args.n)
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     count, found = enumerator.brute_fixed_points(

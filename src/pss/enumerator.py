@@ -20,24 +20,27 @@ the next p resumes from the prefix the two share (see
 identity, tail and cycle of the engine's one walker) and k-th states of
 orbits.  Each fact is made once per permutation however many kernels read
 it.  A first state is one pass, shared by every kernel and walk of that
-map; a later k-th state is stored by a walk of that map that reaches step
-k, so k-fold images cost no passes of their own, and past the tail the
-state at step k is the one at tail + (k - tail) mod cycle.
+map.  Every walk runs to the end of the orbit, so a sweep holds at most one
+walk per map, and that walk stores every later k-th state of its map:
+k-fold images cost no passes of their own, and past the tail the state at
+step k is the one at tail + (k - tail) mod cycle.
 
 A walk is dynamic programming on the map's functional graph, restricted to
 its one-pass image: p's walk is composed from the walk of its first state
 q, which is walked once and memoised.  The memo is keyed on ``bytes(q)``;
 its value is an interned (hit, tail, cycle, q's last walked state if q is
-periodic or its walk is open, the stored states read at step k - 1).  Each
-walk of a sweep has its own memo per rank range, dropped with the range;
-it holds at most the one-pass image of S_n ((n-1)! states for s12 and s21,
-326 for m12 at n = 8), and a memo that reaches ``MEMO_CAP`` states is
-cleared.  Permutations and their columns are dropped once their chunk is
-counted, so no memory grows with n!.
+periodic, the stored states read at step k - 1).  Each walk has its own
+memo per rank range, dropped with the range; it holds at most the one-pass
+image of S_n ((n-1)! states for s12 and s21, 326 for m12 at n = 8), and a
+memo that reaches ``MEMO_CAP`` states is cleared.  Permutations and their
+columns are dropped once their chunk is counted, so no memory grows with
+n!.
 
 The public brute-force operations are one-kernel calls of ``_tally``, each
-reducing its Counter: the sort histogram buckets the first identity step,
-exact-t counts repeat it along the cycle, the order is the largest tail.
+reducing its Counter, and a cap on passes applies only in the reduction:
+the sort histogram buckets the first identity step up to its cap, exact-t
+counts repeat it along the cycle up to theirs, the order is the largest
+tail.
 
 ``verify`` and ``verify_all`` are one path: a verification run gathers,
 for each S_m, the kernels of every (claim, n) that rides on it (L3_3 at n
@@ -140,20 +143,17 @@ CHUNK = 256  # permutations per fact column; the key cap is checked after each c
 
 
 def _walker(
-    f: Callable[[Perm], Perm], ident: Perm, cap: Optional[int], ks: Sequence[int]
+    f: Callable[[Perm], Perm], ident: Perm, ks: Sequence[int]
 ) -> Callable[[Perm, Perm], tuple]:
     """The function from p and its first state q = f(p) to p's walk record
-    under f: ``engine._walk``'s (identity hit, tail, cycle) for at most
-    ``cap`` passes, then p's k-th state for each k in ``ks`` (1 <= k <= cap).
+    under f: ``engine._walk``'s (identity hit, tail, cycle), then p's k-th
+    state for each k in ``ks`` (k >= 1).
 
-    q's walk, capped one pass lower, is walked once and its summary memoised
-    (see ``_Facts``).  p's hit and tail are q's shifted by one and its cycle
-    is q's, unless p is q's last walked state: p then lies on q's cycle, so
-    its walk closes on p with tail 0 and all of q's walk as its cycle."""
+    q's walk is walked to its end once and its summary memoised (see
+    ``_Facts``).  p's hit and tail are q's shifted by one and its cycle is
+    q's, unless p is q's last walked state: q is then periodic and p lies on
+    its cycle, so p's walk has tail 0 and q's cycle."""
     fixes_ident = f(ident) == ident
-    if cap == 0:
-        return lambda p, q: _walk(f, ident, fixes_ident, p, 0)[:3]
-    sub = None if cap is None else cap - 1
     before = [k - 1 for k in ks]
     memo: dict[bytes, tuple] = {}
     interned: dict[tuple, tuple] = {}
@@ -162,8 +162,8 @@ def _walker(
         if len(memo) >= MEMO_CAP:
             memo.clear()
             interned.clear()
-        hit, tail, cycle, last, states = _walk(f, ident, fixes_ident, q, sub, before)
-        s = (hit, tail, cycle, last if tail in (None, 0) else None, *states)
+        hit, tail, cycle, last, states = _walk(f, ident, fixes_ident, q, None, before)
+        s = (hit, tail, cycle, last if tail == 0 else None, *states)
         return interned.setdefault(s, s)
 
     def record(p: Perm, q: Perm) -> tuple:
@@ -173,11 +173,7 @@ def _walker(
             s = memo[key] = summary(q)
         hit, tail, cycle, last = s[:4]
         hit = 0 if p == ident else None if hit is None else hit + 1
-        if p == last:  # p is periodic: its walk is its cycle
-            shape = hit, 0, cycle if tail == 0 else cap
-        else:
-            shape = hit, None if tail is None else tail + 1, cycle
-        return shape + s[4:]
+        return (hit, 0 if p == last else tail + 1, cycle) + s[4:]
 
     return record
 
@@ -191,23 +187,23 @@ class _Facts:
     in the chunk's (rank) order, and is made by ``map`` over the columns it
     reads; slot 0 holds the chunk itself.
 
-    * ``walk(map_id, cap)``: p's walk record, ``engine._walk``'s (identity
-      hit, tail, cycle) for at most ``cap`` passes, then the later states
-      the walk stores.
+    * ``walk(map_id)``: p's walk record, ``engine._walk``'s (identity hit,
+      tail, cycle) of the whole orbit, then the later states the walk
+      stores.
     * ``state(map_id, k)``: the k-th state of p's orbit.  The 0-th is p; a
       first state is one pass, and a machine's first state is the west pass
       of its dotted stage's first state (so m12(p) and m21(p) reuse s12(p)
-      and s21(p)).  A later state is stored by the sweep's longest walk of
-      that map when it reaches step k, else by a walk of its own capped at k.
+      and s21(p)).  A later state is stored by the walk of that map.
 
-    A walk reads p's first state from these facts and looks the rest of the
-    orbit up in a memo keyed on ``bytes`` of that state (see ``_walker``), so
-    it costs one shared pass and one lookup once the memo holds the state.
-    A memo value is an interned (hit, tail, cycle, last walked state if
-    periodic or open, the states at step k - 1 for the k the walk stores).
-    Each memo belongs to the function ``of()`` returns, which a sweep makes
-    once per rank range, so it is dropped with the range; it holds at most
-    the one-pass image of S_n, and is cleared when it reaches ``MEMO_CAP``.
+    A sweep holds at most one walk per map.  A walk reads p's first state q
+    from these facts and looks the rest of the orbit up in a memo keyed on
+    ``bytes(q)`` (see ``_walker``), so it costs one shared pass and one
+    lookup once the memo holds q.  A memo value is an interned (hit, tail,
+    cycle, the last walked state if q is periodic, else None, the states at
+    step k - 1 for the k the walk stores).  Each memo belongs to the
+    function ``of()`` returns, which a sweep makes once per rank range, so
+    it is dropped with the range; it holds at most the one-pass image of
+    S_n, and is cleared when it reaches ``MEMO_CAP``.
 
     Each fact is made once per p, whatever the number of kernels that read
     it, and each walk sees the permutations in rank order.
@@ -215,13 +211,13 @@ class _Facts:
 
     def __init__(self, n: int) -> None:
         self.n, self.ident = n, identity(n)
-        self._slots: dict[tuple, int] = {}
+        self._slots: dict[tuple, int] = {}  # (map, k) for the k-th state, (map, None) for the walk
 
-    def walk(self, map_id: MapId, cap: Optional[int]) -> int:
-        return self._slot(("walk", map_id, cap))
+    def walk(self, map_id: MapId) -> int:
+        return self._slot((map_id, None))
 
     def state(self, map_id: MapId, k: int) -> int:
-        return 0 if k == 0 else self._slot(("state", map_id, k))
+        return 0 if k == 0 else self._slot((map_id, k))
 
     def _slot(self, fact: tuple) -> int:
         return self._slots.setdefault(fact, len(self._slots) + 1)
@@ -231,22 +227,11 @@ class _Facts:
         fact columns: column ``slot`` holds that fact of each p of the chunk,
         in the chunk's order, and column 0 is the chunk.  Call it once every
         kernel of the sweep is built."""
-        def reach(cap: Optional[int]) -> float:
-            return math.inf if cap is None else cap
-
-        longest: dict[MapId, Optional[int]] = {}  # map -> cap of its longest walk
-        for kind, map_id, cap in sorted(self._slots, key=lambda fact: reach(fact[2])):
-            if kind == "walk":
-                longest[map_id] = cap
-        home: dict[tuple, tuple] = {}  # later state -> the walk that stores it
-        stored: dict[tuple, list[int]] = {}  # walk -> the k of the states it stores
-        for fact in list(self._slots):
-            kind, map_id, k = fact
-            if kind == "state" and k > 1:
-                cap = longest.get(map_id, -1)
-                walk = home[fact] = "walk", map_id, cap if reach(cap) >= k else k
-                self._slot(walk)
-                stored.setdefault(walk, []).append(k)
+        stored: dict[MapId, list[int]] = {}  # map -> the k of the states its walk stores
+        for map_id, k in list(self._slots):
+            if k is not None and k > 1:
+                self.walk(map_id)
+                stored.setdefault(map_id, []).append(k)
         steps: list[tuple[int, Callable[[list], list]]] = []  # (slot, function of the columns)
         made: set[int] = set()
 
@@ -255,19 +240,19 @@ class _Facts:
             if slot in made:
                 return slot
             made.add(slot)
-            kind, map_id, k = fact
-            if kind == "walk":
-                first = make(("state", map_id, 1)) if k != 0 else 0
-                record = _walker(pass_fn(map_id), self.ident, k, stored.get(fact, ()))
+            map_id, k = fact
+            if k is None:
+                first = make((map_id, 1))
+                record = _walker(pass_fn(map_id), self.ident, stored.get(map_id, ()))
                 steps.append((slot, lambda cols: list(map(record, cols[0], cols[first]))))
             elif k > 1:
-                walk = make(home[fact])
-                at = itemgetter(3 + stored[home[fact]].index(k))
+                walk = make((map_id, None))
+                at = itemgetter(3 + stored[map_id].index(k))
                 steps.append((slot, lambda cols: list(map(at, cols[walk]))))
             else:
                 f, read = pass_fn(map_id), 0
                 if map_id in DOTTED_STAGE:
-                    f, read = pass_fn(MapId.WEST), make(("state", DOTTED_STAGE[map_id], 1))
+                    f, read = pass_fn(MapId.WEST), make((DOTTED_STAGE[map_id], 1))
                 steps.append((slot, lambda cols: list(map(f, cols[read]))))
             return slot
 
@@ -295,7 +280,7 @@ def _check_cap(counts: Counter) -> None:
 def _run(worker: Callable, tasks: list, jobs: int) -> list:
     """``worker`` over ``tasks``, in a pool of ``jobs`` processes when there
     is more than one of each."""
-    if jobs <= 1 or len(tasks) == 1:
+    if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
     with multiprocessing.Pool(jobs) as pool:
         return pool.map(worker, tasks)
@@ -342,10 +327,9 @@ def _tally(n: int, jobs: int, specs: list[tuple]) -> list[Counter]:
 Kernel = Callable[[list[list]], Iterable[Hashable]]
 
 
-def _orbit_shape(facts: _Facts, map_id: MapId, cap: Optional[int]) -> Kernel:
-    """The orbit's (identity hit, tail, cycle), walked for at most ``cap``
-    passes (see ``engine._walk``)."""
-    walk, shape = facts.walk(map_id, cap), itemgetter(slice(3))
+def _orbit_shape(facts: _Facts, map_id: MapId) -> Kernel:
+    """The orbit's (identity hit, tail, cycle) (see ``engine._walk``)."""
+    walk, shape = facts.walk(map_id), itemgetter(slice(3))
     return lambda cols: map(shape, cols[walk])
 
 
@@ -451,12 +435,13 @@ def _deletion_differs(facts: _Facts) -> Kernel:
 def _insertion_miss(facts: _Facts, t: int) -> Kernel:
     """Whether p in S_m is t-sortable under s12 yet does not have exactly
     t+1 of its m+1 insertions t-sortable."""
-    parent, m = facts.walk(MapId.S12, t), facts.n
+    parent, m = facts.walk(MapId.S12), facts.n
     f, ident = pass_fn(MapId.S12), identity(m + 1)
     fixes_ident = f(ident) == ident
 
     def miss(p: Perm, walk: tuple) -> bool:
-        if walk[0] is None:
+        hit = walk[0]
+        if hit is None or hit > t:
             return False
         children = (_walk(f, ident, fixes_ident, ins(p, i), t) for i in range(1, m + 2))
         return sum(child[0] is not None for child in children) != t + 1
@@ -467,29 +452,33 @@ def _insertion_miss(facts: _Facts, t: int) -> Kernel:
 # -- public brute-force operations -------------------------------------------
 
 
-def _shapes(map_id, n, cap, jobs, force) -> Counter:
+def _shapes(map_id, n, jobs, force) -> Counter:
     """Counter of orbit shapes (identity hit, tail, cycle) over S_n."""
-    if cap is not None and cap < 0:
-        raise ValueError("pass count must be nonnegative")
     check_guard(n, force)
-    return _tally(n, jobs, [(_orbit_shape, (MapId(map_id), cap))])[0]
+    return _tally(n, jobs, [(_orbit_shape, (MapId(map_id),))])[0]
+
+
+def _check_pass_count(t_cap: int) -> None:
+    if t_cap < 0:
+        raise ValueError("pass count must be nonnegative")
 
 
 def _histogram(shapes: Counter, t_cap: int) -> tuple[list[int], int]:
-    """(buckets[0..t_cap], never) of the identity hits in orbit shapes."""
+    """(buckets[0..t_cap], never) of the identity hits in orbit shapes; a
+    hit past ``t_cap`` counts as never."""
     hits: Counter = Counter()
     for (hit, _, _), c in shapes.items():
         hits[hit] += c
-    return [hits[t] for t in range(t_cap + 1)], hits[None]
+    buckets = [hits[t] for t in range(t_cap + 1)]
+    return buckets, sum(shapes.values()) - sum(buckets)
 
 
 def _exact_counts(shapes: Counter, t_cap: int) -> list[int]:
     """counts[t] = how many orbits are at the identity at step t."""
     counts = [0] * (t_cap + 1)
     for (hit, tail, cycle), c in shapes.items():
-        if hit is not None:  # the identity recurs only if it is on the cycle
-            on_cycle = tail is not None and hit >= tail
-            for t in range(hit, t_cap + 1, cycle) if on_cycle else (hit,):
+        if hit is not None and hit <= t_cap:  # the identity recurs only if it is on the cycle
+            for t in range(hit, t_cap + 1, cycle) if hit >= tail else (hit,):
                 counts[t] += c
     return counts
 
@@ -498,14 +487,16 @@ def sort_histogram(
     map_id: MapId, n: int, t_cap: int, jobs: int = 1, force: bool = False
 ) -> tuple[list[int], int]:
     """Minimal-sort-count histogram over S_n: (buckets[0..t_cap], never)."""
-    return _histogram(_shapes(map_id, n, t_cap, jobs, force), t_cap)
+    _check_pass_count(t_cap)
+    return _histogram(_shapes(map_id, n, jobs, force), t_cap)
 
 
 def exact_sortable_counts(
     map_id: MapId, n: int, t_cap: int, jobs: int = 1, force: bool = False
 ) -> list[int]:
     """counts[t] = #{p in S_n : t-fold image of p is the identity}."""
-    return _exact_counts(_shapes(map_id, n, t_cap, jobs, force), t_cap)
+    _check_pass_count(t_cap)
+    return _exact_counts(_shapes(map_id, n, jobs, force), t_cap)
 
 
 def brute_t_sortable(
@@ -553,7 +544,7 @@ def brute_image(
 def brute_ord(map_id: MapId, n: int, jobs: int = 1, force: bool = False) -> int:
     """Largest orbit tail over S_n, computed exhaustively: the least k after
     which every permutation has landed on a periodic point."""
-    return max(tail for _, tail, _ in _shapes(map_id, n, None, jobs, force))
+    return max(tail for _, tail, _ in _shapes(map_id, n, jobs, force))
 
 
 def insertion_positions_property(n: int, t: int, force: bool = False) -> bool:
@@ -590,10 +581,11 @@ def random_agreement_failures(
     count: int, n_max: int, seed: int = 0, jobs: int = 1
 ) -> int:
     """Closed-form vs simulated disagreements over ``count`` random
-    permutations of log-uniform length up to ``n_max``."""
-    chunks = max(1, jobs)
-    per = [count // chunks + (1 if i < count % chunks else 0) for i in range(chunks)]
-    tasks = [(c, n_max, seed + i) for i, c in enumerate(per) if c]
+    permutations of log-uniform length up to ``n_max``.  The permutations
+    are drawn in tasks of at most ``BLOCK``, task i seeded ``seed + i``, so
+    the sample does not depend on ``jobs``."""
+    tasks = [(min(BLOCK, count - lo), n_max, seed + i)
+             for i, lo in enumerate(range(0, count, BLOCK))]
     return sum(_run(_w_random_agreement, tasks, jobs))
 
 
@@ -653,10 +645,10 @@ def _set_row(n: int, param: str, expected: set[Perm], observed: set[Perm]) -> Ro
     return Row(n, param, _perm_set_str(expected), _perm_set_str(observed), expected == observed)
 
 
-# the shape of the uncapped s12 walk, read by T3_4, C5_1_min and C5_1_high
-# from the one Counter that ``_tally`` keeps for equal specs; T5_2's image is
-# a state of the same walk
-_S12_WALK = (_orbit_shape, (MapId.S12, None))
+# the shape of the s12 walk, read by T3_4, C5_1_min and C5_1_high from the
+# one Counter that ``_tally`` keeps for equal specs; T5_2's image is a state
+# of the same walk
+_S12_WALK = (_orbit_shape, (MapId.S12,))
 
 
 def _zero_rows(n, label, shift, make_kernel, *params):
@@ -682,7 +674,7 @@ def _rows_t36(n):
         expected = formulas.count_t_sortable_s21(n)
         return [_count_row(n, f"t={t}", expected, counts[t]) for t in range(1, 2 * n + 1)]
 
-    return n, (_orbit_shape, (MapId.S21, 2 * n)), rows
+    return n, (_orbit_shape, (MapId.S21,)), rows
 
 
 def _rows_t42(n):
@@ -731,7 +723,7 @@ def _rows_l53(n):
         _, never = _histogram(shapes, n // 2)
         return [_count_row(n, f"not sorted within {n // 2} machine passes", 0, never)]
 
-    return n, (_orbit_shape, (MapId.MACHINE12, n // 2)), rows
+    return n, (_orbit_shape, (MapId.MACHINE12,)), rows
 
 
 def _rows_t54(n):

@@ -152,14 +152,18 @@ def _runs_from_starts(starts: Sequence[int], n: int, kind: str) -> RunDecomposit
 
 
 def peak_runs(p: Perm) -> RunDecomposition:
-    """>>> peak_runs((2, 4, 3, 1, 5)).runs
+    """The runs of p that start at its peaks.
+
+    >>> peak_runs((2, 4, 3, 1, 5)).runs
     ((1, 1), (2, 4), (5, 5))
     """
     return _runs_from_starts(peaks(p), len(p), "peak")
 
 
 def valley_runs(p: Perm) -> RunDecomposition:
-    """>>> valley_runs((2, 4, 3, 1, 5)).runs
+    """The runs of p that start at its valleys.
+
+    >>> valley_runs((2, 4, 3, 1, 5)).runs
     ((1, 3), (4, 5))
     """
     return _runs_from_starts(valleys(p), len(p), "valley")

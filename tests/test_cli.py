@@ -183,6 +183,32 @@ class TestOtherCommands:
         )
         assert code == 0 and out.strip() == "2: 1,2,3 | 2,1,3"
 
+    def test_image_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "image", "--map", "s12", "--n", "4", "--power", "2",
+            "--format", "json", "--jobs", "1",
+        )
+        assert code == 0
+        assert json.loads(out) == {"map": "s12", "n": 4, "power": 2, "size": "2",
+                                   "image": ["1,2,3,4", "2,1,3,4"]}
+
+    @pytest.mark.parametrize("listed", [False, True])
+    def test_fixed_points_json(self, capsys, listed):
+        code, out, _ = run_cli(
+            capsys, "fixed-points", "--machine", "m21", "--n", "3", "--format", "json",
+            "--jobs", "1", *(["--list"] if listed else []),
+        )
+        want = {"machine": "m21", "n": 3, "count": "2"}
+        if listed:
+            want["fixed_points"] = ["1,2,3", "2,1,3"]
+        assert code == 0 and json.loads(out) == want
+
+    def test_fixed_points_count(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "fixed-points", "--machine", "m21", "--n", "5", "--jobs", "1"
+        )
+        assert code == 0 and out == "9\n"
+
     def test_orbit(self, capsys):
         code, out, _ = run_cli(capsys, "orbit", "--map", "s12", "2,3,1")
         assert code == 0
@@ -201,6 +227,19 @@ class TestOtherCommands:
             capsys, "witness", "--family", "pi312", "--n", "5", "--check"
         )
         assert code == 0 and out.strip() == "3,5,1,2,4 → 3,1,2,4,5 PASS"
+
+    def test_witness(self, capsys):
+        code, out, _ = run_cli(capsys, "witness", "--family", "pi312", "--n", "5")
+        assert code == 0 and out == "3,5,1,2,4\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["image", "--map", "s12", "--n", "3", "--power", "abc"],
+        ["count", "--claim", "T4_2", "--n", "0"],
+        ["fixed-points", "--machine", "s12", "--n", "3"],
+    ])
+    def test_bad_value_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err
 
     def test_witness_bad_parity(self, capsys):
         code, _, _ = run_cli(capsys, "witness", "--family", "even", "--n", "5")

@@ -84,6 +84,12 @@ class TestBruteCounts:
         buckets, never = sort_histogram(MapId.S12, 6, 6)
         assert never == 0
         assert exact_sortable_counts(MapId.S12, 6, 6) == list(itertools.accumulate(buckets))
+
+    def test_negative_pass_count_sweeps_nothing(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("a sweep was started")
+
+        monkeypatch.setattr(enumerator, "_tally", no_sweep)
         for negative_pass_count in (
             lambda: sort_histogram(MapId.S12, 3, -1),
             lambda: exact_sortable_counts(MapId.S12, 3, -2),
@@ -273,6 +279,12 @@ class TestClosedFormMutant:
             monkeypatch.setattr(engine, name, lambda p: p[::-1])
         assert random_agreement_failures(200, 50, seed=1) > 0
 
+    def test_random_agreement_sample_does_not_depend_on_jobs(self, monkeypatch):
+        for name in ("s12_closed_form", "s21_closed_form"):
+            monkeypatch.setattr(engine, name, lambda p: p[::-1])
+        counts = {jobs: random_agreement_failures(200, 50, seed=1, jobs=jobs) for jobs in (1, 2)}
+        assert counts[1] > 0 and counts[1] == counts[2], counts
+
 
 # each map's pass built from the oracles alone, sharing no code with the sweep
 ORACLE = {
@@ -301,12 +313,13 @@ class TestOracles:
     @pytest.mark.parametrize("map_id", list(ORACLE))
     def test_histogram_is_oracle(self, map_id):
         ident = identity(ORACLE_N)
-        first = Counter(
-            next((t for t, q in enumerate(states[: ORACLE_N + 1]) if q == ident), None)
-            for states in oracle_orbits(map_id)
-        )
-        want = [first[t] for t in range(ORACLE_N + 1)], first[None]
-        assert sort_histogram(map_id, ORACLE_N, ORACLE_N) == want
+        for t_cap in range(ORACLE_N + 1):
+            first = Counter(
+                next((t for t, q in enumerate(states[: t_cap + 1]) if q == ident), None)
+                for states in oracle_orbits(map_id)
+            )
+            want = [first[t] for t in range(t_cap + 1)], first[None]
+            assert sort_histogram(map_id, ORACLE_N, t_cap) == want, t_cap
 
     @pytest.mark.parametrize("map_id", list(ORACLE))
     def test_exact_counts_is_oracle(self, map_id):
@@ -327,18 +340,35 @@ class TestMemoisedWalk:
     state; the five maps have no cycle longer than 1 at small n, so these
     tests drive it with synthetic maps that do."""
 
-    @pytest.mark.parametrize("cap", [None, 0, 1, 3])
+    @pytest.mark.parametrize("k_max", [None, 0, 1, 3])
     @pytest.mark.parametrize("ident_at", [0, 4, 12, 119])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_walk_record_is_the_walk(self, seed, ident_at, cap):
+    def test_walk_record_is_the_walk(self, seed, ident_at, k_max):
+        """The record of a walk that stores no later state, the first, the
+        first three or all of 1, 2, 3, 7 and 100 (k_max None)."""
         f, ident = synthetic_map(seed, ident_at), identity(5)
-        ks = [k for k in (1, 2, 3, 7, 100) if cap is None or k <= cap]
-        record = enumerator._walker(f, ident, cap, ks)
+        ks = [k for k in (1, 2, 3, 7, 100) if k_max is None or k <= k_max]
+        record = enumerator._walker(f, ident, ks)
         perms = list(all_perms(5))
         random.Random(seed).shuffle(perms)
         for p in perms:
-            walk = dict_walk(f, ident, f(ident) == ident, p, cap)
+            walk = dict_walk(f, ident, f(ident) == ident, p)
             assert record(p, f(p)) == walk[:3] + tuple(state_at(walk, k) for k in ks), p
+
+    def test_one_walk_per_map_per_sweep(self, monkeypatch):
+        """An orbit shape and a k-fold image of one map read one walk."""
+        built, walker = [], enumerator._walker
+
+        def counting(f, ident, ks):
+            built.append(list(ks))
+            return walker(f, ident, ks)
+
+        monkeypatch.setattr(enumerator, "_walker", counting)
+        shapes, images = enumerator._tally(5, 1, [(enumerator._orbit_shape, (MapId.S12,)),
+                                                  (enumerator._image, (MapId.S12, 3))])
+        assert built == [[3]]
+        assert sum(shapes.values()) == 120
+        assert set(images) == {iterate(MapId.S12, p, 3) for p in all_perms(5)}
 
     def test_synthetic_maps_have_long_cycles(self):
         f = synthetic_map(1, 119)
@@ -350,7 +380,7 @@ class TestMemoisedWalk:
         monkeypatch.setattr(enumerator, "MEMO_CAP", 2)
         assert [r.to_dict() for r in verify_all(1, 6)] == want
         f, ident = synthetic_map(3, 4), identity(5)
-        record = enumerator._walker(f, ident, None, [2])
+        record = enumerator._walker(f, ident, [2])
         for p in all_perms(5):
             walk = dict_walk(f, ident, f(ident) == ident, p)
             assert record(p, f(p)) == walk[:3] + (state_at(walk, 2),)
