@@ -43,10 +43,6 @@ def _parse_perm(text: str):
         raise UsageError(str(exc))
 
 
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
 def _jobs(text: str) -> int:
     """argparse type of ``--jobs``: a worker count of at least 1."""
     try:
@@ -123,11 +119,10 @@ def _emit_reports(reports, fmt: str) -> None:
 def cmd_verify(args) -> int:
     if args.n_min > args.n_max:
         raise UsageError("--n-min must not exceed --n-max")
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     if args.claim == "all":
-        reports = enumerator.verify_all(args.n_min, args.n_max, jobs, args.force)
+        reports = enumerator.verify_all(args.n_min, args.n_max, args.jobs, args.force)
     else:
-        reports = [enumerator.verify(args.claim, args.n_min, args.n_max, jobs, args.force)]
+        reports = [enumerator.verify(args.claim, args.n_min, args.n_max, args.jobs, args.force)]
     # a report without rows checked nothing, so it must not read as a PASS
     reports = [r for r in reports if r.rows]
     if not reports:
@@ -162,8 +157,7 @@ def cmd_image(args) -> int:
             raise UsageError(f"--power must be an integer or 'auto', got {args.power!r}")
         if power < 0:
             raise UsageError(f"--power must be nonnegative, got {power}")
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    image = enumerator.brute_image(m, args.n, power, jobs=jobs, force=args.force)
+    image = enumerator.brute_image(m, args.n, power, jobs=args.jobs, force=args.force)
     if args.format == "json":
         print(json.dumps({
             "map": m.value, "n": args.n, "power": power,
@@ -179,9 +173,8 @@ def cmd_image(args) -> int:
 def cmd_fixed_points(args) -> int:
     m = MapId(args.machine)
     _check_n(args.n)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     count, found = enumerator.brute_fixed_points(
-        m, args.n, collect=args.list, jobs=jobs, force=args.force
+        m, args.n, collect=args.list, jobs=args.jobs, force=args.force
     )
     if args.format == "json":
         doc = {"machine": m.value, "n": args.n, "count": str(count)}
@@ -274,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, jobs=False, force=False, fmt=False):
         if jobs:
-            p.add_argument("--jobs", type=_jobs, default=None,
+            p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
                            help="worker processes (default: all cores)")
         if force:
             p.add_argument("--force", action="store_true",

@@ -239,16 +239,14 @@ def west_recursive(p: Perm) -> Perm:
 
 # -- dispatch, iteration, orbits ---------------------------------------------
 
-# map -> names of the passes applied in order: a machine is its dotted map's
-# closed form, then the west pass.  Passes are looked up by name when
-# ``pass_fn`` is called, so a rebound module attribute (a profiler's counting
-# wrapper, say) is the one that runs.
-_PASSES: dict[MapId, tuple[str, ...]] = {
-    MapId.WEST: ("west_pass",),
-    MapId.S12: ("s12_closed_form",),
-    MapId.S21: ("s21_closed_form",),
-    MapId.MACHINE12: ("s12_closed_form", "west_pass"),
-    MapId.MACHINE21: ("s21_closed_form", "west_pass"),
+# map -> name of its pass, for the single-pass maps; a machine is its
+# dotted stage's pass, then the west pass.  Passes are looked up by name
+# when ``pass_fn`` is called, so a rebound module attribute (a profiler's
+# counting wrapper, say) is the one that runs.
+_PASSES: dict[MapId, str] = {
+    MapId.WEST: "west_pass",
+    MapId.S12: "s12_closed_form",
+    MapId.S21: "s21_closed_form",
 }
 
 
@@ -258,10 +256,10 @@ DOTTED_STAGE = {MapId.MACHINE12: MapId.S12, MapId.MACHINE21: MapId.S21}
 
 def pass_fn(map_id: MapId) -> Callable[[Perm], Perm]:
     """The function computing one pass of the map."""
-    stages = [globals()[name] for name in _PASSES[MapId(map_id)]]
-    if len(stages) == 1:
-        return stages[0]
-    dotted, west = stages
+    map_id = MapId(map_id)
+    if map_id not in DOTTED_STAGE:
+        return globals()[_PASSES[map_id]]
+    dotted, west = pass_fn(DOTTED_STAGE[map_id]), pass_fn(MapId.WEST)
     return lambda p: west(dotted(p))
 
 
@@ -272,11 +270,9 @@ def apply(map_id: MapId, p: Perm) -> Perm:
 
 def iterate(map_id: MapId, p: Perm, t: int) -> Perm:
     """t-fold application; t = 0 returns ``p`` unchanged, without a pass.
-    The orbit is walked with a cap of t passes, and that walk is closed iff
-    tail + cycle <= t (or the orbit reaches the identity by step t, if the
-    map fixes it; see ``_walk``).  So a t past the orbit's tail reduces
-    modulo the cycle and costs no more than the tail and one cycle, and the
-    walk holds O(1) states whatever t is."""
+    The orbit is walked with a cap of t passes (see ``_walk``), so a t past
+    the tail of an orbit that closes by step t reduces modulo the cycle, and
+    the walk holds O(1) states whatever t is."""
     if t < 0:
         raise ValueError("iteration count must be nonnegative")
     if t == 0:
@@ -288,8 +284,8 @@ def iterate(map_id: MapId, p: Perm, t: int) -> Perm:
 def sorts_in(map_id: MapId, p: Perm, t_max: int) -> Optional[int]:
     """Least t <= t_max with the t-fold image equal to the identity, else None.
 
-    Stops early when the orbit revisits a state without having reached the
-    identity.
+    The orbit is walked for at most t_max passes, and stops early when it
+    closes without having reached the identity.
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
@@ -297,7 +293,8 @@ def sorts_in(map_id: MapId, p: Perm, t_max: int) -> Optional[int]:
     return _walk(f, ident, f(ident) == ident, p, t_max)[0]
 
 
-# (identity hit, tail, cycle, last walked state, the k-th states asked for)
+# (identity hit, tail, cycle, last walked state, the k-th states asked for);
+# tail and cycle are None if the walk stopped at its cap still open
 Walk = tuple[Optional[int], Optional[int], Optional[int], Perm, tuple[Perm, ...]]
 
 
@@ -310,27 +307,25 @@ def _walk(
     length, cycle length, the last walked state, the k-th state for each k
     in ``ks``).
 
-    The walk is closed iff tail + cycle <= cap, or f fixes ``ident`` and the
-    orbit reaches it by step ``cap`` (the identity is then the orbit's fixed
-    point, and tail + cycle may be cap + 1); an open walk has tail and cycle
-    None.  The last walked state is the one at step tail + cycle - 1 of a
-    closed walk and at step ``cap`` of an open one.  The k-th state is the
-    one at step k or, past the tail, at tail + (k - tail) mod cycle; an open
-    walk has the k-th states for k <= cap only.
-
     Each state is compared with the one before it, so an orbit that ends on
     a fixed point closes at the pass that reaches it, as the identity does
     when f fixes it.  A longer cycle is found by Brent's power-of-two
     tortoise (Brent, BIT 20, 1980), which may take it past step tail +
-    cycle, and its tail by a second walk from p.  A capped walk also keeps
-    the hash of each state before step ``cap``: the state at step cap is
-    new if its hash is not among them, and otherwise p's orbit is walked
-    again to tell.  So a walk of an orbit that ends on a fixed point takes
-    the passes of a walk that keeps every state, capped or not.
+    cycle, and its tail by a second walk from p.  A closed walk has the
+    orbit's tail and cycle, and its last walked state is the one at step
+    tail + cycle - 1; its k-th state is the one at step k or, past the
+    tail, at tail + (k - tail) mod cycle.
+
+    A walk stops at step ``cap`` if it has not closed by then: it is open,
+    with tail and cycle None, its last walked state is the one at step cap,
+    and it has the k-th states for k <= cap only.  So an orbit whose cycle
+    is longer than 1 may read open at a cap of tail + cycle or more, if the
+    tortoise has not met it by then; one that ends on a fixed point is
+    closed iff its tail is below the cap, or f fixes ``ident`` and the
+    orbit reaches it by step cap.
     """
     got: dict[int, Perm] = {}
     hit: Optional[int] = None
-    hashes: Optional[set[int]] = None if cap is None else set()
     x, step, tortoise, at = p, 0, p, 0  # the tortoise is the state at step ``at``
     while True:
         if step in ks:
@@ -346,37 +341,13 @@ def _walk(
         if step == 2 * at + 1:  # the tortoise moves to steps 1, 3, 7, 15, ...
             tortoise, at = x, step
         if step == cap:
-            cycle = _recurrence(f, p, x, cap) if hash(x) in hashes else None
-            if cycle is None:
-                return hit, None, None, x, tuple(got[k] for k in ks)
-            break
-        if hashes is not None:
-            hashes.add(hash(x))
+            return hit, None, None, x, tuple(got[k] for k in ks)
         y = f(x)
         if y == x:
             return hit, step, 1, x, _states(f, got, ks, x, step, 1)
         x, step = y, step + 1
     tail, last = _tail(f, p, cycle)
     return hit, tail, cycle, last, _states(f, got, ks, x, step, cycle)
-
-
-def _recurrence(f: Callable[[Perm], Perm], p: Perm, x: Perm, cap: int) -> Optional[int]:
-    """The cycle length of x, the state at step ``cap`` of p's orbit, if x
-    is also the state at an earlier step, else None.  The walk compared x
-    with the state at step cap - 1 already, so p's orbit is walked to step
-    cap - 2."""
-    y = p
-    for j in range(cap - 1):
-        if j:
-            y = f(y)
-        if y == x:
-            break
-    else:
-        return None
-    cycle, y = 1, f(x)
-    while y != x:
-        cycle, y = cycle + 1, f(y)
-    return cycle
 
 
 def _tail(f: Callable[[Perm], Perm], p: Perm, cycle: int) -> tuple[int, Perm]:

@@ -278,11 +278,11 @@ def _check_cap(counts: Counter) -> None:
 
 
 def _run(worker: Callable, tasks: list, jobs: int) -> list:
-    """``worker`` over ``tasks``, in a pool of ``jobs`` processes when there
-    is more than one of each."""
+    """``worker`` over ``tasks``; with more than one of each, in a pool of
+    ``jobs`` processes, or of one per task if that is fewer."""
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
-    with multiprocessing.Pool(jobs) as pool:
+    with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
         return pool.map(worker, tasks)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import time
 from importlib import resources
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pss.cli import main
+from pss.cli import build_parser, main
 from pss.engine import MapId
 from pss.enumerator import CLAIM_IDS
 from pss.perms import parse
@@ -310,6 +311,14 @@ class TestOtherCommands:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert code == 2 and out == ""
         assert len(errors) == 1 and "--jobs" in errors[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--claim", "T4_2"],
+        ["image", "--map", "s12", "--n", "3"],
+        ["fixed-points", "--machine", "m21", "--n", "3"],
+    ])
+    def test_jobs_defaults_to_every_core(self, argv):
+        assert build_parser().parse_args(argv).jobs == (os.cpu_count() or 1)
 
     def test_count_json_uses_decimal_strings(self, capsys):
         code, out, _ = run_cli(

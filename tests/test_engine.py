@@ -347,24 +347,34 @@ def counting(f):
 
 
 def check_walk(f, ident, p, cap):
-    """engine._walk agrees with the dict walk on (hit, tail, cycle), the
-    last walked state and every k-th state it has; returns the pass counts
-    of the two walks."""
+    """engine._walk against the dict walk: the same identity hit and k-th
+    states for every k <= cap; a closed walk has the uncapped orbit's tail,
+    cycle, last state and k-th states, and an open one stopped at step cap.
+    Returns the pass counts of the two walks and whether each closed."""
     fixes_ident = f(ident) == ident
     g, calls = counting(f)
     want = dict_walk(g, ident, fixes_ident, p, cap)
     oracle_passes = len(calls)
-    ks = KS if want[1] is not None else [k for k in KS if k <= cap]
+    whole = dict_walk(f, ident, fixes_ident, p)
+    ks = [k for k in KS if cap is None or k <= cap]
     del calls[:]
-    got = _walk(g, ident, fixes_ident, p, cap, ks)
-    assert got[:3] == want[:3], (p, cap)
-    assert got[3] == last_state(want), (p, cap)
-    assert got[4] == tuple(state_at(want, k) for k in ks), (p, cap)
-    return len(calls), oracle_passes
+    hit, tail, cycle, last, states = _walk(g, ident, fixes_ident, p, cap, ks)
+    passes = len(calls)
+    assert hit == want[0], (p, cap)
+    assert states == tuple(state_at(whole, k) for k in ks), (p, cap)
+    if tail is None:
+        assert cap is not None and cycle is None, (p, cap)
+        assert last == state_at(whole, cap), (p, cap)
+    else:
+        assert (tail, cycle) == whole[1:3], (p, cap)
+        assert last == last_state(whole), (p, cap)
+        states = _walk(f, ident, fixes_ident, p, cap, KS)[4]
+        assert states == tuple(state_at(whole, k) for k in KS), (p, cap)
+    return passes, oracle_passes, tail is not None, want[1] is not None
 
 
-class Collide:
-    """A state that hashes like every other one."""
+class Unhashable:
+    """A state that a walk may compare but not hash."""
 
     __slots__ = ("p",)
 
@@ -375,7 +385,7 @@ class Collide:
         return self.p == other.p
 
     def __hash__(self):
-        return 0
+        raise TypeError("a walk hashed a state")
 
 
 class TestWalk:
@@ -393,24 +403,29 @@ class TestWalk:
                 check_walk(f, ident, p, cap)
 
     @pytest.mark.parametrize("cap", [0, 1, 3, 7])
-    def test_a_hash_collision_is_not_a_repeat(self, cap):
-        """With every state hashing alike, a capped walk must walk again to
-        tell a new state at its cap from a repeat."""
+    def test_a_capped_walk_hashes_no_state(self, cap):
+        """It compares states only, and gives what it gives on plain ones."""
         f, ident = synthetic_map(1, 119), identity(5)
+        ks = range(cap + 1)
+        fixes_ident = f(ident) == ident
         for p in all_perms(5):
-            check_walk(lambda s: Collide(f(s.p)), Collide(ident), Collide(p), cap)
+            want = _walk(f, ident, fixes_ident, p, cap, ks)
+            got = _walk(lambda s: Unhashable(f(s.p)), Unhashable(ident), fixes_ident,
+                        Unhashable(p), cap, ks)
+            assert got[:3] == want[:3], (p, cap)
+            assert (got[3].p, *(s.p for s in got[4])) == (want[3], *want[4]), (p, cap)
 
     @pytest.mark.parametrize("map_id", list(MapId))
     def test_maps_are_the_dict_walk(self, map_id):
         """Over S_6, with caps None, 0, 1, n//2 and 2n.  Every orbit here ends
         on a fixed point, so each walk, open or closed, takes the passes of
-        the dict walk."""
+        the dict walk and closes where it does."""
         n, f = 6, pass_fn(map_id)
         ident = identity(n)
         for cap in (None, 0, 1, n // 2, 2 * n):
             for p in all_perms(n):
-                passes, oracle_passes = check_walk(f, ident, p, cap)
-                assert passes == oracle_passes, (p, cap)
+                passes, oracle_passes, closed, oracle_closed = check_walk(f, ident, p, cap)
+                assert (passes, closed) == (oracle_passes, oracle_closed), (p, cap)
 
 
 class TestBoundedMemory:
@@ -443,3 +458,11 @@ class TestBoundedMemory:
             "iterate-s12": lambda: iterate(MapId.S12, p, 10**6),
         }[name]
         assert self.peak_bytes(walk) < self.LIMIT
+
+    def test_a_capped_walk_holds_what_an_uncapped_one_does(self):
+        """A capped walk keeps nothing per state it walks, so it peaks no
+        higher than the uncapped walk of the same orbit."""
+        n = self.N
+        p = shuffled(n, 600)
+        capped = self.peak_bytes(lambda: sorts_in(MapId.WEST, p, n - 1))
+        assert capped <= self.peak_bytes(lambda: orbit(MapId.WEST, p)) + 8 * 1024

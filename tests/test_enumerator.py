@@ -470,6 +470,30 @@ class TestVerify:
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         assert all(r.overall_pass for r in verify_all(1, 6, jobs=2))
 
+    def test_a_pool_starts_no_more_processes_than_tasks(self, monkeypatch):
+        """Many jobs and few tasks: S_7 is 2 tasks, S_8 is 10, and the random
+        sample 2.  The pool is a fake that maps in this process."""
+        asked = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                self.processes = processes
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, tasks):
+                asked.append((self.processes, len(tasks)))
+                return [worker(t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        assert all(r.overall_pass for r in verify_all(7, 8, jobs=64))
+        assert random_agreement_failures(5000, 20, jobs=64) == 0
+        assert asked == [(2, 2), (10, 10), (2, 2)]
+
     def test_verify_all_covers_registry(self):
         reports = verify_all(1, 4)
         assert len(reports) == 15

@@ -4,7 +4,9 @@ a dict, and synthetic maps on S_5 whose orbits have cycles longer than 1
 
 ``dict_walk`` is the plain reading of the rho shape that ``engine._walk``
 computes in O(1) states: it stops at the first repeated state, at the
-identity when f fixes it, or after ``cap`` passes.
+identity when f fixes it, or after ``cap`` passes.  On an orbit that ends on
+a fixed point ``engine._walk`` stops where it does; on one with a longer
+cycle it may stop open at its cap where the dict walk has closed.
 """
 
 from __future__ import annotations
