@@ -265,16 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, jobs=False, force=False, fmt=False):
+    def add_common(p, jobs=False, force=False, formats=("table", "json")):
         if jobs:
             p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
                            help="worker processes (default: all cores)")
         if force:
             p.add_argument("--force", action="store_true",
                            help="override the brute-force size guard")
-        if fmt:
-            p.add_argument("--format", choices=["table", "json", "csv"],
-                           default="table")
+        p.add_argument("--format", choices=formats, default="table")
 
     p = sub.add_parser("sort", help="apply a map to a permutation")
     p.add_argument("--map", choices=MAP_CHOICES, required=True)
@@ -294,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=8)
-    add_common(p, jobs=True, force=True, fmt=True)
+    add_common(p, jobs=True, force=True, formats=("table", "json", "csv"))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("image", help="k-fold image of S_n under a map")
@@ -302,20 +300,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--power", default="auto",
                    help="iteration count, or 'auto' for the map's terminal power")
-    add_common(p, jobs=True, force=True, fmt=True)
+    add_common(p, jobs=True, force=True)
     p.set_defaults(func=cmd_image)
 
     p = sub.add_parser("fixed-points", help="fixed points of a machine over S_n")
     p.add_argument("--machine", choices=["m12", "m21"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--list", action="store_true")
-    add_common(p, jobs=True, force=True, fmt=True)
+    add_common(p, jobs=True, force=True)
     p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("orbit", help="orbit structure of one permutation")
     p.add_argument("--map", choices=MAP_CHOICES, required=True)
     p.add_argument("perm")
-    add_common(p, fmt=True)
+    add_common(p)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("witness", help="witness-family constructions")
@@ -331,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, default=None)
-    add_common(p, fmt=True)
+    add_common(p)
     p.set_defaults(func=cmd_count)
 
     return ap

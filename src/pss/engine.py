@@ -277,20 +277,18 @@ def iterate(map_id: MapId, p: Perm, t: int) -> Perm:
         raise ValueError("iteration count must be nonnegative")
     if t == 0:
         return p
-    f, ident = pass_fn(map_id), identity(len(p))
-    return _walk(f, ident, f(ident) == ident, p, t, (t,))[4][0]
+    return _walk(pass_fn(map_id), identity(len(p)), p, t, (t,))[4][0]
 
 
 def sorts_in(map_id: MapId, p: Perm, t_max: int) -> Optional[int]:
     """Least t <= t_max with the t-fold image equal to the identity, else None.
 
     The orbit is walked for at most t_max passes, and stops early when it
-    closes without having reached the identity.
+    closes (see ``_walk``).
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    f, ident = pass_fn(map_id), identity(len(p))
-    return _walk(f, ident, f(ident) == ident, p, t_max)[0]
+    return _walk(pass_fn(map_id), identity(len(p)), p, t_max)[0]
 
 
 # (identity hit, tail, cycle, last walked state, the k-th states asked for);
@@ -299,8 +297,8 @@ Walk = tuple[Optional[int], Optional[int], Optional[int], Perm, tuple[Perm, ...]
 
 
 def _walk(
-    f: Callable[[Perm], Perm], ident: Perm, fixes_ident: bool, p: Perm,
-    cap: Optional[int] = None, ks: Sequence[int] = (),
+    f: Callable[[Perm], Perm], ident: Perm, p: Perm, cap: Optional[int] = None,
+    ks: Sequence[int] = (),
 ) -> Walk:
     """The rho shape of p's orbit under f, walked for at most ``cap`` passes
     while holding O(1) states: (first step at ``ident`` or None, tail
@@ -308,21 +306,20 @@ def _walk(
     in ``ks``).
 
     Each state is compared with the one before it, so an orbit that ends on
-    a fixed point closes at the pass that reaches it, as the identity does
-    when f fixes it.  A longer cycle is found by Brent's power-of-two
-    tortoise (Brent, BIT 20, 1980), which may take it past step tail +
-    cycle, and its tail by a second walk from p.  A closed walk has the
-    orbit's tail and cycle, and its last walked state is the one at step
-    tail + cycle - 1; its k-th state is the one at step k or, past the
-    tail, at tail + (k - tail) mod cycle.
+    a fixed point, the identity among them, closes at the pass that maps it
+    to itself.  A longer cycle is found by Brent's power-of-two tortoise
+    (Brent, BIT 20, 1980), which may take it past step tail + cycle, and its
+    tail by a second walk from p.  A closed walk has the orbit's tail and
+    cycle, and its last walked state is the one at step tail + cycle - 1;
+    its k-th state is the one at step k or, past the tail, at
+    tail + (k - tail) mod cycle.
 
     A walk stops at step ``cap`` if it has not closed by then: it is open,
     with tail and cycle None, its last walked state is the one at step cap,
     and it has the k-th states for k <= cap only.  So an orbit whose cycle
     is longer than 1 may read open at a cap of tail + cycle or more, if the
     tortoise has not met it by then; one that ends on a fixed point is
-    closed iff its tail is below the cap, or f fixes ``ident`` and the
-    orbit reaches it by step cap.
+    closed iff its tail is below the cap.
     """
     got: dict[int, Perm] = {}
     hit: Optional[int] = None
@@ -330,11 +327,8 @@ def _walk(
     while True:
         if step in ks:
             got[step] = x
-        if x == ident:
-            if fixes_ident:
-                return step, step, 1, x, _states(f, got, ks, x, step, 1)
-            if hit is None:
-                hit = step
+        if hit is None and x == ident:
+            hit = step
         if step > at and x == tortoise:
             cycle = step - at
             break
@@ -390,6 +384,5 @@ class OrbitReport:
 def orbit(map_id: MapId, p: Perm) -> OrbitReport:
     """Iterate until a state recurs; report the tail length, cycle length,
     and the first step at which the identity appears (if it does)."""
-    f, ident = pass_fn(map_id), identity(len(p))
-    hit, tail, cycle = _walk(f, ident, f(ident) == ident, p)[:3]
+    hit, tail, cycle = _walk(pass_fn(map_id), identity(len(p)), p)[:3]
     return OrbitReport(tail, cycle, hit, tail == 0)

@@ -43,12 +43,11 @@ counts repeat it along the cycle up to theirs, the order is the largest
 tail.
 
 ``verify`` and ``verify_all`` are one path: a verification run gathers,
-for each S_m, the kernels of every (claim, n) that rides on it (L3_3 at n
-rides on S_{n-1}, the others on S_n) and sweeps each S_m once.  Each
-claim's rows, its closed forms (from :mod:`pss.formulas`) against brute
-force, are then reduced from its Counter into a
-:class:`VerificationReport`.  A sweep's time is split evenly across the
-claims in it, so the claims' ``elapsed`` sum to the run's time.
+for each n, the kernels of every claim at n, all of which ride on S_n, and
+sweeps each S_n once for all of them.  Each claim's rows, its closed forms
+(from :mod:`pss.formulas`) against brute force, are then reduced from its
+Counter into a :class:`VerificationReport`.  A sweep's time is split evenly
+across the claims in it, so the claims' ``elapsed`` sum to the run's time.
 
 The sweep walks half-open rank ranges with the lexicographic successor
 (unranking happens only at range starts).  With more than one job, S_n is
@@ -153,7 +152,6 @@ def _walker(
     ``_Facts``).  p's hit and tail are q's shifted by one and its cycle is
     q's, unless p is q's last walked state: q is then periodic and p lies on
     its cycle, so p's walk has tail 0 and q's cycle."""
-    fixes_ident = f(ident) == ident
     before = [k - 1 for k in ks]
     memo: dict[bytes, tuple] = {}
     interned: dict[tuple, tuple] = {}
@@ -162,7 +160,7 @@ def _walker(
         if len(memo) >= MEMO_CAP:
             memo.clear()
             interned.clear()
-        hit, tail, cycle, last, states = _walk(f, ident, fixes_ident, q, None, before)
+        hit, tail, cycle, last, states = _walk(f, ident, q, None, before)
         s = (hit, tail, cycle, last if tail == 0 else None, *states)
         return interned.setdefault(s, s)
 
@@ -422,14 +420,13 @@ def _machine21_fixed_mismatch(facts: _Facts) -> Kernel:
 
 
 def _deletion_differs(facts: _Facts) -> Kernel:
-    """Whether some insertion i of p in S_m, sorted by one s12 pass and with
-    the 1 deleted again, differs from the sorted p."""
-    sorted_p, s12, m = facts.state(MapId.S12, 1), pass_fn(MapId.S12), facts.n
-
-    def differs(p: Perm, want: Perm) -> bool:
-        return any(delete_one(s12(ins(p, i))) != want for i in range(1, m + 2))
-
-    return lambda cols: map(differs, cols[0], cols[sorted_p])
+    """Whether q in S_n, sorted by one s12 pass and with its 1 deleted,
+    differs from q with its 1 deleted, then sorted.  Each q is ins(p, i) for
+    exactly one p in S_{n-1} and position i, so this is L3_3's
+    ``delete_one(s12(ins(p, i))) != s12(p)`` for that pair."""
+    sorted_q, s12 = facts.state(MapId.S12, 1), pass_fn(MapId.S12)
+    return lambda cols: map(ne, map(delete_one, cols[sorted_q]),
+                            map(s12, map(delete_one, cols[0])))
 
 
 def _insertion_miss(facts: _Facts, t: int) -> Kernel:
@@ -437,13 +434,12 @@ def _insertion_miss(facts: _Facts, t: int) -> Kernel:
     t+1 of its m+1 insertions t-sortable."""
     parent, m = facts.walk(MapId.S12), facts.n
     f, ident = pass_fn(MapId.S12), identity(m + 1)
-    fixes_ident = f(ident) == ident
 
     def miss(p: Perm, walk: tuple) -> bool:
         hit = walk[0]
         if hit is None or hit > t:
             return False
-        children = (_walk(f, ident, fixes_ident, ins(p, i), t) for i in range(1, m + 2))
+        children = (_walk(f, ident, ins(p, i), t) for i in range(1, m + 2))
         return sum(child[0] is not None for child in children) != t + 1
 
     return lambda cols: map(miss, cols[0], cols[parent])
@@ -651,10 +647,11 @@ def _set_row(n: int, param: str, expected: set[Perm], observed: set[Perm]) -> Ro
 _S12_WALK = (_orbit_shape, (MapId.S12,))
 
 
-def _zero_rows(n, label, shift, make_kernel, *params):
-    """One row: the permutations of S_{n-shift} whose kernel reports a
-    mismatch, expected to number zero."""
-    return n - shift, (make_kernel, params), lambda bad: [_count_row(n, label, 0, bad[True])]
+def _zero_rows(n, label, make_kernel, *params):
+    """One row: the permutations of S_n whose kernel reports a mismatch,
+    expected to number zero.  For L3_3 each q in S_n is one insertion
+    q = ins(p, i), so a failing L3_3 row counts failing pairs (p, i)."""
+    return (make_kernel, params), lambda bad: [_count_row(n, label, 0, bad[True])]
 
 
 def _rows_t34(n):
@@ -665,7 +662,7 @@ def _rows_t34(n):
             for t in range(1, n + 1)
         ]
 
-    return n, _S12_WALK, rows
+    return _S12_WALK, rows
 
 
 def _rows_t36(n):
@@ -674,7 +671,7 @@ def _rows_t36(n):
         expected = formulas.count_t_sortable_s21(n)
         return [_count_row(n, f"t={t}", expected, counts[t]) for t in range(1, 2 * n + 1)]
 
-    return n, (_orbit_shape, (MapId.S21,)), rows
+    return (_orbit_shape, (MapId.S21,)), rows
 
 
 def _rows_t42(n):
@@ -682,7 +679,7 @@ def _rows_t42(n):
         observed = images[identity(n)]
         return [_count_row(n, "machine-sortable", formulas.count_machine21_sortable(n), observed)]
 
-    return n, (_image, (MapId.MACHINE21, 1)), rows
+    return (_image, (MapId.MACHINE21, 1)), rows
 
 
 def _rows_t44(n):
@@ -690,7 +687,7 @@ def _rows_t44(n):
         observed = len(_fixed(points))
         return [_count_row(n, "fixed points", formulas.count_machine21_fixed_points(n), observed)]
 
-    return n, (_fixed_point, (MapId.MACHINE21,)), rows
+    return (_fixed_point, (MapId.MACHINE21,)), rows
 
 
 def _rows_c51_min(n):
@@ -699,7 +696,7 @@ def _rows_c51_min(n):
         return [_count_row(n, "exactly n-1 sorts", formulas.count_min_sorted_s12(n), slowest),
                 _count_row(n, "ord", n - 1, max(tail for _, tail, _ in shapes))]
 
-    return n, _S12_WALK, rows
+    return _S12_WALK, rows
 
 
 def _rows_c51_high(n):
@@ -708,22 +705,24 @@ def _rows_c51_high(n):
         observed = sum(buckets[: n - 1])
         return [_count_row(n, "within n-2 sorts", formulas.count_highly_sorted_s12(n), observed)]
 
-    return n, _S12_WALK, rows
+    return _S12_WALK, rows
 
 
 def _rows_t52(n):
     def rows(images):
         return [_set_row(n, f"power={n - 2}", formulas.image_s12_power(n), set(images))]
 
-    return n, (_image, (MapId.S12, n - 2)), rows
+    return (_image, (MapId.S12, n - 2)), rows
 
 
 def _rows_l53(n):
-    def rows(shapes):
-        _, never = _histogram(shapes, n // 2)
-        return [_count_row(n, f"not sorted within {n // 2} machine passes", 0, never)]
+    bound = formulas.machine12_bound(n)
 
-    return n, (_orbit_shape, (MapId.MACHINE12,)), rows
+    def rows(shapes):
+        _, never = _histogram(shapes, bound)
+        return [_count_row(n, f"not sorted within {bound} machine passes", 0, never)]
+
+    return (_orbit_shape, (MapId.MACHINE12,)), rows
 
 
 def _rows_t54(n):
@@ -738,23 +737,23 @@ def _rows_t54(n):
                            target == actual))
         return out
 
-    return n, (_image, (MapId.MACHINE12, k)), rows
+    return (_image, (MapId.MACHINE12, k)), rows
 
 
 # claim -> (least n, builder, *builder arguments).  For one n, a builder
-# gives the S_m the claim's kernel rides on, the kernel spec, and the function
+# gives the spec of the claim's kernel, which rides on S_n, and the function
 # from the kernel's Counter to the rows.  The zero-mismatch claims share one
 # builder and differ by its arguments.
 _CLAIMS: dict[str, tuple] = {
-    "RED": (1, _zero_rows, "dot-variant mismatches", 0, _dot_variants_differ),
-    "P3_1": (1, _zero_rows, "closed vs simulated mismatches", 0, _closed_vs_simulated, MapId.S12),
-    "P3_5": (1, _zero_rows, "closed vs simulated mismatches", 0, _closed_vs_simulated, MapId.S21),
-    "L3_3": (2, _zero_rows, "insertion commutation failures", 1, _deletion_differs),
+    "RED": (1, _zero_rows, "dot-variant mismatches", _dot_variants_differ),
+    "P3_1": (1, _zero_rows, "closed vs simulated mismatches", _closed_vs_simulated, MapId.S12),
+    "P3_5": (1, _zero_rows, "closed vs simulated mismatches", _closed_vs_simulated, MapId.S21),
+    "L3_3": (2, _zero_rows, "insertion commutation failures", _deletion_differs),
     "T3_4": (1, _rows_t34),
     "T3_6": (1, _rows_t36),
-    "L4_1": (1, _zero_rows, "characterization mismatches", 0, _machine21_sortable_mismatch),
+    "L4_1": (1, _zero_rows, "characterization mismatches", _machine21_sortable_mismatch),
     "T4_2": (1, _rows_t42),
-    "L4_3": (1, _zero_rows, "shape-predicate mismatches", 0, _machine21_fixed_mismatch),
+    "L4_3": (1, _zero_rows, "shape-predicate mismatches", _machine21_fixed_mismatch),
     "T4_4": (1, _rows_t44),
     "C5_1_min": (2, _rows_c51_min),
     "C5_1_high": (2, _rows_c51_high),
@@ -769,8 +768,8 @@ CLAIM_IDS = tuple(_CLAIMS)
 def _verify(
     claims: Sequence[str], n_min: int, n_max: int, jobs: int, force: bool
 ) -> list[VerificationReport]:
-    """Reports of ``claims`` over n_min..n_max, from one sweep of each S_m
-    that a claim's kernel rides on.  A sweep's time is split evenly across
+    """Reports of ``claims`` over n_min..n_max, from one sweep of each S_n
+    that some claim at n rides on.  A sweep's time is split evenly across
     the claims in it, and each claim is charged its own row reduction."""
     for claim in claims:
         if claim not in _CLAIMS:
@@ -779,17 +778,16 @@ def _verify(
         raise ValueError("n_min must not exceed n_max")
     check_guard(n_max, force)
     reports = {claim: VerificationReport(claim, n_min, n_max) for claim in claims}
-    riders: dict[int, list] = {}  # S_m -> [(claim, kernel spec, rows)]
+    riders: dict[int, list] = {}  # n -> [(claim, kernel spec, rows)]
     for claim in claims:
         lo, build, *args = _CLAIMS[claim]
         for n in range(max(n_min, lo), n_max + 1):
-            m, spec, rows = build(n, *args)
-            riders.setdefault(m, []).append((claim, spec, rows))
-    for m in sorted(riders):  # n = m + shift, so each claim's rows come in n order
+            riders.setdefault(n, []).append((claim, *build(n, *args)))
+    for n in sorted(riders):  # so each claim's rows come in n order
         start = time.monotonic()
-        counts = _tally(m, jobs, [spec for _, spec, _ in riders[m]])
+        counts = _tally(n, jobs, [spec for _, spec, _ in riders[n]])
         share = (time.monotonic() - start) / len(counts)
-        for (claim, _, rows), c in zip(riders[m], counts):
+        for (claim, _, rows), c in zip(riders[n], counts):
             start = time.monotonic()
             reports[claim].rows.extend(rows(c))
             reports[claim].elapsed += share + time.monotonic() - start

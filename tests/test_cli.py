@@ -320,6 +320,16 @@ class TestOtherCommands:
     def test_jobs_defaults_to_every_core(self, argv):
         assert build_parser().parse_args(argv).jobs == (os.cpu_count() or 1)
 
+    @pytest.mark.parametrize("argv", [
+        ["image", "--map", "s12", "--n", "3", "--jobs", "1"],
+        ["fixed-points", "--machine", "m21", "--n", "3", "--jobs", "1"],
+        ["orbit", "--map", "s12", "2,3,1"],
+        ["count", "--claim", "T4_2", "--n", "3"],
+    ])
+    def test_csv_is_offered_on_verify_only(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2 and out == "" and "invalid choice: 'csv'" in err
+
     def test_count_json_uses_decimal_strings(self, capsys):
         code, out, _ = run_cli(
             capsys, "count", "--claim", "T4_4", "--n", "30", "--format", "json"

@@ -351,14 +351,13 @@ def check_walk(f, ident, p, cap):
     states for every k <= cap; a closed walk has the uncapped orbit's tail,
     cycle, last state and k-th states, and an open one stopped at step cap.
     Returns the pass counts of the two walks and whether each closed."""
-    fixes_ident = f(ident) == ident
     g, calls = counting(f)
-    want = dict_walk(g, ident, fixes_ident, p, cap)
+    want = dict_walk(g, ident, p, cap)
     oracle_passes = len(calls)
-    whole = dict_walk(f, ident, fixes_ident, p)
+    whole = dict_walk(f, ident, p)
     ks = [k for k in KS if cap is None or k <= cap]
     del calls[:]
-    hit, tail, cycle, last, states = _walk(g, ident, fixes_ident, p, cap, ks)
+    hit, tail, cycle, last, states = _walk(g, ident, p, cap, ks)
     passes = len(calls)
     assert hit == want[0], (p, cap)
     assert states == tuple(state_at(whole, k) for k in ks), (p, cap)
@@ -368,7 +367,7 @@ def check_walk(f, ident, p, cap):
     else:
         assert (tail, cycle) == whole[1:3], (p, cap)
         assert last == last_state(whole), (p, cap)
-        states = _walk(f, ident, fixes_ident, p, cap, KS)[4]
+        states = _walk(f, ident, p, cap, KS)[4]
         assert states == tuple(state_at(whole, k) for k in KS), (p, cap)
     return passes, oracle_passes, tail is not None, want[1] is not None
 
@@ -404,16 +403,15 @@ class TestWalk:
 
     @pytest.mark.parametrize("cap", [0, 1, 3, 7])
     def test_a_capped_walk_hashes_no_state(self, cap):
-        """It compares states only, and gives what it gives on plain ones."""
-        f, ident = synthetic_map(1, 119), identity(5)
-        ks = range(cap + 1)
-        fixes_ident = f(ident) == ident
-        for p in all_perms(5):
-            want = _walk(f, ident, fixes_ident, p, cap, ks)
-            got = _walk(lambda s: Unhashable(f(s.p)), Unhashable(ident), fixes_ident,
-                        Unhashable(p), cap, ks)
-            assert got[:3] == want[:3], (p, cap)
-            assert (got[3].p, *(s.p for s in got[4])) == (want[3], *want[4]), (p, cap)
+        """It compares states only, and gives what it gives on plain ones,
+        with the identity in a tree and as the fixed point."""
+        ident, ks = identity(5), range(cap + 1)
+        for f in (synthetic_map(1, 119), synthetic_map(1, 0)):
+            for p in all_perms(5):
+                want = _walk(f, ident, p, cap, ks)
+                got = _walk(lambda s: Unhashable(f(s.p)), Unhashable(ident), Unhashable(p), cap, ks)
+                assert got[:3] == want[:3], (p, cap)
+                assert (got[3].p, *(s.p for s in got[4])) == (want[3], *want[4]), (p, cap)
 
     @pytest.mark.parametrize("map_id", list(MapId))
     def test_maps_are_the_dict_walk(self, map_id):

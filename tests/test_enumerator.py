@@ -285,6 +285,40 @@ class TestClosedFormMutant:
         counts = {jobs: random_agreement_failures(200, 50, seed=1, jobs=jobs) for jobs in (1, 2)}
         assert counts[1] > 0 and counts[1] == counts[2], counts
 
+    def test_l3_3_counts_each_failing_insertion(self, monkeypatch):
+        """L3_3 reads each q in S_n as the insertion q = ins(p, i).  With an
+        s12 pass that only swaps the first two entries, the pairs with i = 1
+        or 2 fail, and its row counts them, as a direct count does that
+        inserts and deletes the 1 by hand over S_{n-1}."""
+
+        def swapped(p):
+            return p[1::-1] + p[2:]
+
+        def inserted(p, i):  # p's entries shifted up, a 1 before position i
+            return tuple(v + 1 for v in p[:i - 1]) + (1,) + tuple(v + 1 for v in p[i - 1:])
+
+        def deleted(q):  # the 1 removed, the rest shifted down
+            return tuple(v - 1 for v in q if v != 1)
+
+        monkeypatch.setattr(engine, "s12_closed_form", swapped)
+        report = verify("L3_3", 2, 6)
+        assert [row.observed for row in report.rows] == ["0", "4", "12", "48", "240"]
+        for row in report.rows:
+            n = row.n
+            bad = sum(deleted(swapped(inserted(p, i))) != swapped(p)
+                      for p in all_perms(n - 1) for i in range(1, n + 1))
+            assert row.observed == str(bad) and row.passed == (bad == 0), row
+        assert not report.overall_pass
+
+    def test_l5_3_reads_the_machine12_bound(self, monkeypatch):
+        """A bound one pass too low fails every row from n = 2 on."""
+        monkeypatch.setattr(formulas, "machine12_bound", lambda n: n // 2 - 1)
+        report = verify("L5_3", 2, 7)
+        assert [row.observed for row in report.rows] == ["1", "5", "4", "50", "72", "1380"]
+        for row in report.rows:
+            assert row.param == f"not sorted within {row.n // 2 - 1} machine passes"
+            assert not row.passed, row
+
 
 # each map's pass built from the oracles alone, sharing no code with the sweep
 ORACLE = {
@@ -352,7 +386,7 @@ class TestMemoisedWalk:
         perms = list(all_perms(5))
         random.Random(seed).shuffle(perms)
         for p in perms:
-            walk = dict_walk(f, ident, f(ident) == ident, p)
+            walk = dict_walk(f, ident, p)
             assert record(p, f(p)) == walk[:3] + tuple(state_at(walk, k) for k in ks), p
 
     def test_one_walk_per_map_per_sweep(self, monkeypatch):
@@ -372,7 +406,7 @@ class TestMemoisedWalk:
 
     def test_synthetic_maps_have_long_cycles(self):
         f = synthetic_map(1, 119)
-        cycles = Counter(dict_walk(f, identity(5), False, p)[2] for p in all_perms(5))
+        cycles = Counter(dict_walk(f, identity(5), p)[2] for p in all_perms(5))
         assert set(cycles) == {1, 2, 3, 4, 5}
 
     def test_a_cleared_memo_gives_the_same_walks(self, monkeypatch):
@@ -382,7 +416,7 @@ class TestMemoisedWalk:
         f, ident = synthetic_map(3, 4), identity(5)
         record = enumerator._walker(f, ident, [2])
         for p in all_perms(5):
-            walk = dict_walk(f, ident, f(ident) == ident, p)
+            walk = dict_walk(f, ident, p)
             assert record(p, f(p)) == walk[:3] + (state_at(walk, 2),)
 
 
@@ -460,8 +494,8 @@ class TestVerify:
         verify_all(1, 6)
         assert walked == [1, 2, 3, 4, 5, 6]
         walked.clear()
-        verify_all(6, 6)  # L3_3 at n = 6 rides on S_5
-        assert walked == [5, 6]
+        verify_all(6, 6)
+        assert walked == [6]
 
     def test_small_sweeps_start_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -3,8 +3,8 @@ a dict, and synthetic maps on S_5 whose orbits have cycles longer than 1
 (the five stack maps have none at small n).
 
 ``dict_walk`` is the plain reading of the rho shape that ``engine._walk``
-computes in O(1) states: it stops at the first repeated state, at the
-identity when f fixes it, or after ``cap`` passes.  On an orbit that ends on
+computes in O(1) states: it stops at the first repeated state (a fixed
+identity among them) or after ``cap`` passes.  On an orbit that ends on
 a fixed point ``engine._walk`` stops where it does; on one with a longer
 cycle it may stop open at its cap where the dict walk has closed.
 """
@@ -17,7 +17,7 @@ from itertools import islice
 from pss.perms import all_perms, identity
 
 
-def dict_walk(f, ident, fixes_ident, p, cap=None):
+def dict_walk(f, ident, p, cap=None):
     """(first step at ``ident`` or None, tail length, cycle length, the
     states walked in order, each mapped to its step); tail and cycle are
     None if the walk is still open after ``cap`` passes."""
@@ -26,8 +26,6 @@ def dict_walk(f, ident, fixes_ident, p, cap=None):
     while p not in seen:
         step = seen[p] = len(seen)
         if p == ident:
-            if fixes_ident:
-                return step, step, 1, seen
             hit = step
         if step == cap:
             return hit, None, None, seen
