@@ -10,13 +10,14 @@ iterates them step by step.
 from pss import MapId, apply, brute_image, format_perm
 from pss.formulas import (
     image_machine12,
+    machine12_terminal_power,
     machine12_witness_check,
     witness_cycle,
     witness_even,
 )
 
 for n in (6, 7):
-    k = n // 2 - 1
+    k = machine12_terminal_power(n)
     image = brute_image(MapId.MACHINE12, n, k)
     print(f"12-machine image of S_{n} after {k} passes "
           f"({len(image)} permutations, formula agrees: "
@@ -26,13 +27,13 @@ for n in (6, 7):
 
 print("\niterating the even witness for n=8:")
 p = witness_even(8)
-for step in range(8 // 2 - 1 + 1):
+for step in range(machine12_terminal_power(8) + 1):
     print(f"  after {step} machine passes: {format_perm(p)}")
     p = apply(MapId.MACHINE12, p)
 
 print("\niterating the cycle witness for n=9:")
 p = witness_cycle(9)
-for step in range(9 // 2 - 1 + 1):
+for step in range(machine12_terminal_power(9) + 1):
     print(f"  after {step} machine passes: {format_perm(p)}")
     p = apply(MapId.MACHINE12, p)
 

@@ -143,9 +143,9 @@ def cmd_image(args) -> int:
     _check_n(args.n)
     if args.power == "auto":
         if m is MapId.S12:
-            power = args.n - 2
+            power = formulas.s12_terminal_power(args.n)
         elif m is MapId.MACHINE12:
-            power = args.n // 2 - 1
+            power = formulas.machine12_terminal_power(args.n)
         else:
             raise UsageError(f"--power auto is not defined for map {m.value}")
         if power < 0:

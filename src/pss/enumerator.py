@@ -4,26 +4,30 @@ Every brute-force statistic is one query on one map's functional graph, and
 every sweep is made by one primitive, ``_tally``: it walks S_n once and
 evaluates several kernels on each permutation, keeping one ``Counter`` of
 keys per kernel.  The sweep is columnar.  It takes each rank range in
-chunks of ``CHUNK`` permutations, in rank order, and turns a chunk into one
-*column* per fact, the list of that fact for each p of the chunk, built with
-``map`` over the columns it reads.  A top-level *kernel factory*
-``make_kernel(facts, *params)`` builds a kernel from a chunk's columns to
-an iterable of hashable keys, one per permutation in the chunk's order,
-mostly C-level ``map`` calls over ``operator`` functions; each Counter is
-then advanced by ``Counter.update(kernel(columns))`` and its size checked
-against ``KEY_CAP`` after every chunk.  A kernel is built once per rank
-range and may keep state for that range, provided its key for p depends on
-p alone: RED's keeps the stack after each prefix of the last p it saw, so
-the next p resumes from the prefix the two share (see
-``_dot_variants_differ``).  While it builds, it asks ``facts`` (a
-``_Facts``) for what the kernel reads: orbit walks (the first step at the
-identity, tail and cycle of the engine's one walker) and k-th states of
-orbits.  Each fact is made once per permutation however many kernels read
-it.  A first state is one pass, shared by every kernel and walk of that
-map.  Every walk runs to the end of the orbit, so a sweep holds at most one
-walk per map, and that walk stores every later k-th state of its map:
-k-fold images cost no passes of their own, and past the tail the state at
-step k is the one at tail + (k - tail) mod cycle.
+chunks of ``CHUNK`` permutations, in rank order, and loads each chunk into
+its facts (a ``_Facts``): a dict from a fact's key to its *column*, the
+list of that fact for each p of the chunk.  A top-level *kernel factory*
+``make_kernel(facts, *params)`` asks ``facts`` for the keys its kernel
+reads: orbit walks (the first step at the identity, tail and cycle of the
+engine's one walker) and k-th states of orbits.  The kernel maps the facts
+of a chunk to an iterable of hashable keys, one per permutation in the
+chunk's order, mostly C-level ``map`` calls over ``operator`` functions;
+each Counter is then advanced by ``Counter.update(kernel(facts))`` and its
+size checked against ``KEY_CAP`` after every chunk.  A column is made, with
+``map`` over the columns it reads, the first time a kernel reads it, so
+each fact is made once per permutation however many kernels read it.  A
+first state is one pass, shared by every kernel and walk of that map.
+Every walk runs to the end of the orbit, so a sweep holds at most one walk
+per map, and that walk stores every later k-th state of its map: k-fold
+images cost no passes of their own, and past the tail the state at step k
+is the one at tail + (k - tail) mod cycle.
+
+A kernel is built once per rank range and may keep state for that range,
+provided its key for p depends on p alone.  A walk's records do not depend
+on the order it sees permutations in; only RED's kernel relies on rank
+order, for speed: it keeps the stack after each prefix of the last p it
+saw, so the next p resumes from the prefix the two share (see
+``_dot_variants_differ``).
 
 A walk is dynamic programming on the map's functional graph, restricted to
 its one-pass image: p's walk is composed from the walk of its first state
@@ -148,10 +152,11 @@ def _walker(
     under f: ``engine._walk``'s (identity hit, tail, cycle), then p's k-th
     state for each k in ``ks`` (k >= 1).
 
-    q's walk is walked to its end once and its summary memoised (see
-    ``_Facts``).  p's hit and tail are q's shifted by one and its cycle is
-    q's, unless p is q's last walked state: q is then periodic and p lies on
-    its cycle, so p's walk has tail 0 and q's cycle."""
+    q's walk is walked to its end once and its summary memoised on
+    ``bytes(q)``; a memo of ``MEMO_CAP`` summaries is cleared.  p's hit and
+    tail are q's shifted by one and its cycle is q's, unless p is q's last
+    walked state: q is then periodic and p lies on its cycle, so p's walk
+    has tail 0 and q's cycle."""
     before = [k - 1 for k in ks]
     memo: dict[bytes, tuple] = {}
     interned: dict[tuple, tuple] = {}
@@ -176,95 +181,66 @@ def _walker(
     return record
 
 
-class _Facts:
-    """What the kernels of one sweep of S_n share about each permutation p.
+class _Facts(dict):
+    """What the kernels of one sweep of S_n share about each permutation p
+    of the current chunk: a dict from a fact's key to its column, that fact
+    of every p of the chunk in the chunk's (rank) order.  Key 0 holds the
+    chunk itself; ``load`` starts a chunk with it alone.
 
-    A kernel factory asks for what its kernel reads and gets back a slot: the
-    position of that fact's column in the list that ``of()`` builds for each
-    chunk of permutations.  A column holds the fact of every p of the chunk,
-    in the chunk's (rank) order, and is made by ``map`` over the columns it
-    reads; slot 0 holds the chunk itself.
+    * ``walk(map_id)``, key ``(map_id, None)``: p's walk record,
+      ``engine._walk``'s (identity hit, tail, cycle) of the whole orbit,
+      then the later states the walk stores.
+    * ``state(map_id, k)``, key ``(map_id, k)``: the k-th state of p's
+      orbit.  The 0-th is p itself, key 0; a first state is one pass, and a
+      machine's first state is the west pass of its dotted stage's first
+      state (so m12(p) and m21(p) reuse s12(p) and s21(p)).  A later state
+      is stored by the walk of that map.
 
-    * ``walk(map_id)``: p's walk record, ``engine._walk``'s (identity hit,
-      tail, cycle) of the whole orbit, then the later states the walk
-      stores.
-    * ``state(map_id, k)``: the k-th state of p's orbit.  The 0-th is p; a
-      first state is one pass, and a machine's first state is the west pass
-      of its dotted stage's first state (so m12(p) and m21(p) reuse s12(p)
-      and s21(p)).  A later state is stored by the walk of that map.
-
-    A sweep holds at most one walk per map.  A walk reads p's first state q
-    from these facts and looks the rest of the orbit up in a memo keyed on
-    ``bytes(q)`` (see ``_walker``), so it costs one shared pass and one
-    lookup once the memo holds q.  A memo value is an interned (hit, tail,
-    cycle, the last walked state if q is periodic, else None, the states at
-    step k - 1 for the k the walk stores).  Each memo belongs to the
-    function ``of()`` returns, which a sweep makes once per rank range, so
-    it is dropped with the range; it holds at most the one-pass image of
-    S_n, and is cleared when it reaches ``MEMO_CAP``.
-
-    Each fact is made once per p, whatever the number of kernels that read
-    it, and each walk sees the permutations in rank order.
+    A column is made, by ``map`` over the columns it reads, the first time a
+    kernel reads it, so each fact is made once per p, however many kernels
+    read it, and only if one does.  A map's walk is made on its first read,
+    once every kernel is built and has asked for the states it stores, and
+    lives as long as these facts, which a sweep makes once per rank range:
+    it reads p's first state from these facts and the rest of the orbit
+    from its memo (see ``_walker``).
     """
 
     def __init__(self, n: int) -> None:
+        super().__init__()
         self.n, self.ident = n, identity(n)
-        self._slots: dict[tuple, int] = {}  # (map, k) for the k-th state, (map, None) for the walk
+        self._stored: dict[MapId, list[int]] = {}  # map -> the k of the states its walk stores
+        self._walkers: dict[MapId, Callable[[Perm, Perm], tuple]] = {}
 
-    def walk(self, map_id: MapId) -> int:
-        return self._slot((map_id, None))
+    def walk(self, map_id: MapId) -> tuple:
+        return (map_id, None)
 
-    def state(self, map_id: MapId, k: int) -> int:
-        return 0 if k == 0 else self._slot((map_id, k))
+    def state(self, map_id: MapId, k: int) -> Hashable:
+        if k > 1 and k not in self._stored.setdefault(map_id, []):
+            self._stored[map_id].append(k)
+        return 0 if k == 0 else (map_id, k)
 
-    def _slot(self, fact: tuple) -> int:
-        return self._slots.setdefault(fact, len(self._slots) + 1)
+    def load(self, chunk: list[Perm]) -> None:
+        """Start a chunk of permutations: its columns are made as read."""
+        self.clear()
+        self[0] = chunk
 
-    def of(self) -> Callable[[list[Perm]], list[list]]:
-        """The function from a chunk of permutations, in rank order, to its
-        fact columns: column ``slot`` holds that fact of each p of the chunk,
-        in the chunk's order, and column 0 is the chunk.  Call it once every
-        kernel of the sweep is built."""
-        stored: dict[MapId, list[int]] = {}  # map -> the k of the states its walk stores
-        for map_id, k in list(self._slots):
-            if k is not None and k > 1:
-                self.walk(map_id)
-                stored.setdefault(map_id, []).append(k)
-        steps: list[tuple[int, Callable[[list], list]]] = []  # (slot, function of the columns)
-        made: set[int] = set()
-
-        def make(fact: tuple) -> int:
-            slot = self._slot(fact)
-            if slot in made:
-                return slot
-            made.add(slot)
-            map_id, k = fact
-            if k is None:
-                first = make((map_id, 1))
-                record = _walker(pass_fn(map_id), self.ident, stored.get(map_id, ()))
-                steps.append((slot, lambda cols: list(map(record, cols[0], cols[first]))))
-            elif k > 1:
-                walk = make((map_id, None))
-                at = itemgetter(3 + stored[map_id].index(k))
-                steps.append((slot, lambda cols: list(map(at, cols[walk]))))
-            else:
-                f, read = pass_fn(map_id), 0
-                if map_id in DOTTED_STAGE:
-                    f, read = pass_fn(MapId.WEST), make((DOTTED_STAGE[map_id], 1))
-                steps.append((slot, lambda cols: list(map(f, cols[read]))))
-            return slot
-
-        for fact in list(self._slots):
-            make(fact)
-        size = len(self._slots) + 1
-
-        def columns(chunk: list[Perm]) -> list[list]:
-            cols = [chunk] * size
-            for slot, fn in steps:
-                cols[slot] = fn(cols)
-            return cols
-
-        return columns
+    def __missing__(self, fact: tuple) -> list:
+        map_id, k = fact
+        if k is None:
+            record = self._walkers.get(map_id)
+            if record is None:
+                record = self._walkers[map_id] = _walker(
+                    pass_fn(map_id), self.ident, self._stored.get(map_id, ()))
+            column = list(map(record, self[0], self[(map_id, 1)]))
+        elif k > 1:
+            at = itemgetter(3 + self._stored[map_id].index(k))
+            column = list(map(at, self[(map_id, None)]))
+        elif map_id in DOTTED_STAGE:
+            column = list(map(pass_fn(MapId.WEST), self[(DOTTED_STAGE[map_id], 1)]))
+        else:
+            column = list(map(pass_fn(map_id), self[0]))
+        self[fact] = column
+        return column
 
 
 def _check_cap(counts: Counter) -> None:
@@ -287,14 +263,12 @@ def _run(worker: Callable, tasks: list, jobs: int) -> list:
 def _tally_range(task: tuple) -> list[Counter]:
     n, lo, hi, specs = task
     facts = _Facts(n)
-    kernels = [make_kernel(facts, *params) for make_kernel, params in specs]
-    of = facts.of()
-    tallies = [(Counter(), kernel) for kernel in kernels]
+    tallies = [(Counter(), make_kernel(facts, *params)) for make_kernel, params in specs]
     perms = iter_range(RankRange(n, lo, hi))
     for _ in range(lo, hi, CHUNK):
-        cols = of(list(islice(perms, CHUNK)))
+        facts.load(list(islice(perms, CHUNK)))
         for c, kernel in tallies:
-            c.update(kernel(cols))
+            c.update(kernel(facts))
             _check_cap(c)
     return [c for c, _ in tallies]
 
@@ -318,11 +292,11 @@ def _tally(n: int, jobs: int, specs: list[tuple]) -> list[Counter]:
 
 # -- kernel factories (top level so they pickle) ------------------------------
 #
-# A factory asks ``facts`` for the columns its kernel reads; the kernel maps
-# one chunk's columns to the chunk's keys, one per permutation and in the
-# chunk's order, so a kernel with state sees the permutations in rank order.
+# A factory asks ``facts`` for the keys its kernel reads; the kernel reads
+# their columns from one chunk's facts and gives the chunk's keys, one per
+# permutation and in the chunk's order.
 
-Kernel = Callable[[list[list]], Iterable[Hashable]]
+Kernel = Callable[[_Facts], Iterable[Hashable]]
 
 
 def _orbit_shape(facts: _Facts, map_id: MapId) -> Kernel:
@@ -431,16 +405,19 @@ def _deletion_differs(facts: _Facts) -> Kernel:
 
 def _insertion_miss(facts: _Facts, t: int) -> Kernel:
     """Whether p in S_m is t-sortable under s12 yet does not have exactly
-    t+1 of its m+1 insertions t-sortable."""
+    t+1 of its m+1 insertions t-sortable.  The insertions of p are loaded as
+    one chunk of the kernel's own facts over S_{m+1}, kept for its rank
+    range, so the walks of all insertions share one memo."""
     parent, m = facts.walk(MapId.S12), facts.n
-    f, ident = pass_fn(MapId.S12), identity(m + 1)
+    children = _Facts(m + 1)
+    child = children.walk(MapId.S12)
 
     def miss(p: Perm, walk: tuple) -> bool:
         hit = walk[0]
         if hit is None or hit > t:
             return False
-        children = (_walk(f, ident, ins(p, i), t) for i in range(1, m + 2))
-        return sum(child[0] is not None for child in children) != t + 1
+        children.load([ins(p, i) for i in range(1, m + 2)])
+        return sum(c[0] is not None and c[0] <= t for c in children[child]) != t + 1
 
     return lambda cols: map(miss, cols[0], cols[parent])
 
@@ -709,10 +686,12 @@ def _rows_c51_high(n):
 
 
 def _rows_t52(n):
-    def rows(images):
-        return [_set_row(n, f"power={n - 2}", formulas.image_s12_power(n), set(images))]
+    k = formulas.s12_terminal_power(n)
 
-    return (_image, (MapId.S12, n - 2)), rows
+    def rows(images):
+        return [_set_row(n, f"power={k}", formulas.image_s12_power(n), set(images))]
+
+    return (_image, (MapId.S12, k)), rows
 
 
 def _rows_l53(n):
@@ -726,7 +705,7 @@ def _rows_l53(n):
 
 
 def _rows_t54(n):
-    k = n // 2 - 1
+    k = formulas.machine12_terminal_power(n)
 
     def rows(images):
         out = [_set_row(n, f"power={k}", formulas.image_machine12(n), set(images))]

@@ -122,6 +122,18 @@ def image_s12_power(n: int) -> set[Perm]:
     return {ident, (2, 1) + ident[2:]}
 
 
+def s12_terminal_power(n: int) -> int:
+    """The pass count n - 2 after which the base-12 image of S_n is
+    ``image_s12_power(n)``."""
+    return n - 2
+
+
+def machine12_terminal_power(n: int) -> int:
+    """The pass count floor(n/2) - 1 after which the 12-machine image of S_n
+    is ``image_machine12(n)``: one pass short of ``machine12_bound(n)``."""
+    return n // 2 - 1
+
+
 def machine12_bound(n: int) -> int:
     """Every length-n permutation sorts within floor(n/2) passes of the 12
     machine."""
@@ -214,6 +226,5 @@ def machine12_witness_check(family: str, n: int) -> tuple[Perm, Perm, Perm]:
         target = witness_pi_target(n, seed)
     else:
         raise ValueError(f"unknown witness family {family!r}")
-    steps = n // 2 - 1
-    actual = iterate(MapId.MACHINE12, w, steps)
+    actual = iterate(MapId.MACHINE12, w, machine12_terminal_power(n))
     return w, target, actual

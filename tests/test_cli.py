@@ -348,18 +348,20 @@ JUNK = st.sampled_from(["", "-", "--", "--bogus", "x", "1.5", "1,1", "3,1", "aut
                         "--help", "--n", "s99"])
 MAP = st.sampled_from([m.value for m in MapId])
 CLAIM = st.sampled_from(CLAIM_IDS)
-FORMAT = ("--format", st.sampled_from(["table", "json", "csv"]))
-SWEEP = [("--jobs", st.just("1")), ("--force", None), FORMAT]
+# csv is offered on verify only; the other commands reject it while parsing
+FORMAT = ("--format", st.sampled_from(["table", "json"]))
+SWEEP = [("--jobs", st.just("1")), ("--force", None)]
 
 # subcommand -> its options, each with a strategy for its value (None for a
 # flag); "" is the positional permutation
 GRAMMAR = {
     "sort": [("--map", MAP), ("--times", SMALL_INT), ("--trace", None), ("", PERM)],
     "runs": [("--kind", st.sampled_from(["peak", "valley"])), ("", PERM)],
-    "verify": [("--claim", st.one_of(CLAIM, st.just("all"))), ("--n-min", SMALL_INT), *SWEEP],
+    "verify": [("--claim", st.one_of(CLAIM, st.just("all"))), ("--n-min", SMALL_INT), *SWEEP,
+               ("--format", st.sampled_from(["table", "json", "csv"]))],
     "image": [("--map", MAP), ("--n", SMALL_INT),
-              ("--power", st.one_of(SMALL_INT, st.just("auto"))), *SWEEP],
-    "fixed-points": [("--machine", MAP), ("--n", SMALL_INT), ("--list", None), *SWEEP],
+              ("--power", st.one_of(SMALL_INT, st.just("auto"))), *SWEEP, FORMAT],
+    "fixed-points": [("--machine", MAP), ("--n", SMALL_INT), ("--list", None), *SWEEP, FORMAT],
     "orbit": [("--map", MAP), ("", PERM), FORMAT],
     "witness": [("--family", st.sampled_from(["even", "cycle", "pi213", "pi132", "pi312"])),
                 ("--n", SMALL_INT), ("--check", None)],

@@ -41,7 +41,7 @@ from pss.enumerator import (
     verify_all,
 )
 from pss.guard import GuardExceeded
-from pss.perms import PermutationError, all_perms, identity, peak_runs, valley_runs
+from pss.perms import PermutationError, all_perms, format_perm, identity, peak_runs, valley_runs
 from walk_oracle import dict_walk, state_at, synthetic_map
 
 CLAIMS = (
@@ -255,6 +255,16 @@ def pairs_unreversed(runs):
     return closed
 
 
+def swapped(p):
+    """A mutant s12 pass that only swaps the first two entries."""
+    return p[1::-1] + p[2:]
+
+
+def inserted(p, i):
+    """p's entries shifted up, and a 1 before position i."""
+    return tuple(v + 1 for v in p[:i - 1]) + (1,) + tuple(v + 1 for v in p[i - 1:])
+
+
 class TestClosedFormMutant:
     def test_p3_1_and_p3_5_catch_unreversed_pairs(self, monkeypatch):
         """The sweep reads each pass through ``engine.pass_fn``, so a closed
@@ -291,12 +301,6 @@ class TestClosedFormMutant:
         or 2 fail, and its row counts them, as a direct count does that
         inserts and deletes the 1 by hand over S_{n-1}."""
 
-        def swapped(p):
-            return p[1::-1] + p[2:]
-
-        def inserted(p, i):  # p's entries shifted up, a 1 before position i
-            return tuple(v + 1 for v in p[:i - 1]) + (1,) + tuple(v + 1 for v in p[i - 1:])
-
         def deleted(q):  # the 1 removed, the rest shifted down
             return tuple(v - 1 for v in q if v != 1)
 
@@ -309,6 +313,43 @@ class TestClosedFormMutant:
                       for p in all_perms(n - 1) for i in range(1, n + 1))
             assert row.observed == str(bad) and row.passed == (bad == 0), row
         assert not report.overall_pass
+
+    def test_insertion_property_reads_the_engine_pass(self, monkeypatch):
+        """With the swapping s12 pass, the property equals a direct check
+        that iterates the mutant and inserts the 1 by hand over S_{n-1}."""
+
+        def sorts_within(q, t):
+            ident = tuple(sorted(q))
+            for _ in range(t):
+                if q == ident:
+                    return True
+                q = swapped(q)
+            return q == ident
+
+        monkeypatch.setattr(engine, "s12_closed_form", swapped)
+        got = {}
+        for n in range(2, 7):
+            for t in range(1, n):
+                want = all(sum(sorts_within(inserted(p, i), t) for i in range(1, n + 1)) == t + 1
+                           for p in all_perms(n - 1) if sorts_within(p, t))
+                got[n, t] = insertion_positions_property(n, t)
+                assert got[n, t] == want, (n, t)
+        assert got == {key: key == (2, 1) for key in got}
+
+    def test_terminal_powers_are_read_by_t5_2_and_t5_4(self, monkeypatch):
+        """One pass past either terminal power leaves the identity alone, so
+        every image and witness row fails."""
+        mutants = {"T5_2": ("s12_terminal_power", lambda n: n - 1),
+                   "T5_4": ("machine12_terminal_power", lambda n: n // 2)}
+        for claim, (name, power) in mutants.items():
+            monkeypatch.setattr(formulas, name, power)
+            report = verify(claim, 4, 7)
+            assert sorted({row.n for row in report.rows}) == [4, 5, 6, 7]
+            for row in report.rows:
+                assert not row.passed, (claim, row)
+                if not row.param.startswith("witness"):
+                    assert row.param == f"power={power(row.n)}"
+                    assert row.observed == format_perm(identity(row.n))
 
     def test_l5_3_reads_the_machine12_bound(self, monkeypatch):
         """A bound one pass too low fails every row from n = 2 on."""
@@ -367,6 +408,51 @@ class TestOracles:
         for k in (1, 2, ORACLE_N, 2 * ORACLE_N):
             want = {states[k] for states in oracle_orbits(map_id)}
             assert brute_image(map_id, ORACLE_N, k) == want
+
+
+def counted_passes(monkeypatch) -> Counter:
+    """Calls of each engine pass from here on, by name."""
+    calls: Counter = Counter()
+    for name in ("west_pass", "s12_closed_form", "s21_closed_form"):
+        def counting(p, _name=name, _pass=getattr(engine, name)):
+            calls[_name] += 1
+            return _pass(p)
+
+        monkeypatch.setattr(engine, name, counting)
+    return calls
+
+
+class TestFacts:
+    """A sweep makes only the facts its kernels read, each once per
+    permutation however many kernels read it."""
+
+    def test_a_machine_image_makes_its_two_stages(self, monkeypatch):
+        calls = counted_passes(monkeypatch)
+        (images,) = enumerator._tally(6, 1, [(enumerator._image, (MapId.MACHINE21, 1))])
+        assert calls == {"s21_closed_form": 720, "west_pass": 720}
+        assert sum(images.values()) == 720
+
+    def test_kernels_share_the_first_state(self, monkeypatch):
+        """P3_1's and L3_3's kernels both read s12(q); L3_3 adds one s12
+        pass of q with its 1 deleted."""
+        calls = counted_passes(monkeypatch)
+        mismatches = enumerator._tally(6, 1, [(enumerator._closed_vs_simulated, (MapId.S12,)),
+                                              (enumerator._deletion_differs, ())])
+        assert calls == {"s12_closed_form": 1440}
+        assert [c[True] for c in mismatches] == [0, 0]
+
+    def test_a_column_is_made_on_first_read_only(self, monkeypatch):
+        want = [iterate(MapId.MACHINE12, p, 1) for p in all_perms(3)]
+        calls = counted_passes(monkeypatch)
+        facts = enumerator._Facts(3)
+        key = facts.state(MapId.MACHINE12, 1)
+        facts.load(list(all_perms(3)))
+        assert not calls
+        assert facts[key] == want and facts[key] is facts[key]
+        assert calls == {"s12_closed_form": 6, "west_pass": 6}
+        facts.load([(2, 1, 3)])
+        assert set(facts) == {0}
+        assert facts[key] == [(1, 2, 3)]
 
 
 class TestMemoisedWalk:

@@ -149,6 +149,15 @@ class TestImages:
         assert formulas.machine12_bound(5) == 2
         assert formulas.machine12_bound(9) == 4
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_terminal_powers(self, n):
+        """Plain arithmetic at every n, n = 1 included, so ``--power auto``
+        reports a negative power itself."""
+        assert formulas.s12_terminal_power(n) == n - 2
+        assert formulas.machine12_terminal_power(n) == n // 2 - 1
+        if n >= 2:
+            assert formulas.machine12_terminal_power(n) == formulas.machine12_bound(n) - 1
+
     def test_machine12_image_odd(self):
         assert formulas.image_machine12(5) == {
             (1, 2, 3, 4, 5),
