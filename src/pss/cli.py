@@ -36,13 +36,6 @@ class UsageError(Exception):
     pass
 
 
-def _parse_perm(text: str):
-    try:
-        return parse(text)
-    except PermutationError as exc:
-        raise UsageError(str(exc))
-
-
 def _jobs(text: str) -> int:
     """argparse type of ``--jobs``: a worker count of at least 1."""
     try:
@@ -63,7 +56,7 @@ def _print_trace(trace: StackTrace) -> None:
 
 
 def cmd_sort(args) -> int:
-    p = _parse_perm(args.perm)
+    p = parse(args.perm)
     m = MapId(args.map)
     if args.times < 0:
         raise UsageError("--times must be nonnegative")
@@ -84,7 +77,7 @@ def cmd_sort(args) -> int:
 
 
 def cmd_runs(args) -> int:
-    p = _parse_perm(args.perm)
+    p = parse(args.perm)
     decomp = peak_runs(p) if args.kind == "peak" else valley_runs(p)
     print("".join(f"[{format_perm(seg)}]" for seg in decomp.segments(p)))
     return 0
@@ -189,7 +182,7 @@ def cmd_fixed_points(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    p = _parse_perm(args.perm)
+    p = parse(args.perm)
     rep = orbit(MapId(args.map), p)
     if args.format == "json":
         print(json.dumps({

@@ -34,11 +34,11 @@ its one-pass image: p's walk is composed from the walk of its first state
 q, which is walked once and memoised.  The memo is keyed on ``bytes(q)``;
 its value is an interned (hit, tail, cycle, q's last walked state if q is
 periodic, the stored states read at step k - 1).  Each walk has its own
-memo per rank range, dropped with the range; it holds at most the one-pass
-image of S_n ((n-1)! states for s12 and s21, 326 for m12 at n = 8), and a
-memo that reaches ``MEMO_CAP`` states is cleared.  Permutations and their
-columns are dropped once their chunk is counted, so no memory grows with
-n!.
+memo per rank range (a worker's whole share of S_n), dropped with the
+range; it holds at most the one-pass image of S_n ((n-1)! states for s12
+and s21, 326 for m12 at n = 8), and a memo that reaches ``MEMO_CAP``
+states is cleared.  Permutations and their columns are dropped once their
+chunk is counted, so no memory grows with n!.
 
 The public brute-force operations are one-kernel calls of ``_tally``, each
 reducing its Counter, and a cap on passes applies only in the reduction:
@@ -54,13 +54,14 @@ Counter into a :class:`VerificationReport`.  A sweep's time is split evenly
 across the claims in it, so the claims' ``elapsed`` sum to the run's time.
 
 The sweep walks half-open rank ranges with the lexicographic successor
-(unranking happens only at range starts).  With more than one job, S_n is
-cut into at most four ranges per job and no more ranges than it has blocks
-of ``BLOCK`` permutations, and the ranges go to worker processes; an S_n of
-at most ``BLOCK`` permutations is one range and starts no pool.  The
-per-range Counters are summed, so the outcome is identical for any worker
-count.  Pool tasks carry only ints, ``MapId`` values and module-level
-functions, so they pickle under any start method.
+(unranking happens only at range starts).  S_n is cut into one range per
+job, but no more ranges than it has blocks of ``BLOCK`` permutations, and
+the ranges go to worker processes, so a worker's walk memos and RED's
+stacks last for its whole share of S_n; an S_n of at most ``BLOCK``
+permutations is one range and starts no pool.  The per-range Counters are
+summed, so the outcome is identical for any worker count.  Pool tasks
+carry only ints, ``MapId`` values and module-level functions, so they
+pickle under any start method.
 """
 
 from __future__ import annotations
@@ -156,7 +157,13 @@ def _walker(
     ``bytes(q)``; a memo of ``MEMO_CAP`` summaries is cleared.  p's hit and
     tail are q's shifted by one and its cycle is q's, unless p is q's last
     walked state: q is then periodic and p lies on its cycle, so p's walk
-    has tail 0 and q's cycle."""
+    has tail 0 and q's cycle.
+
+    If f fixes the identity, asked once here, a walk steps from the identity
+    to itself without a pass, so a walk that reaches it closes there."""
+    step = f
+    if f(ident) == ident:
+        step = lambda x: x if x == ident else f(x)
     before = [k - 1 for k in ks]
     memo: dict[bytes, tuple] = {}
     interned: dict[tuple, tuple] = {}
@@ -165,7 +172,7 @@ def _walker(
         if len(memo) >= MEMO_CAP:
             memo.clear()
             interned.clear()
-        hit, tail, cycle, last, states = _walk(f, ident, q, None, before)
+        hit, tail, cycle, last, states = _walk(step, ident, q, None, before)
         s = (hit, tail, cycle, last if tail == 0 else None, *states)
         return interned.setdefault(s, s)
 
@@ -277,9 +284,10 @@ def _tally(n: int, jobs: int, specs: list[tuple]) -> list[Counter]:
     """For each kernel spec ``(make_kernel, params)``, the Counter of the
     keys that ``make_kernel(facts, *params)`` gives the permutations of S_n,
     all from one sweep.  Equal specs are one kernel and share one Counter."""
-    # an S_n of at most BLOCK permutations is one task, so it starts no pool;
-    # split_ranges rejects n < 1
-    parts = 1 if jobs <= 1 or n < 1 else min(4 * jobs, -(-math.factorial(n) // BLOCK))
+    # one rank range per job, so a worker's memos and stacks last for its
+    # whole share; an S_n of at most BLOCK permutations is one range, so it
+    # starts no pool; split_ranges rejects n < 1
+    parts = 1 if n < 1 else min(jobs, -(-math.factorial(n) // BLOCK))
     totals = {spec: Counter() for spec in specs}
     tasks = [(r.n, r.lo, r.hi, list(totals)) for r in split_ranges(n, parts)]
     for counts in _run(_tally_range, tasks, jobs):

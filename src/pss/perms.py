@@ -57,7 +57,7 @@ def parse(text: str) -> Perm:
         except ValueError as exc:
             raise PermutationError(f"malformed token in {text!r}") from exc
     else:
-        if not text.isdigit():
+        if not (text.isascii() and text.isdigit()):
             raise PermutationError(f"malformed input {text!r}")
         values = [int(ch) for ch in text]
         if 0 in values:

@@ -51,6 +51,9 @@ class TestSort:
             capsys, "sort", "--map", "s12", "--times", "2", "--trace", "2,1"
         )
         assert code == 2 and "trace" in err
+        code, out, err = run_cli(capsys, "sort", "--map", "m12", "--trace", "3,1,2")
+        assert code == 2 and out == ""
+        assert err == "error: --trace is only available for single-pass maps\n"
 
     def test_parse_error_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sort", "--map", "s12", "2,2,1")
@@ -118,11 +121,15 @@ class TestVerifyCommand:
         )
         assert code == 0 and "PASS" in out
 
-    def test_guard_without_force(self, capsys):
+    def test_guard_without_force(self, capsys, monkeypatch):
         code, _, err = run_cli(
             capsys, "verify", "--claim", "T3_4", "--n-max", "20", "--jobs", "1"
         )
         assert code == 2 and "guard" in err
+        monkeypatch.setenv("PSS_BRUTE_GUARD", "abc")
+        code, out, err = run_cli(capsys, "verify", "--claim", "T4_2", "--n-max", "3", "--jobs", "1")
+        assert code == 2 and out == ""
+        assert err == "error: PSS_BRUTE_GUARD must be an integer, got 'abc'\n"
 
     @pytest.mark.parametrize("argv", [
         ["--claim", "T4_2", "--n-min", "5", "--n-max", "3"],
@@ -305,7 +312,7 @@ class TestOtherCommands:
         ["image", "--map", "s12", "--n", "3"],
         ["fixed-points", "--machine", "m21", "--n", "3"],
     ])
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
     def test_jobs_below_one_is_usage_error(self, capsys, argv, jobs):
         code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
         errors = [line for line in err.splitlines() if "error:" in line]
@@ -345,7 +352,7 @@ SMALL_INT = st.integers(-2, 6).map(str)
 PERM = st.integers(1, 5).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(lambda p: ",".join(map(str, p))))
 JUNK = st.sampled_from(["", "-", "--", "--bogus", "x", "1.5", "1,1", "3,1", "auto", "all",
-                        "--help", "--n", "s99"])
+                        "--help", "--n", "s99", "²"])
 MAP = st.sampled_from([m.value for m in MapId])
 CLAIM = st.sampled_from(CLAIM_IDS)
 # csv is offered on verify only; the other commands reject it while parsing

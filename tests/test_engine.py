@@ -248,6 +248,8 @@ class TestIteration:
     def test_iterate_anchor(self):
         assert iterate(MapId.S12, (2, 3, 1), 2) == (1, 2, 3)
         assert iterate(MapId.S12, identity(5), 7) == identity(5)
+        with pytest.raises(ValueError):
+            iterate(MapId.S12, (2, 1), -1)
 
     @pytest.mark.parametrize("map_id", list(MapId))
     def test_iterate_is_repeated_apply(self, map_id):
@@ -266,6 +268,8 @@ class TestIteration:
         assert sorts_in(MapId.S12, (2, 3, 1), 5) == 2
         assert sorts_in(MapId.S12, (2, 3, 1), 1) is None  # the cap binds
         assert sorts_in(MapId.S21, (2, 1), 4) is None
+        with pytest.raises(ValueError):
+            sorts_in(MapId.S12, (2, 1), -1)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_everything_sorts_within_n_minus_1(self, n):

@@ -151,6 +151,11 @@ class TestBruteCounts:
     def test_insertion_positions_property(self, n, t):
         assert insertion_positions_property(n, t)
 
+    @pytest.mark.parametrize("t", [0, 5])
+    def test_insertion_positions_t_out_of_range(self, t):
+        with pytest.raises(ValueError):
+            insertion_positions_property(5, t)
+
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             brute_ord(MapId.S12, 13)
@@ -490,6 +495,14 @@ class TestMemoisedWalk:
         assert sum(shapes.values()) == 120
         assert set(images) == {iterate(MapId.S12, p, 3) for p in all_perms(5)}
 
+    def test_a_walk_closes_at_the_identity_without_a_pass(self, monkeypatch):
+        """s12 fixes the identity, so no memoised walk passes on it; s21
+        does not, and its walker pays only the one pass that asks."""
+        calls = counted_passes(monkeypatch)
+        sort_histogram(MapId.S12, 6, 6)
+        sort_histogram(MapId.S21, 6, 6)
+        assert calls == {"s12_closed_form": 1034, "s21_closed_form": 1154}
+
     def test_synthetic_maps_have_long_cycles(self):
         f = synthetic_map(1, 119)
         cycles = Counter(dict_walk(f, identity(5), p)[2] for p in all_perms(5))
@@ -532,10 +545,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_worker_count_does_not_change_results(self, jobs):
+        """S_7 and S_8 are more than ``BLOCK`` permutations, so they are cut
+        into ``jobs`` rank ranges swept by a pool."""
         for claim in ("T3_4", "T5_4", "L4_1"):
             assert (
-                verify(claim, 1, 6, jobs=jobs).to_dict()
-                == verify(claim, 1, 6, jobs=1).to_dict()
+                verify(claim, 1, 8, jobs=jobs).to_dict()
+                == verify(claim, 1, 8, jobs=1).to_dict()
             )
 
     def test_spawned_workers_give_the_same_report(self):
@@ -543,7 +558,7 @@ class TestVerify:
             "import json, multiprocessing\n"
             "from pss.enumerator import verify\n"
             "multiprocessing.set_start_method('spawn')\n"
-            "print(json.dumps(verify('T5_4', 1, 6, jobs=2).to_dict()))\n"
+            "print(json.dumps(verify('T5_4', 1, 7, jobs=2).to_dict()))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run(
@@ -551,7 +566,7 @@ class TestVerify:
             env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == verify("T5_4", 1, 6, jobs=1).to_dict()
+        assert json.loads(proc.stdout) == verify("T5_4", 1, 7, jobs=1).to_dict()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_all_claims_report_as_each_alone(self, jobs):
@@ -591,8 +606,10 @@ class TestVerify:
         assert all(r.overall_pass for r in verify_all(1, 6, jobs=2))
 
     def test_a_pool_starts_no_more_processes_than_tasks(self, monkeypatch):
-        """Many jobs and few tasks: S_7 is 2 tasks, S_8 is 10, and the random
-        sample 2.  The pool is a fake that maps in this process."""
+        """Many jobs and few tasks: at 64 jobs S_7 is 2 tasks, S_8 is 10
+        (one per ``BLOCK``), and the random sample 2.  At 2 jobs each is 2
+        tasks: one rank range per job.  The pool is a fake that maps in this
+        process."""
         asked = []
 
         class SerialPool:
@@ -610,9 +627,11 @@ class TestVerify:
                 return [worker(t) for t in tasks]
 
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-        assert all(r.overall_pass for r in verify_all(7, 8, jobs=64))
-        assert random_agreement_failures(5000, 20, jobs=64) == 0
-        assert asked == [(2, 2), (10, 10), (2, 2)]
+        for jobs, want in ((64, [(2, 2), (10, 10), (2, 2)]), (2, [(2, 2), (2, 2), (2, 2)])):
+            asked.clear()
+            assert all(r.overall_pass for r in verify_all(7, 8, jobs=jobs))
+            assert random_agreement_failures(5000, 20, jobs=jobs) == 0
+            assert asked == want, jobs
 
     def test_verify_all_covers_registry(self):
         reports = verify_all(1, 4)

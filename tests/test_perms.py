@@ -45,7 +45,7 @@ class TestParse:
         with pytest.raises(PermutationError):
             parse("2,2,1")
 
-    @pytest.mark.parametrize("bad", ["", "  ", "1,x,3", "0", "1,3", "2,4,5,1"])
+    @pytest.mark.parametrize("bad", ["", "  ", "1,x,3", "0", "1,3", "2,4,5,1", "²", "1²"])
     def test_malformed_rejected(self, bad):
         with pytest.raises(PermutationError):
             parse(bad)
