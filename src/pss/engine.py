@@ -17,8 +17,8 @@ A dotted map's pass is its closed form (run reversal).  The explicit
 stacks (``s12_simulated``, ``s21_simulated``), ``west_recursive`` and the
 generic ``run_pass`` are oracles: public, called by name, and checked
 against the default passes by the test suite and claims P3_1/P3_5.  The dot
-position of a dotted pattern never changes the push predicate, so both dot
-placements of a base produce the same map.
+position of a dotted pattern never changes the push predicate:
+``dotted_policy`` gives both dot placements of a base one predicate object.
 """
 
 from __future__ import annotations
@@ -71,28 +71,30 @@ class StackTrace:
 PushPredicate = Callable[[Sequence[int], int], bool]
 
 
-def dotted_policy(pattern: DottedPattern) -> PushPredicate:
-    """Push predicate of a dotted pattern.
+def _allows12(stack: Sequence[int], v: int) -> bool:
+    return not stack or max(stack) > v
 
-    The predicate receives the stack bottom to top and the candidate entry;
-    it answers whether the candidate, prepended to the stack read
+
+def _allows21(stack: Sequence[int], v: int) -> bool:
+    return not stack or min(stack) < v
+
+
+def dotted_policy(pattern: DottedPattern) -> PushPredicate:
+    """Push predicate of a dotted pattern: one module-level function per
+    base, so both dot placements of a base return the same object.
+
+    The predicate receives the stack bottom to top and the candidate entry.
+    It answers whether the candidate, prepended to the stack read
     top-to-bottom, takes part in an occurrence of the base pattern, that is
     whether some stack entry exceeds it (12) or is below it (21), whatever
-    their order.  An empty stack always admits a push.  The dot position
-    drops out of this condition, which is why both placements of the dot
-    define the same map.
+    their order.  An empty stack always admits a push.  Prepended, the
+    candidate can only be the first letter of an occurrence, so the dot
+    position drops out and both placements define one map.  A reading in
+    which the dot fixes the candidate's role (the dotted letter of the
+    occurrence) would change claim RED's row and the report digest; this
+    module keeps the first reading.
     """
-    if pattern.base == 12:
-
-        def allows12(stack: Sequence[int], v: int) -> bool:
-            return not stack or max(stack) > v
-
-        return allows12
-
-    def allows21(stack: Sequence[int], v: int) -> bool:
-        return not stack or min(stack) < v
-
-    return allows21
+    return _allows12 if pattern.base == 12 else _allows21
 
 
 def west_policy() -> PushPredicate:

@@ -23,11 +23,8 @@ images cost no passes of their own, and past the tail the state at step k
 is the one at tail + (k - tail) mod cycle.
 
 A kernel is built once per rank range and may keep state for that range,
-provided its key for p depends on p alone.  A walk's records do not depend
-on the order it sees permutations in; only RED's kernel relies on rank
-order, for speed: it keeps the stack after each prefix of the last p it
-saw, so the next p resumes from the prefix the two share (see
-``_dot_variants_differ``).
+provided its key for p depends on p alone, whatever order it sees
+permutations in.
 
 A walk is dynamic programming on the map's functional graph, restricted to
 its one-pass image: p's walk is composed from the walk of its first state
@@ -56,12 +53,11 @@ across the claims in it, so the claims' ``elapsed`` sum to the run's time.
 The sweep walks half-open rank ranges with the lexicographic successor
 (unranking happens only at range starts).  S_n is cut into one range per
 job, but no more ranges than it has blocks of ``BLOCK`` permutations, and
-the ranges go to worker processes, so a worker's walk memos and RED's
-stacks last for its whole share of S_n; an S_n of at most ``BLOCK``
-permutations is one range and starts no pool.  The per-range Counters are
-summed, so the outcome is identical for any worker count.  Pool tasks
-carry only ints, ``MapId`` values and module-level functions, so they
-pickle under any start method.
+the ranges go to worker processes, so a worker's walk memos last for its
+whole share of S_n; an S_n of at most ``BLOCK`` permutations is one range
+and starts no pool.  The per-range Counters are summed, so the outcome is
+identical for any worker count.  Pool tasks carry only ints, ``MapId``
+values and module-level functions, so they pickle under any start method.
 """
 
 from __future__ import annotations
@@ -73,7 +69,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from operator import eq, getitem, itemgetter, ne, or_
+from operator import eq, getitem, itemgetter, ne
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from . import formulas
@@ -81,7 +77,6 @@ from .engine import (
     DOTTED_STAGE,
     DottedPattern,
     MapId,
-    PushPredicate,
     dotted_policy,
     pass_fn,
     run_pass,
@@ -284,8 +279,8 @@ def _tally(n: int, jobs: int, specs: list[tuple]) -> list[Counter]:
     """For each kernel spec ``(make_kernel, params)``, the Counter of the
     keys that ``make_kernel(facts, *params)`` gives the permutations of S_n,
     all from one sweep.  Equal specs are one kernel and share one Counter."""
-    # one rank range per job, so a worker's memos and stacks last for its
-    # whole share; an S_n of at most BLOCK permutations is one range, so it
+    # one rank range per job, so a worker's memos last for its whole
+    # share; an S_n of at most BLOCK permutations is one range, so it
     # starts no pool; split_ranges rejects n < 1
     parts = 1 if n < 1 else min(jobs, -(-math.factorial(n) // BLOCK))
     totals = {spec: Counter() for spec in specs}
@@ -333,59 +328,23 @@ def _closed_vs_simulated(facts: _Facts, map_id: MapId) -> Kernel:
     return lambda cols: map(ne, cols[closed], map(simulated, cols[0]))
 
 
-def _lockstep(one: PushPredicate, two: PushPredicate) -> Callable[[Perm], bool]:
-    """The function from p to ``run_pass(p, one)[0] != run_pass(p, two)[0]``,
-    made by one stack that asks both predicates at every decision and
-    resumes from the prefix p shares with the p before it (see
-    ``_dot_variants_differ``)."""
-    prev: Perm = ()
-    stacks: list[tuple] = [()]  # stacks[j]: the stack after prev[:j]
-
-    def differ(p: Perm) -> bool:
-        nonlocal prev
-        j, top = 0, len(stacks) - 1
-        while j < top and p[j] == prev[j]:
-            j += 1
-        prev = p
-        del stacks[j + 1:]
-        stack = list(stacks[j])
-        for v in p[j:]:
-            while stack:
-                push = one(stack, v)
-                if (not push) != (not two(stack, v)):  # the passes differ from here on
-                    del stacks[1:]
-                    return run_pass(p, one)[0] != run_pass(p, two)[0]
-                if push:
-                    break
-                stack.pop()
-            stack.append(v)
-            stacks.append(tuple(stack))
-        return False
-
-    return differ
-
-
 def _dot_variants_differ(facts: _Facts) -> Kernel:
     """Whether the two dot placements of either base pattern give different
     pass outputs, i.e. ``run_pass(p, one)[0] != run_pass(p, two)[0]`` for
     ``one, two = dotted_policy(DottedPattern(base, 1))``, ``(base, 2)``.
 
-    Each base runs one stack in lockstep: both predicates are asked at every
-    push/pop decision, and while they agree the two passes are one pass, so
-    their outputs are equal and are not built (the final flush asks no
-    predicate).  The kernel keeps the stack after each prefix p[:j] of the
-    last p it saw, one tuple per depth, for its rank range; each p of a
-    chunk, taken in the chunk's (rank) order, resumes from the longest prefix
-    it shares with that p, about n - 2.7 entries in lexicographic order.  At
-    the first disagreement the base falls back to the two ``run_pass`` calls
-    and drops its stored stacks, so the next p starts at depth 0.  The
-    answer is therefore ``run_pass``'s for any pair of predicates and any
-    order of permutations."""
-    twelve, twenty_one = (
-        _lockstep(dotted_policy(DottedPattern(base, 1)), dotted_policy(DottedPattern(base, 2)))
-        for base in (12, 21)
-    )
-    return lambda cols: map(or_, map(twelve, cols[0]), map(twenty_one, cols[0]))
+    A base whose two placements are one predicate object makes one pass of
+    every p, so it cannot differ and runs no pass; any other base runs its
+    two passes on each p.  ``engine.dotted_policy`` gives each base one
+    object, so this kernel runs no pass and every key is False."""
+    pairs = [(dotted_policy(DottedPattern(base, 1)), dotted_policy(DottedPattern(base, 2)))
+             for base in (12, 21)]
+    pairs = [(one, two) for one, two in pairs if one is not two]
+
+    def differ(p: Perm) -> bool:
+        return any(run_pass(p, one)[0] != run_pass(p, two)[0] for one, two in pairs)
+
+    return lambda cols: map(differ, cols[0])
 
 
 def _machine21_sortable_mismatch(facts: _Facts) -> Kernel:

@@ -42,6 +42,8 @@ def perm(values: Sequence[int]) -> Perm:
 
 def parse(text: str) -> Perm:
     """Parse the canonical comma form, or compact digits when all values <= 9.
+    Both forms take ASCII digits only; a comma-separated token may carry
+    surrounding spaces.
 
     >>> parse("2,4,3,1,5")
     (2, 4, 3, 1, 5)
@@ -52,10 +54,10 @@ def parse(text: str) -> Perm:
     if not text:
         raise PermutationError("empty input")
     if "," in text:
-        try:
-            values = [int(tok) for tok in text.split(",")]
-        except ValueError as exc:
-            raise PermutationError(f"malformed token in {text!r}") from exc
+        tokens = [tok.strip() for tok in text.split(",")]
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise PermutationError(f"malformed token in {text!r}")
+        values = [int(tok) for tok in tokens]
     else:
         if not (text.isascii() and text.isdigit()):
             raise PermutationError(f"malformed input {text!r}")

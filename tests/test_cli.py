@@ -59,6 +59,11 @@ class TestSort:
         code, _, err = run_cli(capsys, "sort", "--map", "s12", "2,2,1")
         assert code == 2 and "duplicate" in err
 
+    def test_non_ascii_digits_are_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sort", "--map", "s12", "١,٢")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_unknown_map(self, capsys):
         code, _, _ = run_cli(capsys, "sort", "--map", "s99", "1,2")
         assert code == 2

@@ -106,6 +106,11 @@ class TestPolicies:
         assert not allows((5, 2), 3)
         assert allows((2, 5), 3)
 
+    def test_one_predicate_per_base(self):
+        for base in (12, 21):
+            assert dotted_policy(DottedPattern(base, 1)) is dotted_policy(DottedPattern(base, 2))
+        assert dotted_policy(DottedPattern(12, 1)) is not dotted_policy(DottedPattern(21, 1))
+
     def test_dotted_pattern_validation(self):
         with pytest.raises(ValueError):
             DottedPattern(13, 1)

@@ -25,6 +25,7 @@ from pss.engine import (
     west_recursive,
 )
 from pss.enumerator import (
+    CLAIM_IDS,
     RankRange,
     brute_fixed_points,
     brute_image,
@@ -237,7 +238,8 @@ class TestDotVariants:
 
     @pytest.mark.parametrize("name", [None, *RED_MUTANTS])
     def test_any_order_of_permutations(self, monkeypatch, name):
-        """The stored stacks of one p never answer for an unrelated p."""
+        """Each key answers for its own p, whatever order the permutations
+        come in."""
         policy = dotted_policy if name is None else mutated(name)
         monkeypatch.setattr(enumerator, "dotted_policy", policy)
         kernel = enumerator._dot_variants_differ(enumerator._Facts(6))
@@ -249,6 +251,43 @@ class TestDotVariants:
         assert len(keys) == len(perms)
         for p, key in zip(perms, keys):
             assert key == dot_variants_differ(policy, p), p
+
+
+def counted_run_pass(monkeypatch) -> list:
+    """Calls of ``enumerator.run_pass`` from here on, one entry each."""
+    calls = []
+
+    def counting(p, policy, want_trace=False):
+        calls.append(p)
+        return run_pass(p, policy, want_trace)
+
+    monkeypatch.setattr(enumerator, "run_pass", counting)
+    return calls
+
+
+class TestOnePredicatePerBase:
+    """``engine.dotted_policy`` gives both dot placements of a base one
+    predicate object, and RED's kernel runs passes only for a base whose
+    placements are two objects."""
+
+    def test_red_runs_no_pass(self, monkeypatch):
+        calls = counted_run_pass(monkeypatch)
+        report = verify("RED", 1, 8)
+        assert [row.observed for row in report.rows] == ["0"] * 8 and report.overall_pass
+        assert calls == []
+
+    def test_fresh_wrappers_take_the_per_permutation_path(self, monkeypatch):
+        """Two wrappers of one predicate are two objects, so each p runs the
+        two passes of each base, and still no placements differ."""
+        def wrapping(pattern):
+            allows = dotted_policy(pattern)
+            return lambda stack, v: allows(stack, v)
+
+        monkeypatch.setattr(enumerator, "dotted_policy", wrapping)
+        calls = counted_run_pass(monkeypatch)
+        report = verify("RED", 1, 6)
+        assert [row.observed for row in report.rows] == ["0"] * 6 and report.overall_pass
+        assert len(calls) == 4 * sum(math.factorial(n) for n in range(1, 7))
 
 
 def pairs_unreversed(runs):
@@ -364,6 +403,50 @@ class TestClosedFormMutant:
         for row in report.rows:
             assert row.param == f"not sorted within {row.n // 2 - 1} machine passes"
             assert not row.passed, row
+
+
+def plus_one(count):
+    """A closed-form count that is off by one."""
+    return lambda *args: count(*args) + 1
+
+
+def negated_on_identity(test):
+    """A structural predicate negated on the identity alone."""
+    return lambda p: not test(p) if p == identity(len(p)) else test(p)
+
+
+# claim -> (module, attribute, function from the attribute to its mutant);
+# each mutant turns its claim's report FAIL at some n <= 6
+CLAIM_MUTANTS = {
+    "RED": (enumerator, "dotted_policy", lambda _: mutated("base 12")),
+    "P3_1": (engine, "s12_closed_form", lambda _: pairs_unreversed(peak_runs)),
+    "P3_5": (engine, "s21_closed_form", lambda _: pairs_unreversed(valley_runs)),
+    "L3_3": (engine, "s12_closed_form", lambda _: swapped),
+    "T3_4": (formulas, "count_t_sortable_s12", plus_one),
+    "T3_6": (formulas, "count_t_sortable_s21", lambda _: lambda n: 1),
+    "L4_1": (formulas, "is_machine21_sortable", negated_on_identity),
+    "T4_2": (formulas, "count_machine21_sortable", plus_one),
+    "L4_3": (formulas, "is_machine21_fixed_shape", negated_on_identity),
+    "T4_4": (formulas, "count_machine21_fixed_points", plus_one),
+    "C5_1_min": (formulas, "count_min_sorted_s12", plus_one),
+    "C5_1_high": (formulas, "count_highly_sorted_s12", plus_one),
+    "T5_2": (formulas, "s12_terminal_power", lambda _: lambda n: n - 1),
+    "L5_3": (formulas, "machine12_bound", lambda _: lambda n: n // 2 - 1),
+    "T5_4": (formulas, "machine12_terminal_power", lambda _: lambda n: n // 2),
+}
+
+
+def test_every_claim_has_a_mutant():
+    assert set(CLAIM_MUTANTS) == set(CLAIM_IDS)
+
+
+@pytest.mark.parametrize("claim", CLAIM_IDS)
+def test_each_claim_fails_under_its_mutant(monkeypatch, claim):
+    """``verify`` clamps n = 1 up to the claim's least n."""
+    assert verify(claim, 1, 6).overall_pass
+    module, name, mutant = CLAIM_MUTANTS[claim]
+    monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    assert not verify(claim, 1, 6).overall_pass
 
 
 # each map's pass built from the oracles alone, sharing no code with the sweep
