@@ -9,7 +9,8 @@ its facts (a ``_Facts``): a dict from a fact's key to its *column*, the
 list of that fact for each p of the chunk.  A top-level *kernel factory*
 ``make_kernel(facts, *params)`` asks ``facts`` for the keys its kernel
 reads: orbit walks (the first step at the identity, tail and cycle of the
-engine's one walker) and k-th states of orbits.  The kernel maps the facts
+engine's one walker) and k-th states of orbits, of p or of the entries of
+another column, and p's number of runs and its lift.  The kernel maps the facts
 of a chunk to an iterable of hashable keys, one per permutation in the
 chunk's order, mostly C-level ``map`` calls over ``operator`` functions;
 each Counter is then advanced by ``Counter.update(kernel(facts))`` and its
@@ -44,8 +45,16 @@ counts repeat it along the cycle up to theirs, the order is the largest
 tail.
 
 ``verify`` and ``verify_all`` are one path: a verification run gathers,
-for each n, the kernels of every claim at n, all of which ride on S_n, and
-sweeps each S_n once for all of them.  Each claim's rows, its closed forms
+for each m, the kernels of every claim that rides on S_m, and sweeps each
+S_m once for all of them.  The six claims that compare two things on each
+p (RED, P3_1, P3_5, L3_3, L4_1, L4_3) ride on S_n.  The nine orbit and
+image claims ride on S_{n-1} by the lifted route (see its section): each w
+in S_{n-1} stands for the 2^r preimages of its lift under a dotted pass.
+So the sweep of S_m serves the first kind at m and the second at m + 1,
+and the sweep of the largest S_n makes first passes only and holds no
+walk.  The route rests on four facts about the passes, which the tests
+check exhaustively only up to n = 9; the public brute-force operations
+stay plain sweeps of S_n, its oracle.  Each claim's rows, its closed forms
 (from :mod:`pss.formulas`) against brute force, are then reduced from its
 Counter into a :class:`VerificationReport`.  A sweep's time is split evenly
 across the claims in it, so the claims' ``elapsed`` sum to the run's time.
@@ -68,8 +77,8 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from operator import eq, getitem, itemgetter, ne
+from itertools import accumulate, islice, repeat
+from operator import eq, getitem, itemgetter, ne, not_
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from . import formulas
@@ -91,6 +100,7 @@ from .perms import (
     delete_one,
     format_perm,
     identity,
+    inc,
     ins,
     successor,
     unrank,
@@ -139,6 +149,15 @@ KEY_CAP = 10**6  # most distinct keys one sweep may hold
 MEMO_CAP = 10**6  # most first states one walk memo may hold; a full memo is cleared
 BLOCK = 4096  # fewest permutations per rank range worth a worker process
 CHUNK = 256  # permutations per fact column; the key cap is checked after each chunk
+RUNS, LIFT = "runs", "lift"  # the kinds of fact beside a map's walks and states
+
+# dotted map -> the lift of S_m onto its one-pass image of S_{m+1}, w.(m+1)
+# for s12 and (w+1).1 for s21: a pass reverses each run, so the run holding
+# m+1 (s12) or 1 (s21) ends with it
+_LIFTS: dict[MapId, Callable[[Perm], Perm]] = {
+    MapId.S12: lambda w: w + (len(w) + 1,),
+    MapId.S21: lambda w: inc(w) + (1,),
+}
 
 
 def _walker(
@@ -187,24 +206,32 @@ class _Facts(dict):
     """What the kernels of one sweep of S_n share about each permutation p
     of the current chunk: a dict from a fact's key to its column, that fact
     of every p of the chunk in the chunk's (rank) order.  Key 0 holds the
-    chunk itself; ``load`` starts a chunk with it alone.
+    chunk itself; ``load`` starts a chunk with it alone.  A fact of a map
+    may be asked of the entries of another column, ``of`` (the chunk by
+    default), rather than of p itself.
 
-    * ``walk(map_id)``, key ``(map_id, None)``: p's walk record,
+    * ``walk(map_id, of)``, key ``(map_id, None, of)``: the walk record,
       ``engine._walk``'s (identity hit, tail, cycle) of the whole orbit,
       then the later states the walk stores.
-    * ``state(map_id, k)``, key ``(map_id, k)``: the k-th state of p's
-      orbit.  The 0-th is p itself, key 0; a first state is one pass, and a
-      machine's first state is the west pass of its dotted stage's first
-      state (so m12(p) and m21(p) reuse s12(p) and s21(p)).  A later state
-      is stored by the walk of that map.
+    * ``state(map_id, k, of)``, key ``(map_id, k, of)``: the k-th state of
+      the orbit.  The 0-th is the entry itself, key ``of``; a first state is
+      one pass, and a machine's first state is the west pass of its dotted
+      stage's first state (so m12(p) and m21(p) reuse s12(p) and s21(p)).
+      A later state is stored by the walk of that map.
+    * ``runs(dotted)``, key ``(dotted, RUNS, 0)``: the number of p's peak
+      runs (s12), that is of its left-to-right maxima, or of its valley
+      runs (s21), its left-to-right minima.
+    * ``lift(dotted)``, key ``(dotted, LIFT, 0)``: p lifted into the
+      dotted map's one-pass image of S_{n+1} (see ``_LIFTS``).
 
     A column is made, by ``map`` over the columns it reads, the first time a
     kernel reads it, so each fact is made once per p, however many kernels
     read it, and only if one does.  A map's walk is made on its first read,
     once every kernel is built and has asked for the states it stores, and
     lives as long as these facts, which a sweep makes once per rank range:
-    it reads p's first state from these facts and the rest of the orbit
-    from its memo (see ``_walker``).
+    it reads each first state from these facts and the rest of the orbit
+    from its memo (see ``_walker``), one memo per map whatever column is
+    walked.
     """
 
     def __init__(self, n: int) -> None:
@@ -213,13 +240,19 @@ class _Facts(dict):
         self._stored: dict[MapId, list[int]] = {}  # map -> the k of the states its walk stores
         self._walkers: dict[MapId, Callable[[Perm, Perm], tuple]] = {}
 
-    def walk(self, map_id: MapId) -> tuple:
-        return (map_id, None)
+    def walk(self, map_id: MapId, of: Hashable = 0) -> tuple:
+        return (map_id, None, of)
 
-    def state(self, map_id: MapId, k: int) -> Hashable:
+    def state(self, map_id: MapId, k: int, of: Hashable = 0) -> Hashable:
         if k > 1 and k not in self._stored.setdefault(map_id, []):
             self._stored[map_id].append(k)
-        return 0 if k == 0 else (map_id, k)
+        return of if k == 0 else (map_id, k, of)
+
+    def runs(self, dotted: MapId) -> tuple:
+        return (dotted, RUNS, 0)
+
+    def lift(self, dotted: MapId) -> tuple:
+        return (dotted, LIFT, 0)
 
     def load(self, chunk: list[Perm]) -> None:
         """Start a chunk of permutations: its columns are made as read."""
@@ -227,20 +260,25 @@ class _Facts(dict):
         self[0] = chunk
 
     def __missing__(self, fact: tuple) -> list:
-        map_id, k = fact
+        map_id, k, of = fact
         if k is None:
             record = self._walkers.get(map_id)
             if record is None:
                 record = self._walkers[map_id] = _walker(
                     pass_fn(map_id), self.ident, self._stored.get(map_id, ()))
-            column = list(map(record, self[0], self[(map_id, 1)]))
+            column = list(map(record, self[of], self[(map_id, 1, of)]))
+        elif k == RUNS:  # the distinct prefix maxima (minima) are the left-to-right ones
+            best = max if map_id is MapId.S12 else min
+            column = list(map(len, map(set, map(accumulate, self[of], repeat(best)))))
+        elif k == LIFT:
+            column = list(map(_LIFTS[map_id], self[of]))
         elif k > 1:
             at = itemgetter(3 + self._stored[map_id].index(k))
-            column = list(map(at, self[(map_id, None)]))
+            column = list(map(at, self[(map_id, None, of)]))
         elif map_id in DOTTED_STAGE:
-            column = list(map(pass_fn(MapId.WEST), self[(DOTTED_STAGE[map_id], 1)]))
+            column = list(map(pass_fn(MapId.WEST), self[(DOTTED_STAGE[map_id], 1, of)]))
         else:
-            column = list(map(pass_fn(map_id), self[0]))
+            column = list(map(pass_fn(map_id), self[of]))
         self[fact] = column
         return column
 
@@ -336,10 +374,13 @@ def _dot_variants_differ(facts: _Facts) -> Kernel:
     A base whose two placements are one predicate object makes one pass of
     every p, so it cannot differ and runs no pass; any other base runs its
     two passes on each p.  ``engine.dotted_policy`` gives each base one
-    object, so this kernel runs no pass and every key is False."""
+    object, so this kernel keys every p False with no pass and no Python
+    call per p."""
     pairs = [(dotted_policy(DottedPattern(base, 1)), dotted_policy(DottedPattern(base, 2)))
              for base in (12, 21)]
     pairs = [(one, two) for one, two in pairs if one is not two]
+    if not pairs:
+        return lambda cols: repeat(False, len(cols[0]))
 
     def differ(p: Perm) -> bool:
         return any(run_pass(p, one)[0] != run_pass(p, two)[0] for one, two in pairs)
@@ -387,6 +428,103 @@ def _insertion_miss(facts: _Facts, t: int) -> Kernel:
         return sum(c[0] is not None and c[0] <= t for c in children[child]) != t + 1
 
     return lambda cols: map(miss, cols[0], cols[parent])
+
+
+# -- the lifted route: orbit and image facts of S_{m+1} from a sweep of S_m --
+#
+# One pass of a dotted map reverses each of its runs, so its image of
+# S_{m+1} is the lift of S_m (``_LIFTS``), and the lift of w has 2^r
+# preimages, r = ``runs`` of w: one for each choice of cuts after the
+# lift's left-to-right maxima (s12) or minima (s21), the last cut forced.
+# The lift commutes with its dotted map, and that of s12 with west, so with
+# m12.  So the orbit of each preimage p continues as the lift of the orbit
+# of x = w (s12, s21) or x = west(w) (m12), and p's k-th state is the lift
+# of x's (k-1)-th.  A lifted kernel keys each w in S_m by what its
+# preimages share and by r; the reductions that follow multiply each count
+# by 2^r, so ``Counter.update`` stays C-level.
+
+
+def _lifted_source(facts: _Facts, map_id: MapId) -> Hashable:
+    """The column of x: w itself for a dotted map, west(w) for m12."""
+    return 0 if map_id in _LIFTS else facts.state(MapId.WEST, 1)
+
+
+def _lifted_shape(facts: _Facts, map_id: MapId) -> Kernel:
+    """Orbit shapes of s12, s21 or m12 over S_{m+1}: x's orbit shape, r,
+    and x if it is periodic (tail 0), else None."""
+    x = _lifted_source(facts, map_id)
+    walk, runs = facts.walk(map_id, x), facts.runs(DOTTED_STAGE.get(map_id, map_id))
+    shape, tail = itemgetter(slice(3)), itemgetter(1)
+    # (None, x)[tail == 0]
+    return lambda cols: zip(map(shape, cols[walk]), cols[runs], map(
+        getitem, zip(repeat(None), cols[x]), map(not_, map(tail, cols[walk]))))
+
+
+def _lifted_image(facts: _Facts, map_id: MapId, k: int) -> Kernel:
+    """k-fold images of s12 or m12 over S_{m+1}, k >= 1: the (k-1)-th state
+    of x's orbit, and r."""
+    state = facts.state(map_id, k - 1, _lifted_source(facts, map_id))
+    runs = facts.runs(DOTTED_STAGE.get(map_id, map_id))
+    return lambda cols: zip(cols[state], cols[runs])
+
+
+def _lifted_m21_sorts(facts: _Facts) -> Kernel:
+    """Whether one m21 pass sorts the preimages in S_{m+1} of w's s21 lift q,
+    whose m21 image is west(q); and r."""
+    q = facts.lift(MapId.S21)
+    image, runs = facts.state(MapId.WEST, 1, q), facts.runs(MapId.S21)
+    ident = identity(facts.n + 1)
+    return lambda cols: zip(map(eq, cols[image], repeat(ident)), cols[runs])
+
+
+def _lifted_m21_fixed(facts: _Facts) -> Kernel:
+    """The m21 fixed point among the preimages in S_{m+1} of w's s21 lift q,
+    else None.  Each preimage has m21 image p = west(q), so only p can be
+    fixed, and it is iff it is a preimage: s21(p) == q."""
+    q = facts.lift(MapId.S21)
+    p = facts.state(MapId.WEST, 1, q)
+    back = facts.state(MapId.S21, 1, p)
+    # (None, p)[s21(p) == q]
+    return lambda cols: map(getitem, zip(repeat(None), cols[p]), map(eq, cols[back], cols[q]))
+
+
+def _shapes_from_lift(lifted: Counter, n: int, map_id: MapId) -> Counter:
+    """The Counter of map_id's orbit shapes over S_n from ``_lifted_shape``'s
+    over S_{n-1}.
+
+    A preimage p of x's lift has x's walk shifted by one step: its hit is
+    x's plus one (none if the lift of S_{n-1}'s identity is not S_n's, as
+    for s21), its tail x's plus one, its cycle x's.  Two kinds of p differ.
+    One preimage of a periodic x's lift is on its cycle, so its tail is 0;
+    the periodic x are counted once each, whatever number of w share them.
+    And the identity's hit is 0: it is walked here, in S_n, and its first
+    state reaches it again iff it is periodic, after cycle - 1 passes."""
+    ident = identity(n)
+    keeps = _LIFTS[DOTTED_STAGE.get(map_id, map_id)](identity(n - 1)) == ident
+    shapes: Counter = Counter()
+    periodic = set()
+    for ((hit, tail, cycle), runs, x), count in lifted.items():
+        hit = hit + 1 if keeps and hit is not None else None
+        shapes[hit, tail + 1, cycle] += count << runs
+        if x is not None:
+            periodic.add((x, hit, cycle))
+    for _, hit, cycle in periodic:
+        shapes[hit, 1, cycle] -= 1
+        shapes[hit, 0, cycle] += 1
+    _, tail, cycle = _walk(pass_fn(map_id), ident, ident)[:3]
+    shapes[cycle if tail == 0 else None, tail, cycle] -= 1
+    shapes[0, tail, cycle] += 1
+    return Counter({shape: c for shape, c in shapes.items() if c})
+
+
+def _images_from_lift(lifted: Counter, map_id: MapId) -> Counter:
+    """The Counter of k-fold images over S_n from ``_lifted_image``'s over
+    S_{n-1}: each state lifted, each count times 2^r."""
+    lift = _LIFTS[DOTTED_STAGE.get(map_id, map_id)]
+    images: Counter = Counter()
+    for (state, runs), count in lifted.items():
+        images[lift(state)] += count << runs
+    return images
 
 
 # -- public brute-force operations -------------------------------------------
@@ -585,17 +723,20 @@ def _set_row(n: int, param: str, expected: set[Perm], observed: set[Perm]) -> Ro
     return Row(n, param, _perm_set_str(expected), _perm_set_str(observed), expected == observed)
 
 
-# the shape of the s12 walk, read by T3_4, C5_1_min and C5_1_high from the
-# one Counter that ``_tally`` keeps for equal specs; T5_2's image is a state
-# of the same walk
-_S12_WALK = (_orbit_shape, (MapId.S12,))
-
-
 def _zero_rows(n, label, make_kernel, *params):
     """One row: the permutations of S_n whose kernel reports a mismatch,
     expected to number zero.  For L3_3 each q in S_n is one insertion
     q = ins(p, i), so a failing L3_3 row counts failing pairs (p, i)."""
-    return (make_kernel, params), lambda bad: [_count_row(n, label, 0, bad[True])]
+    return n, (make_kernel, params), lambda bad: [_count_row(n, label, 0, bad[True])]
+
+
+def _shapes_at(n, map_id, rows):
+    """(m, kernel spec, rows of its Counter over S_m) for ``rows`` of the
+    Counter of map_id's orbit shapes over S_n.  It is lifted from S_{n-1};
+    there is no S_0, so at n = 1 the plain kernel sweeps S_1."""
+    if n == 1:
+        return 1, (_orbit_shape, (map_id,)), rows
+    return n - 1, (_lifted_shape, (map_id,)), lambda lifted: rows(_shapes_from_lift(lifted, n, map_id))
 
 
 def _rows_t34(n):
@@ -606,7 +747,7 @@ def _rows_t34(n):
             for t in range(1, n + 1)
         ]
 
-    return _S12_WALK, rows
+    return _shapes_at(n, MapId.S12, rows)
 
 
 def _rows_t36(n):
@@ -615,15 +756,17 @@ def _rows_t36(n):
         expected = formulas.count_t_sortable_s21(n)
         return [_count_row(n, f"t={t}", expected, counts[t]) for t in range(1, 2 * n + 1)]
 
-    return (_orbit_shape, (MapId.S21,)), rows
+    return _shapes_at(n, MapId.S21, rows)
 
 
 def _rows_t42(n):
-    def rows(images):
-        observed = images[identity(n)]
+    def rows(observed):
         return [_count_row(n, "machine-sortable", formulas.count_machine21_sortable(n), observed)]
 
-    return (_image, (MapId.MACHINE21, 1)), rows
+    if n == 1:  # no S_0: S_1 itself
+        return 1, (_image, (MapId.MACHINE21, 1)), lambda images: rows(images[identity(1)])
+    return n - 1, (_lifted_m21_sorts, ()), lambda lifted: rows(
+        sum(c << runs for (sorts, runs), c in lifted.items() if sorts))
 
 
 def _rows_t44(n):
@@ -631,7 +774,9 @@ def _rows_t44(n):
         observed = len(_fixed(points))
         return [_count_row(n, "fixed points", formulas.count_machine21_fixed_points(n), observed)]
 
-    return (_fixed_point, (MapId.MACHINE21,)), rows
+    if n == 1:  # no S_0: S_1 itself
+        return 1, (_fixed_point, (MapId.MACHINE21,)), rows
+    return n - 1, (_lifted_m21_fixed, ()), rows
 
 
 def _rows_c51_min(n):
@@ -640,7 +785,7 @@ def _rows_c51_min(n):
         return [_count_row(n, "exactly n-1 sorts", formulas.count_min_sorted_s12(n), slowest),
                 _count_row(n, "ord", n - 1, max(tail for _, tail, _ in shapes))]
 
-    return _S12_WALK, rows
+    return _shapes_at(n, MapId.S12, rows)
 
 
 def _rows_c51_high(n):
@@ -649,7 +794,7 @@ def _rows_c51_high(n):
         observed = sum(buckets[: n - 1])
         return [_count_row(n, "within n-2 sorts", formulas.count_highly_sorted_s12(n), observed)]
 
-    return _S12_WALK, rows
+    return _shapes_at(n, MapId.S12, rows)
 
 
 def _rows_t52(n):
@@ -658,7 +803,8 @@ def _rows_t52(n):
     def rows(images):
         return [_set_row(n, f"power={k}", formulas.image_s12_power(n), set(images))]
 
-    return (_image, (MapId.S12, k)), rows
+    return n - 1, (_lifted_image, (MapId.S12, k)), lambda lifted: rows(
+        _images_from_lift(lifted, MapId.S12))
 
 
 def _rows_l53(n):
@@ -668,7 +814,7 @@ def _rows_l53(n):
         _, never = _histogram(shapes, bound)
         return [_count_row(n, f"not sorted within {bound} machine passes", 0, never)]
 
-    return (_orbit_shape, (MapId.MACHINE12,)), rows
+    return _shapes_at(n, MapId.MACHINE12, rows)
 
 
 def _rows_t54(n):
@@ -683,13 +829,17 @@ def _rows_t54(n):
                            target == actual))
         return out
 
-    return (_image, (MapId.MACHINE12, k)), rows
+    return n - 1, (_lifted_image, (MapId.MACHINE12, k)), lambda lifted: rows(
+        _images_from_lift(lifted, MapId.MACHINE12))
 
 
 # claim -> (least n, builder, *builder arguments).  For one n, a builder
-# gives the spec of the claim's kernel, which rides on S_n, and the function
-# from the kernel's Counter to the rows.  The zero-mismatch claims share one
-# builder and differ by its arguments.
+# gives the m of the S_m that the claim's kernel rides on, the kernel's
+# spec, and the function from the kernel's Counter to the rows.  The six
+# claims that compare two things on each p ride on S_n; the zero-mismatch
+# ones share one builder and differ by its arguments.  The nine orbit and
+# image claims ride on S_{n-1} by the lifted route, so one sweep of S_m
+# serves the first at m and the second at m + 1.
 _CLAIMS: dict[str, tuple] = {
     "RED": (1, _zero_rows, "dot-variant mismatches", _dot_variants_differ),
     "P3_1": (1, _zero_rows, "closed vs simulated mismatches", _closed_vs_simulated, MapId.S12),
@@ -714,9 +864,10 @@ CLAIM_IDS = tuple(_CLAIMS)
 def _verify(
     claims: Sequence[str], n_min: int, n_max: int, jobs: int, force: bool
 ) -> list[VerificationReport]:
-    """Reports of ``claims`` over n_min..n_max, from one sweep of each S_n
-    that some claim at n rides on.  A sweep's time is split evenly across
-    the claims in it, and each claim is charged its own row reduction."""
+    """Reports of ``claims`` over n_min..n_max, from one sweep of each S_m
+    that some claim rides on (S_n or S_{n-1} for a claim at n).  A sweep's
+    time is split evenly across the claims in it, and each claim is charged
+    its own row reduction."""
     for claim in claims:
         if claim not in _CLAIMS:
             raise ValueError(f"unknown claim {claim!r}; known: {', '.join(_CLAIMS)}")
@@ -724,16 +875,17 @@ def _verify(
         raise ValueError("n_min must not exceed n_max")
     check_guard(n_max, force)
     reports = {claim: VerificationReport(claim, n_min, n_max) for claim in claims}
-    riders: dict[int, list] = {}  # n -> [(claim, kernel spec, rows)]
+    riders: dict[int, list] = {}  # m -> [(claim, kernel spec, rows)] riding on S_m
     for claim in claims:
         lo, build, *args = _CLAIMS[claim]
         for n in range(max(n_min, lo), n_max + 1):
-            riders.setdefault(n, []).append((claim, *build(n, *args)))
-    for n in sorted(riders):  # so each claim's rows come in n order
+            m, spec, rows = build(n, *args)
+            riders.setdefault(m, []).append((claim, spec, rows))
+    for m in sorted(riders):  # m grows with n, so each claim's rows come in n order
         start = time.monotonic()
-        counts = _tally(n, jobs, [spec for _, spec, _ in riders[n]])
+        counts = _tally(m, jobs, [spec for _, spec, _ in riders[m]])
         share = (time.monotonic() - start) / len(counts)
-        for (claim, _, rows), c in zip(riders[n], counts):
+        for (claim, _, rows), c in zip(riders[m], counts):
             start = time.monotonic()
             reports[claim].rows.extend(rows(c))
             reports[claim].elapsed += share + time.monotonic() - start

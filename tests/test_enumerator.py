@@ -275,6 +275,9 @@ class TestOnePredicatePerBase:
         report = verify("RED", 1, 8)
         assert [row.observed for row in report.rows] == ["0"] * 8 and report.overall_pass
         assert calls == []
+        # and no Python call per permutation: its keys are one repeat of False
+        keys = enumerator._dot_variants_differ(enumerator._Facts(3))([list(all_perms(3))])
+        assert isinstance(keys, itertools.repeat) and list(keys) == [False] * 6
 
     def test_fresh_wrappers_take_the_per_permutation_path(self, monkeypatch):
         """Two wrappers of one predicate are two objects, so each p runs the
@@ -602,6 +605,87 @@ class TestMemoisedWalk:
             assert record(p, f(p)) == walk[:3] + (state_at(walk, 2),)
 
 
+# claim -> the observed values of its rows at n, reduced from the plain
+# public sweeps of S_n (T5_4's witness rows come from no sweep)
+@lru_cache(maxsize=None)
+def s12_histogram(n):
+    return sort_histogram(MapId.S12, n, n)[0]
+
+
+PLAIN_OBSERVED = {
+    "T3_4": lambda n: [sum(s12_histogram(n)[: t + 1]) for t in range(1, n + 1)],
+    "T3_6": lambda n: exact_sortable_counts(MapId.S21, n, 2 * n)[1:],
+    "T4_2": lambda n: [brute_machine_sortable(MapId.MACHINE21, n)],
+    "T4_4": lambda n: [brute_fixed_points(MapId.MACHINE21, n)[0]],
+    "C5_1_min": lambda n: [s12_histogram(n)[n - 1], brute_ord(MapId.S12, n)],
+    "C5_1_high": lambda n: [sum(s12_histogram(n)[: n - 1])],
+    "T5_2": lambda n: [brute_image(MapId.S12, n, formulas.s12_terminal_power(n))],
+    "L5_3": lambda n: [sort_histogram(MapId.MACHINE12, n, formulas.machine12_bound(n))[1]],
+    "T5_4": lambda n: [brute_image(MapId.MACHINE12, n, formulas.machine12_terminal_power(n))],
+}
+
+
+def observed(value):
+    """A value as a report row prints it."""
+    if isinstance(value, set):
+        return " | ".join(format_perm(p) for p in sorted(value))
+    return str(value)
+
+
+class TestLiftedRoute:
+    """The nine orbit and image claims at n ride on S_{n-1}: each w there
+    stands for the 2^r preimages of its lift, with r its number of runs."""
+
+    @pytest.mark.parametrize("claim", PLAIN_OBSERVED)
+    def test_rows_equal_the_plain_sweeps(self, claim):
+        """verify(claim, n, n) sweeps S_{n-1}; its rows read what the public
+        operations read from S_n, for every n from the claim's least to 8."""
+        for n in range(enumerator._CLAIMS[claim][0], 9):
+            want = [observed(v) for v in PLAIN_OBSERVED[claim](n)]
+            rows = verify(claim, n, n).rows
+            assert [row.observed for row in rows[:len(want)]] == want, (claim, n)
+            assert all(row.passed for row in rows), (claim, n)
+
+    @pytest.mark.parametrize("map_id", [MapId.S12, MapId.S21, MapId.MACHINE12])
+    def test_lifted_counters_are_the_plain_counters(self, map_id):
+        """The reductions give the Counters of a plain sweep of S_n exactly,
+        including the identity and the periodic points, which the shift by
+        one step would misplace."""
+        for n in range(2, 9):
+            plain = [(enumerator._orbit_shape, (map_id,))]
+            lifted = [(enumerator._lifted_shape, (map_id,))]
+            if map_id is not MapId.S21:
+                plain.append((enumerator._image, (map_id, n // 2)))
+                lifted.append((enumerator._lifted_image, (map_id, n // 2)))
+            shapes, *images = enumerator._tally(n, 1, plain)
+            lifted_shapes, *lifted_images = enumerator._tally(n - 1, 1, lifted)
+            assert enumerator._shapes_from_lift(lifted_shapes, n, map_id) == shapes, n
+            for want, got in zip(images, lifted_images):
+                assert enumerator._images_from_lift(got, map_id) == want, n
+
+    def test_lifted_m21_counters_are_the_plain_counters(self):
+        plain = [(enumerator._image, (MapId.MACHINE21, 1)), (enumerator._fixed_point, (MapId.MACHINE21,))]
+        lifted = [(enumerator._lifted_m21_sorts, ()), (enumerator._lifted_m21_fixed, ())]
+        for n in range(2, 9):
+            images, points = enumerator._tally(n, 1, plain)
+            sorts, fixed = enumerator._tally(n - 1, 1, lifted)
+            assert sum(c << runs for (done, runs), c in sorts.items() if done) == images[identity(n)]
+            assert enumerator._fixed(fixed) == enumerator._fixed(points), n
+
+    def test_an_s_n_sweep_builds_no_walker(self, monkeypatch):
+        """verify_all(6, 6) sweeps S_5 for the orbit and image claims at 6,
+        with walks, and S_6 for the six per-permutation claims, with none."""
+        built, walker = [], enumerator._walker
+
+        def counting(f, ident, ks):
+            built.append(len(ident))
+            return walker(f, ident, ks)
+
+        monkeypatch.setattr(enumerator, "_walker", counting)
+        assert all(r.overall_pass for r in verify_all(6, 6))
+        assert built and set(built) == {5}
+
+
 class TestVerify:
     def test_registry_matches_declared_claims(self):
         from pss.enumerator import CLAIM_IDS
@@ -641,7 +725,7 @@ class TestVerify:
             "import json, multiprocessing\n"
             "from pss.enumerator import verify\n"
             "multiprocessing.set_start_method('spawn')\n"
-            "print(json.dumps(verify('T5_4', 1, 7, jobs=2).to_dict()))\n"
+            "print(json.dumps(verify('T5_4', 1, 8, jobs=2).to_dict()))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run(
@@ -649,7 +733,7 @@ class TestVerify:
             env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == verify("T5_4", 1, 7, jobs=1).to_dict()
+        assert json.loads(proc.stdout) == verify("T5_4", 1, 8, jobs=1).to_dict()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_all_claims_report_as_each_alone(self, jobs):
@@ -679,7 +763,7 @@ class TestVerify:
         assert walked == [1, 2, 3, 4, 5, 6]
         walked.clear()
         verify_all(6, 6)
-        assert walked == [6]
+        assert walked == [5, 6]  # the orbit and image claims at 6 ride on S_5
 
     def test_small_sweeps_start_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):

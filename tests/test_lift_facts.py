@@ -1,0 +1,84 @@
+"""The four facts that let the orbit and image claims at n ride on S_{n-1},
+checked exhaustively for n <= 9 on the engine's own passes:
+
+1. s12(S_n) is exactly the permutations that end in n.
+2. Each of them has 2^(LRmax - 1) preimages, LRmax its number of
+   left-to-right maxima: cutting it after its left-to-right maxima (the
+   last cut forced) and reversing each block gives them.
+3. The s21 mirror: s21(S_n) is the permutations that end in 1, each with
+   2^(LRmin - 1) preimages, by cuts after its left-to-right minima.
+4. Appending n commutes with s12 and west, so with m12; appending 1 to a
+   word on 2..n commutes with s21.
+
+Facts 1 to 3 are one check per map: the cuts of the permutations ending in
+n (or 1) give distinct preimages, n! of them in all, so they are all of S_n.
+"""
+
+import itertools
+import math
+
+import pytest
+
+from pss.engine import MapId, pass_fn
+from pss.perms import inc
+
+N_MAX = 9
+
+
+def records(q, better):
+    """0-based positions of q's left-to-right maxima (``better`` is ``max``)
+    or minima (``min``)."""
+    out, best = [], q[0]
+    for i, v in enumerate(q):
+        if better(v, best) == v:
+            out.append(i)
+            best = v
+    return out
+
+
+def cut_preimages(q, better):
+    """Each choice of cuts after q's records but the last, with q's last
+    position always cut, and each block reversed."""
+    cuts = records(q, better)
+    assert cuts[-1] == len(q) - 1, q
+    out = []
+    for chosen in itertools.product((False, True), repeat=len(cuts) - 1):
+        ends = [c for c, take in zip(cuts, chosen) if take] + [len(q) - 1]
+        p, start = (), 0
+        for end in ends:
+            p += q[start:end + 1][::-1]
+            start = end + 1
+        out.append(p)
+    return out
+
+
+def check_image(n, map_id, lift, better):
+    f = pass_fn(map_id)
+    total = 0
+    for w in itertools.permutations(range(1, n)):
+        q = lift(w)
+        preimages = cut_preimages(q, better)
+        assert len(set(preimages)) == len(preimages) == 2 ** (len(records(q, better)) - 1), q
+        assert all(f(p) == q for p in preimages), q
+        total += len(preimages)
+    assert total == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_s12_image_is_the_permutations_ending_in_n(n):
+    check_image(n, MapId.S12, lambda w: w + (n,), max)
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_s21_image_is_the_permutations_ending_in_1(n):
+    check_image(n, MapId.S21, lambda w: inc(w) + (1,), min)
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_appending_commutes_with_the_passes(n):
+    s12, s21, west, m12 = (pass_fn(m) for m in (MapId.S12, MapId.S21, MapId.WEST, MapId.MACHINE12))
+    for w in itertools.permutations(range(1, n)):
+        top = w + (n,)
+        for f in (s12, west, m12):
+            assert f(top) == f(w) + (n,), (f, w)
+        assert s21(inc(w) + (1,)) == inc(s21(w)) + (1,), w
