@@ -10,10 +10,10 @@ list of that fact for each p of the chunk.  A top-level *kernel factory*
 ``make_kernel(facts, *params)`` asks ``facts`` for the keys its kernel
 reads: orbit walks (the first step at the identity, tail and cycle of the
 engine's one walker) and k-th states of orbits, of p or of the entries of
-another column, and p's number of runs and its lift.  The kernel maps the facts
-of a chunk to an iterable of hashable keys, one per permutation in the
-chunk's order, mostly C-level ``map`` calls over ``operator`` functions;
-each Counter is then advanced by ``Counter.update(kernel(facts))`` and its
+another column, and p's number of runs.  The kernel maps the facts of a
+chunk to an iterable of hashable keys, one per permutation in the chunk's
+order, mostly C-level ``map`` calls over ``operator`` functions; each
+Counter is then advanced by ``Counter.update(kernel(facts))`` and its
 size checked against ``KEY_CAP`` after every chunk.  A column is made, with
 ``map`` over the columns it reads, the first time a kernel reads it, so
 each fact is made once per permutation however many kernels read it.  A
@@ -46,18 +46,20 @@ tail.
 
 ``verify`` and ``verify_all`` are one path: a verification run gathers,
 for each m, the kernels of every claim that rides on S_m, and sweeps each
-S_m once for all of them.  The six claims that compare two things on each
-p (RED, P3_1, P3_5, L3_3, L4_1, L4_3) ride on S_n.  The nine orbit and
-image claims ride on S_{n-1} by the lifted route (see its section): each w
-in S_{n-1} stands for the 2^r preimages of its lift under a dotted pass.
-So the sweep of S_m serves the first kind at m and the second at m + 1,
-and the sweep of the largest S_n makes first passes only and holds no
-walk.  The route rests on four facts about the passes, which the tests
-check exhaustively only up to n = 9; the public brute-force operations
-stay plain sweeps of S_n, its oracle.  Each claim's rows, its closed forms
-(from :mod:`pss.formulas`) against brute force, are then reduced from its
-Counter into a :class:`VerificationReport`.  A sweep's time is split evenly
-across the claims in it, so the claims' ``elapsed`` sum to the run's time.
+S_m once for all of them.  The one-pass claims ride on S_n: the six that
+compare two things on each p (RED, P3_1, P3_5, L3_3, L4_1, L4_3), and
+T4_2 and T4_4, which count what L4_1 and L4_3 check and read their m21
+column.  The seven orbit and image claims ride on S_{n-1} by the lifted
+route (see its section), S_0 = {()} at n = 1: each w in S_{n-1} stands for
+the 2^r preimages of its lift under a dotted pass.  So the sweep of S_m
+serves the first kind at m and the second at m + 1, and the sweep of the
+largest S_n makes first passes only and holds no walk.  The route rests
+on four facts about the passes, which the tests check exhaustively only up
+to n = 9; the public brute-force operations stay plain sweeps of S_n, its
+oracle.  Each claim's rows, its closed forms (from :mod:`pss.formulas`)
+against brute force, are then reduced from its Counter into a
+:class:`VerificationReport`.  A sweep's time is split evenly across the
+claims in it, so the claims' ``elapsed`` sum to the run's time.
 
 The sweep walks half-open rank ranges with the lexicographic successor
 (unranking happens only at range starts).  S_n is cut into one range per
@@ -122,8 +124,8 @@ class RankRange:
 
 def split_ranges(n: int, parts: int) -> list[RankRange]:
     """Partition [0, n!) into at most ``parts`` contiguous ranges."""
-    if n < 1:
-        raise PermutationError("length must be >= 1")
+    if n < 0:
+        raise PermutationError("length must be >= 0")
     total = math.factorial(n)
     parts = max(1, min(parts, total))
     step, extra = divmod(total, parts)
@@ -149,7 +151,7 @@ KEY_CAP = 10**6  # most distinct keys one sweep may hold
 MEMO_CAP = 10**6  # most first states one walk memo may hold; a full memo is cleared
 BLOCK = 4096  # fewest permutations per rank range worth a worker process
 CHUNK = 256  # permutations per fact column; the key cap is checked after each chunk
-RUNS, LIFT = "runs", "lift"  # the kinds of fact beside a map's walks and states
+RUNS = "runs"  # the kind of fact beside a map's walks and states
 
 # dotted map -> the lift of S_m onto its one-pass image of S_{m+1}, w.(m+1)
 # for s12 and (w+1).1 for s21: a pass reverses each run, so the run holding
@@ -221,8 +223,6 @@ class _Facts(dict):
     * ``runs(dotted)``, key ``(dotted, RUNS, 0)``: the number of p's peak
       runs (s12), that is of its left-to-right maxima, or of its valley
       runs (s21), its left-to-right minima.
-    * ``lift(dotted)``, key ``(dotted, LIFT, 0)``: p lifted into the
-      dotted map's one-pass image of S_{n+1} (see ``_LIFTS``).
 
     A column is made, by ``map`` over the columns it reads, the first time a
     kernel reads it, so each fact is made once per p, however many kernels
@@ -251,9 +251,6 @@ class _Facts(dict):
     def runs(self, dotted: MapId) -> tuple:
         return (dotted, RUNS, 0)
 
-    def lift(self, dotted: MapId) -> tuple:
-        return (dotted, LIFT, 0)
-
     def load(self, chunk: list[Perm]) -> None:
         """Start a chunk of permutations: its columns are made as read."""
         self.clear()
@@ -270,8 +267,6 @@ class _Facts(dict):
         elif k == RUNS:  # the distinct prefix maxima (minima) are the left-to-right ones
             best = max if map_id is MapId.S12 else min
             column = list(map(len, map(set, map(accumulate, self[of], repeat(best)))))
-        elif k == LIFT:
-            column = list(map(_LIFTS[map_id], self[of]))
         elif k > 1:
             at = itemgetter(3 + self._stored[map_id].index(k))
             column = list(map(at, self[(map_id, None, of)]))
@@ -319,8 +314,8 @@ def _tally(n: int, jobs: int, specs: list[tuple]) -> list[Counter]:
     all from one sweep.  Equal specs are one kernel and share one Counter."""
     # one rank range per job, so a worker's memos last for its whole
     # share; an S_n of at most BLOCK permutations is one range, so it
-    # starts no pool; split_ranges rejects n < 1
-    parts = 1 if n < 1 else min(jobs, -(-math.factorial(n) // BLOCK))
+    # starts no pool
+    parts = min(jobs, -(-math.factorial(n) // BLOCK))
     totals = {spec: Counter() for spec in specs}
     tasks = [(r.n, r.lo, r.hi, list(totals)) for r in split_ranges(n, parts)]
     for counts in _run(_tally_range, tasks, jobs):
@@ -349,6 +344,12 @@ def _orbit_shape(facts: _Facts, map_id: MapId) -> Kernel:
 def _image(facts: _Facts, map_id: MapId, k: int) -> Kernel:
     """The k-fold image: its fact column itself."""
     return itemgetter(facts.state(map_id, k))
+
+
+def _sorted_by(facts: _Facts, map_id: MapId) -> Kernel:
+    """Whether one pass sorts the permutation."""
+    image, ident = facts.state(map_id, 1), facts.ident
+    return lambda cols: map(eq, cols[image], repeat(ident))
 
 
 def _fixed_point(facts: _Facts, map_id: MapId) -> Kernel:
@@ -391,9 +392,8 @@ def _dot_variants_differ(facts: _Facts) -> Kernel:
 def _machine21_sortable_mismatch(facts: _Facts) -> Kernel:
     """One m21 pass sorts p, against the structural test on p, which shares
     no code with the pass."""
-    m21, ident = facts.state(MapId.MACHINE21, 1), facts.ident
-    sortable = formulas.is_machine21_sortable
-    return lambda cols: map(ne, map(eq, cols[m21], repeat(ident)), map(sortable, cols[0]))
+    sorts, sortable = _sorted_by(facts, MapId.MACHINE21), formulas.is_machine21_sortable
+    return lambda cols: map(ne, sorts(cols), map(sortable, cols[0]))
 
 
 def _machine21_fixed_mismatch(facts: _Facts) -> Kernel:
@@ -466,26 +466,6 @@ def _lifted_image(facts: _Facts, map_id: MapId, k: int) -> Kernel:
     state = facts.state(map_id, k - 1, _lifted_source(facts, map_id))
     runs = facts.runs(DOTTED_STAGE.get(map_id, map_id))
     return lambda cols: zip(cols[state], cols[runs])
-
-
-def _lifted_m21_sorts(facts: _Facts) -> Kernel:
-    """Whether one m21 pass sorts the preimages in S_{m+1} of w's s21 lift q,
-    whose m21 image is west(q); and r."""
-    q = facts.lift(MapId.S21)
-    image, runs = facts.state(MapId.WEST, 1, q), facts.runs(MapId.S21)
-    ident = identity(facts.n + 1)
-    return lambda cols: zip(map(eq, cols[image], repeat(ident)), cols[runs])
-
-
-def _lifted_m21_fixed(facts: _Facts) -> Kernel:
-    """The m21 fixed point among the preimages in S_{m+1} of w's s21 lift q,
-    else None.  Each preimage has m21 image p = west(q), so only p can be
-    fixed, and it is iff it is a preimage: s21(p) == q."""
-    q = facts.lift(MapId.S21)
-    p = facts.state(MapId.WEST, 1, q)
-    back = facts.state(MapId.S21, 1, p)
-    # (None, p)[s21(p) == q]
-    return lambda cols: map(getitem, zip(repeat(None), cols[p]), map(eq, cols[back], cols[q]))
 
 
 def _shapes_from_lift(lifted: Counter, n: int, map_id: MapId) -> Counter:
@@ -592,7 +572,7 @@ def brute_machine_sortable(
 ) -> int:
     """Count permutations of length n that one pass of ``machine`` sorts."""
     check_guard(n, force)
-    return _tally(n, jobs, [(_image, (MapId(machine), 1))])[0][identity(n)]
+    return _tally(n, jobs, [(_sorted_by, (MapId(machine),))])[0][True]
 
 
 def _fixed(points: Counter) -> list[Perm]:
@@ -732,10 +712,7 @@ def _zero_rows(n, label, make_kernel, *params):
 
 def _shapes_at(n, map_id, rows):
     """(m, kernel spec, rows of its Counter over S_m) for ``rows`` of the
-    Counter of map_id's orbit shapes over S_n.  It is lifted from S_{n-1};
-    there is no S_0, so at n = 1 the plain kernel sweeps S_1."""
-    if n == 1:
-        return 1, (_orbit_shape, (map_id,)), rows
+    Counter of map_id's orbit shapes over S_n, lifted from S_{n-1}."""
     return n - 1, (_lifted_shape, (map_id,)), lambda lifted: rows(_shapes_from_lift(lifted, n, map_id))
 
 
@@ -760,13 +737,11 @@ def _rows_t36(n):
 
 
 def _rows_t42(n):
-    def rows(observed):
-        return [_count_row(n, "machine-sortable", formulas.count_machine21_sortable(n), observed)]
+    def rows(sorts):
+        expected = formulas.count_machine21_sortable(n)
+        return [_count_row(n, "machine-sortable", expected, sorts[True])]
 
-    if n == 1:  # no S_0: S_1 itself
-        return 1, (_image, (MapId.MACHINE21, 1)), lambda images: rows(images[identity(1)])
-    return n - 1, (_lifted_m21_sorts, ()), lambda lifted: rows(
-        sum(c << runs for (sorts, runs), c in lifted.items() if sorts))
+    return n, (_sorted_by, (MapId.MACHINE21,)), rows
 
 
 def _rows_t44(n):
@@ -774,9 +749,7 @@ def _rows_t44(n):
         observed = len(_fixed(points))
         return [_count_row(n, "fixed points", formulas.count_machine21_fixed_points(n), observed)]
 
-    if n == 1:  # no S_0: S_1 itself
-        return 1, (_fixed_point, (MapId.MACHINE21,)), rows
-    return n - 1, (_lifted_m21_fixed, ()), rows
+    return n, (_fixed_point, (MapId.MACHINE21,)), rows
 
 
 def _rows_c51_min(n):
@@ -835,11 +808,12 @@ def _rows_t54(n):
 
 # claim -> (least n, builder, *builder arguments).  For one n, a builder
 # gives the m of the S_m that the claim's kernel rides on, the kernel's
-# spec, and the function from the kernel's Counter to the rows.  The six
-# claims that compare two things on each p ride on S_n; the zero-mismatch
-# ones share one builder and differ by its arguments.  The nine orbit and
-# image claims ride on S_{n-1} by the lifted route, so one sweep of S_m
-# serves the first at m and the second at m + 1.
+# spec, and the function from the kernel's Counter to the rows.  The
+# one-pass claims ride on S_n: the six that compare two things on each p,
+# whose zero-mismatch rows share one builder and differ by its arguments,
+# and T4_2 and T4_4.  The seven orbit and image claims ride on S_{n-1} by
+# the lifted route, so one sweep of S_m serves the first at m and the
+# second at m + 1.
 _CLAIMS: dict[str, tuple] = {
     "RED": (1, _zero_rows, "dot-variant mismatches", _dot_variants_differ),
     "P3_1": (1, _zero_rows, "closed vs simulated mismatches", _closed_vs_simulated, MapId.S12),

@@ -216,8 +216,8 @@ def rank(p: Perm) -> int:
 
 def unrank(n: int, r: int) -> Perm:
     """Permutation at lexicographic position ``r`` (0-based) in S_n."""
-    if n < 1:
-        raise PermutationError("length must be >= 1")
+    if n < 0:
+        raise PermutationError("length must be >= 0")
     if not 0 <= r < math.factorial(n):
         raise ValueError(f"rank {r} out of range for S_{n}")
     remaining = list(range(1, n + 1))

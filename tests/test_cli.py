@@ -290,9 +290,11 @@ class TestOtherCommands:
         ["image", "--map", "s21"],
         ["image", "--map", "s12", "--power", "3"],
         ["fixed-points", "--machine", "m21"],
+        ["image", "--map", "s12", "--power", "1"],
     ])
     def test_n_below_one_names_n(self, capsys, argv, n):
-        """--n is checked before anything derived from it, such as --power auto."""
+        """--n is checked before anything derived from it, such as --power
+        auto, and before the sweep, which would take S_0."""
         code, out, err = run_cli(capsys, *argv, "--n", n, "--jobs", "1")
         assert code == 2 and out == "" and err == f"error: --n must be >= 1, got {n}\n"
 

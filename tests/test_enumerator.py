@@ -57,6 +57,8 @@ class TestRangeIteration:
 
     def test_single_rank(self):
         assert list(iter_range(RankRange(3, 2, 3))) == [(2, 1, 3)]
+        assert split_ranges(0, 4) == [RankRange(0, 0, 1)]
+        assert list(iter_range(RankRange(0, 0, 1))) == [()]
 
     def test_partial_range(self):
         assert list(iter_range(RankRange(3, 1, 4))) == [(1, 3, 2), (2, 1, 3), (2, 3, 1)]
@@ -500,6 +502,17 @@ class TestOracles:
             want = {states[k] for states in oracle_orbits(map_id)}
             assert brute_image(map_id, ORACLE_N, k) == want
 
+    @pytest.mark.parametrize("machine", [MapId.MACHINE12, MapId.MACHINE21])
+    def test_machine_sortable_is_oracle(self, machine):
+        ident = identity(ORACLE_N)
+        want = sum(states[1] == ident for states in oracle_orbits(machine))
+        assert brute_machine_sortable(machine, ORACLE_N) == want
+
+    @pytest.mark.parametrize("machine", [MapId.MACHINE12, MapId.MACHINE21])
+    def test_fixed_points_is_oracle(self, machine):
+        want = sorted(states[0] for states in oracle_orbits(machine) if states[1] == states[0])
+        assert brute_fixed_points(machine, ORACLE_N, collect=True) == (len(want), want)
+
 
 def counted_passes(monkeypatch) -> Counter:
     """Calls of each engine pass from here on, by name."""
@@ -531,6 +544,19 @@ class TestFacts:
                                               (enumerator._deletion_differs, ())])
         assert calls == {"s12_closed_form": 1440}
         assert [c[True] for c in mismatches] == [0, 0]
+
+    def test_the_m21_twins_share_one_column(self, monkeypatch):
+        """L4_1 and T4_2 read whether one m21 pass sorts p, L4_3 and T4_4
+        whether it fixes p: one m21 column, made once."""
+        specs = []
+        for claim in ("L4_1", "L4_3", "T4_2", "T4_4"):
+            _, build, *args = enumerator._CLAIMS[claim]
+            m, spec, _ = build(6, *args)
+            assert m == 6, claim
+            specs.append(spec)
+        calls = counted_passes(monkeypatch)
+        enumerator._tally(6, 1, specs)
+        assert calls == {"s21_closed_form": 720, "west_pass": 720}
 
     def test_a_column_is_made_on_first_read_only(self, monkeypatch):
         want = [iterate(MapId.MACHINE12, p, 1) for p in all_perms(3)]
@@ -633,13 +659,14 @@ def observed(value):
 
 
 class TestLiftedRoute:
-    """The nine orbit and image claims at n ride on S_{n-1}: each w there
+    """The seven orbit and image claims at n ride on S_{n-1}: each w there
     stands for the 2^r preimages of its lift, with r its number of runs."""
 
     @pytest.mark.parametrize("claim", PLAIN_OBSERVED)
     def test_rows_equal_the_plain_sweeps(self, claim):
-        """verify(claim, n, n) sweeps S_{n-1}; its rows read what the public
-        operations read from S_n, for every n from the claim's least to 8."""
+        """The rows of verify(claim, n, n) read what the public operations
+        read from S_n, for every n from the claim's least to 8: from the
+        lift of S_{n-1}, or for T4_2 and T4_4 from S_n itself."""
         for n in range(enumerator._CLAIMS[claim][0], 9):
             want = [observed(v) for v in PLAIN_OBSERVED[claim](n)]
             rows = verify(claim, n, n).rows
@@ -650,11 +677,12 @@ class TestLiftedRoute:
     def test_lifted_counters_are_the_plain_counters(self, map_id):
         """The reductions give the Counters of a plain sweep of S_n exactly,
         including the identity and the periodic points, which the shift by
-        one step would misplace."""
-        for n in range(2, 9):
+        one step would misplace.  At n = 1 the lift is of S_0, which has no
+        image power n // 2 >= 1 to compare."""
+        for n in range(1, 9):
             plain = [(enumerator._orbit_shape, (map_id,))]
             lifted = [(enumerator._lifted_shape, (map_id,))]
-            if map_id is not MapId.S21:
+            if map_id is not MapId.S21 and n > 1:
                 plain.append((enumerator._image, (map_id, n // 2)))
                 lifted.append((enumerator._lifted_image, (map_id, n // 2)))
             shapes, *images = enumerator._tally(n, 1, plain)
@@ -663,18 +691,10 @@ class TestLiftedRoute:
             for want, got in zip(images, lifted_images):
                 assert enumerator._images_from_lift(got, map_id) == want, n
 
-    def test_lifted_m21_counters_are_the_plain_counters(self):
-        plain = [(enumerator._image, (MapId.MACHINE21, 1)), (enumerator._fixed_point, (MapId.MACHINE21,))]
-        lifted = [(enumerator._lifted_m21_sorts, ()), (enumerator._lifted_m21_fixed, ())]
-        for n in range(2, 9):
-            images, points = enumerator._tally(n, 1, plain)
-            sorts, fixed = enumerator._tally(n - 1, 1, lifted)
-            assert sum(c << runs for (done, runs), c in sorts.items() if done) == images[identity(n)]
-            assert enumerator._fixed(fixed) == enumerator._fixed(points), n
-
     def test_an_s_n_sweep_builds_no_walker(self, monkeypatch):
         """verify_all(6, 6) sweeps S_5 for the orbit and image claims at 6,
-        with walks, and S_6 for the six per-permutation claims, with none."""
+        with walks, and S_6 for the six per-permutation claims and the
+        one-pass claims T4_2 and T4_4, with none."""
         built, walker = [], enumerator._walker
 
         def counting(f, ident, ks):
@@ -760,7 +780,7 @@ class TestVerify:
 
         monkeypatch.setattr(enumerator, "iter_range", counting)
         verify_all(1, 6)
-        assert walked == [1, 2, 3, 4, 5, 6]
+        assert walked == [0, 1, 2, 3, 4, 5, 6]  # the orbit and image claims at 1 ride on S_0
         walked.clear()
         verify_all(6, 6)
         assert walked == [5, 6]  # the orbit and image claims at 6 ride on S_5

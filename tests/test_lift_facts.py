@@ -1,5 +1,7 @@
-"""The four facts that let the orbit and image claims at n ride on S_{n-1},
-checked exhaustively for n <= 9 on the engine's own passes:
+"""The four facts that let the seven orbit and image claims at n (T3_4,
+T3_6, C5_1_min, C5_1_high, T5_2, L5_3, T5_4) ride on S_{n-1}, S_0 = {()}
+at n = 1, checked exhaustively for n <= 9 on the engine's own passes (the
+one-pass claims, T4_2 and T4_4 among them, sweep S_n itself):
 
 1. s12(S_n) is exactly the permutations that end in n.
 2. Each of them has 2^(LRmax - 1) preimages, LRmax its number of

@@ -174,11 +174,16 @@ class TestRanking:
     def test_examples(self):
         assert unrank(3, 0) == (1, 2, 3)
         assert unrank(3, 5) == (3, 2, 1)
+        assert unrank(0, 0) == ()
         assert rank((2, 1, 3)) == 2
 
     def test_unrank_range_error(self):
         with pytest.raises(ValueError):
             unrank(3, 6)
+        with pytest.raises(ValueError):
+            unrank(0, 1)
+        with pytest.raises(PermutationError):
+            unrank(-1, 0)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bijective_over_Sn(self, n):
