@@ -239,12 +239,27 @@ def cmd_count(args) -> int:
         value = _COUNTS[args.claim](*((args.n, args.t) if takes_t else (args.n,)))
     except ValueError as exc:
         raise UsageError(str(exc))
+    digits = _decimal(value)
     if args.format == "json":
         print(json.dumps({"claim": args.claim, "n": args.n, "t": args.t,
-                          "count": str(value)}, indent=2))
+                          "count": digits}, indent=2))
     else:
-        print(value)
+        print(digits)
     return 0
+
+
+def _decimal(value: int) -> str:
+    """``str(value)`` however many digits it has: the int-to-str limit
+    (4300 digits by default since Python 3.11, and 3.10.7) is lifted for
+    this one conversion."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- parser ------------------------------------------------------------------

@@ -46,18 +46,20 @@ tail.
 
 ``verify`` and ``verify_all`` are one path: a verification run gathers,
 for each m, the kernels of every claim that rides on S_m, and sweeps each
-S_m once for all of them.  The one-pass claims ride on S_n: the six that
-compare two things on each p (RED, P3_1, P3_5, L3_3, L4_1, L4_3), and
+S_m once for all of them.  The nine one-pass claims ride on S_n: the six
+that compare two things on each p (RED, P3_1, P3_5, L3_3, L4_1, L4_3);
 T4_2 and T4_4, which count what L4_1 and L4_3 check and read their m21
-column.  The seven orbit and image claims ride on S_{n-1} by the lifted
-route (see its section), S_0 = {()} at n = 1: each w in S_{n-1} stands for
-the 2^r preimages of its lift under a dotted pass.  So the sweep of S_m
-serves the first kind at m and the second at m + 1, and the sweep of the
-largest S_n makes first passes only and holds no walk.  The route rests
-on four facts about the passes, which the tests check exhaustively only up
-to n = 9; the public brute-force operations stay plain sweeps of S_n, its
-oracle.  Each claim's rows, its closed forms (from :mod:`pss.formulas`)
-against brute force, are then reduced from its Counter into a
+column; and T3_6, which reads the s21 column of P3_5, since every t-fold
+s21 image is a one-pass image.  The six s12 and m12 orbit and image claims
+ride on S_{n-1} by the lifted route (see its section), S_0 = {()} at
+n = 1: each w in S_{n-1} stands for the 2^r preimages of its lift under
+an s12 pass.  So the sweep of S_m serves the first kind at m and the
+second at m + 1, and the sweep of the largest S_n makes first passes only
+and holds no walk.  The route rests on three facts about the passes,
+which the tests check exhaustively only up to n = 9; the public
+brute-force operations stay plain sweeps of S_n, its oracle.  Each
+claim's rows, its closed forms (from :mod:`pss.formulas`) against brute
+force, are then reduced from its Counter into a
 :class:`VerificationReport`.  A sweep's time is split evenly across the
 claims in it, so the claims' ``elapsed`` sum to the run's time.
 
@@ -102,7 +104,6 @@ from .perms import (
     delete_one,
     format_perm,
     identity,
-    inc,
     ins,
     successor,
     unrank,
@@ -152,14 +153,6 @@ MEMO_CAP = 10**6  # most first states one walk memo may hold; a full memo is cle
 BLOCK = 4096  # fewest permutations per rank range worth a worker process
 CHUNK = 256  # permutations per fact column; the key cap is checked after each chunk
 RUNS = "runs"  # the kind of fact beside a map's walks and states
-
-# dotted map -> the lift of S_m onto its one-pass image of S_{m+1}, w.(m+1)
-# for s12 and (w+1).1 for s21: a pass reverses each run, so the run holding
-# m+1 (s12) or 1 (s21) ends with it
-_LIFTS: dict[MapId, Callable[[Perm], Perm]] = {
-    MapId.S12: lambda w: w + (len(w) + 1,),
-    MapId.S21: lambda w: inc(w) + (1,),
-}
 
 
 def _walker(
@@ -220,9 +213,8 @@ class _Facts(dict):
       one pass, and a machine's first state is the west pass of its dotted
       stage's first state (so m12(p) and m21(p) reuse s12(p) and s21(p)).
       A later state is stored by the walk of that map.
-    * ``runs(dotted)``, key ``(dotted, RUNS, 0)``: the number of p's peak
-      runs (s12), that is of its left-to-right maxima, or of its valley
-      runs (s21), its left-to-right minima.
+    * ``runs()``, key ``(MapId.S12, RUNS, 0)``: the number of p's peak
+      runs, that is of its left-to-right maxima.
 
     A column is made, by ``map`` over the columns it reads, the first time a
     kernel reads it, so each fact is made once per p, however many kernels
@@ -248,8 +240,8 @@ class _Facts(dict):
             self._stored[map_id].append(k)
         return of if k == 0 else (map_id, k, of)
 
-    def runs(self, dotted: MapId) -> tuple:
-        return (dotted, RUNS, 0)
+    def runs(self) -> tuple:
+        return (MapId.S12, RUNS, 0)
 
     def load(self, chunk: list[Perm]) -> None:
         """Start a chunk of permutations: its columns are made as read."""
@@ -264,9 +256,8 @@ class _Facts(dict):
                 record = self._walkers[map_id] = _walker(
                     pass_fn(map_id), self.ident, self._stored.get(map_id, ()))
             column = list(map(record, self[of], self[(map_id, 1, of)]))
-        elif k == RUNS:  # the distinct prefix maxima (minima) are the left-to-right ones
-            best = max if map_id is MapId.S12 else min
-            column = list(map(len, map(set, map(accumulate, self[of], repeat(best)))))
+        elif k == RUNS:  # the distinct prefix maxima are the left-to-right ones
+            column = list(map(len, map(set, map(accumulate, self[of], repeat(max)))))
         elif k > 1:
             at = itemgetter(3 + self._stored[map_id].index(k))
             column = list(map(at, self[(map_id, None, of)]))
@@ -432,28 +423,27 @@ def _insertion_miss(facts: _Facts, t: int) -> Kernel:
 
 # -- the lifted route: orbit and image facts of S_{m+1} from a sweep of S_m --
 #
-# One pass of a dotted map reverses each of its runs, so its image of
-# S_{m+1} is the lift of S_m (``_LIFTS``), and the lift of w has 2^r
-# preimages, r = ``runs`` of w: one for each choice of cuts after the
-# lift's left-to-right maxima (s12) or minima (s21), the last cut forced.
-# The lift commutes with its dotted map, and that of s12 with west, so with
-# m12.  So the orbit of each preimage p continues as the lift of the orbit
-# of x = w (s12, s21) or x = west(w) (m12), and p's k-th state is the lift
-# of x's (k-1)-th.  A lifted kernel keys each w in S_m by what its
-# preimages share and by r; the reductions that follow multiply each count
-# by 2^r, so ``Counter.update`` stays C-level.
+# One s12 pass reverses each peak run, so its image of S_{m+1} is the lift
+# w.(m+1) of S_m, and the lift of w has 2^r preimages, r = ``runs`` of w:
+# one for each choice of cuts after the lift's left-to-right maxima, the
+# last cut forced.  The lift commutes with s12 and west, so with m12.  So
+# the orbit of each preimage p continues as the lift of the orbit of x = w
+# (s12) or x = west(w) (m12), and p's k-th state is the lift of x's
+# (k-1)-th.  A lifted kernel keys each w in S_m by what its preimages share
+# and by r; the reductions that follow multiply each count by 2^r, so
+# ``Counter.update`` stays C-level.
 
 
 def _lifted_source(facts: _Facts, map_id: MapId) -> Hashable:
-    """The column of x: w itself for a dotted map, west(w) for m12."""
-    return 0 if map_id in _LIFTS else facts.state(MapId.WEST, 1)
+    """The column of x: w itself for s12, west(w) for m12."""
+    return 0 if map_id is MapId.S12 else facts.state(MapId.WEST, 1)
 
 
 def _lifted_shape(facts: _Facts, map_id: MapId) -> Kernel:
-    """Orbit shapes of s12, s21 or m12 over S_{m+1}: x's orbit shape, r,
-    and x if it is periodic (tail 0), else None."""
+    """Orbit shapes of s12 or m12 over S_{m+1}: x's orbit shape, r, and x
+    if it is periodic (tail 0), else None."""
     x = _lifted_source(facts, map_id)
-    walk, runs = facts.walk(map_id, x), facts.runs(DOTTED_STAGE.get(map_id, map_id))
+    walk, runs = facts.walk(map_id, x), facts.runs()
     shape, tail = itemgetter(slice(3)), itemgetter(1)
     # (None, x)[tail == 0]
     return lambda cols: zip(map(shape, cols[walk]), cols[runs], map(
@@ -463,8 +453,7 @@ def _lifted_shape(facts: _Facts, map_id: MapId) -> Kernel:
 def _lifted_image(facts: _Facts, map_id: MapId, k: int) -> Kernel:
     """k-fold images of s12 or m12 over S_{m+1}, k >= 1: the (k-1)-th state
     of x's orbit, and r."""
-    state = facts.state(map_id, k - 1, _lifted_source(facts, map_id))
-    runs = facts.runs(DOTTED_STAGE.get(map_id, map_id))
+    state, runs = facts.state(map_id, k - 1, _lifted_source(facts, map_id)), facts.runs()
     return lambda cols: zip(cols[state], cols[runs])
 
 
@@ -472,19 +461,18 @@ def _shapes_from_lift(lifted: Counter, n: int, map_id: MapId) -> Counter:
     """The Counter of map_id's orbit shapes over S_n from ``_lifted_shape``'s
     over S_{n-1}.
 
-    A preimage p of x's lift has x's walk shifted by one step: its hit is
-    x's plus one (none if the lift of S_{n-1}'s identity is not S_n's, as
-    for s21), its tail x's plus one, its cycle x's.  Two kinds of p differ.
+    A preimage p of x's lift has x's walk shifted by one step, since the
+    lift of S_{n-1}'s identity is S_n's: its hit is x's plus one, its tail
+    x's plus one, its cycle x's.  Two kinds of p differ.
     One preimage of a periodic x's lift is on its cycle, so its tail is 0;
     the periodic x are counted once each, whatever number of w share them.
     And the identity's hit is 0: it is walked here, in S_n, and its first
     state reaches it again iff it is periodic, after cycle - 1 passes."""
     ident = identity(n)
-    keeps = _LIFTS[DOTTED_STAGE.get(map_id, map_id)](identity(n - 1)) == ident
     shapes: Counter = Counter()
     periodic = set()
     for ((hit, tail, cycle), runs, x), count in lifted.items():
-        hit = hit + 1 if keeps and hit is not None else None
+        hit = None if hit is None else hit + 1
         shapes[hit, tail + 1, cycle] += count << runs
         if x is not None:
             periodic.add((x, hit, cycle))
@@ -497,13 +485,12 @@ def _shapes_from_lift(lifted: Counter, n: int, map_id: MapId) -> Counter:
     return Counter({shape: c for shape, c in shapes.items() if c})
 
 
-def _images_from_lift(lifted: Counter, map_id: MapId) -> Counter:
+def _images_from_lift(lifted: Counter) -> Counter:
     """The Counter of k-fold images over S_n from ``_lifted_image``'s over
     S_{n-1}: each state lifted, each count times 2^r."""
-    lift = _LIFTS[DOTTED_STAGE.get(map_id, map_id)]
     images: Counter = Counter()
     for (state, runs), count in lifted.items():
-        images[lift(state)] += count << runs
+        images[state + (len(state) + 1,)] += count << runs
     return images
 
 
@@ -728,12 +715,24 @@ def _rows_t34(n):
 
 
 def _rows_t36(n):
-    def rows(shapes):
-        counts = _exact_counts(shapes, 2 * n)
+    """T3_6's rows from whether one s21 pass sorts p.  A t-fold image is a
+    one-pass image, and an identity that one pass fixes is its own only
+    preimage.  So if one pass sorts as many p as [s21(id) == id], found by
+    one pass on the identity, t passes sort as many for every t >= 1.
+    Otherwise the claim fails already at t = 1, and the rows read the exact
+    counts of a plain sweep of S_n's s21 orbits, so a failing row is still
+    a brute-force count."""
+    def rows(sorts):
+        ident = identity(n)
+        fixed = int(pass_fn(MapId.S21)(ident) == ident)
+        if sorts[True] == fixed:
+            counts = [fixed] * (2 * n + 1)
+        else:
+            counts = _exact_counts(_shapes(MapId.S21, n, 1, True), 2 * n)
         expected = formulas.count_t_sortable_s21(n)
         return [_count_row(n, f"t={t}", expected, counts[t]) for t in range(1, 2 * n + 1)]
 
-    return _shapes_at(n, MapId.S21, rows)
+    return n, (_sorted_by, (MapId.S21,)), rows
 
 
 def _rows_t42(n):
@@ -777,7 +776,7 @@ def _rows_t52(n):
         return [_set_row(n, f"power={k}", formulas.image_s12_power(n), set(images))]
 
     return n - 1, (_lifted_image, (MapId.S12, k)), lambda lifted: rows(
-        _images_from_lift(lifted, MapId.S12))
+        _images_from_lift(lifted))
 
 
 def _rows_l53(n):
@@ -803,17 +802,17 @@ def _rows_t54(n):
         return out
 
     return n - 1, (_lifted_image, (MapId.MACHINE12, k)), lambda lifted: rows(
-        _images_from_lift(lifted, MapId.MACHINE12))
+        _images_from_lift(lifted))
 
 
 # claim -> (least n, builder, *builder arguments).  For one n, a builder
 # gives the m of the S_m that the claim's kernel rides on, the kernel's
-# spec, and the function from the kernel's Counter to the rows.  The
+# spec, and the function from the kernel's Counter to the rows.  The nine
 # one-pass claims ride on S_n: the six that compare two things on each p,
 # whose zero-mismatch rows share one builder and differ by its arguments,
-# and T4_2 and T4_4.  The seven orbit and image claims ride on S_{n-1} by
-# the lifted route, so one sweep of S_m serves the first at m and the
-# second at m + 1.
+# and T3_6, T4_2 and T4_4.  The six s12 and m12 orbit and image claims ride
+# on S_{n-1} by the lifted route, so one sweep of S_m serves the first at m
+# and the second at m + 1.
 _CLAIMS: dict[str, tuple] = {
     "RED": (1, _zero_rows, "dot-variant mismatches", _dot_variants_differ),
     "P3_1": (1, _zero_rows, "closed vs simulated mismatches", _closed_vs_simulated, MapId.S12),

@@ -57,6 +57,11 @@ def parse(text: str) -> Perm:
         tokens = [tok.strip() for tok in text.split(",")]
         if not all(tok.isascii() and tok.isdigit() for tok in tokens):
             raise PermutationError(f"malformed token in {text!r}")
+        # a value <= n has no more digits than n; checked before int(), which
+        # refuses a token past the int-to-str digit limit
+        n, longest = len(tokens), max(len(tok.lstrip("0")) for tok in tokens)
+        if longest > len(str(n)):
+            raise PermutationError(f"a value of {longest} digits is out of range 1..{n}")
         values = [int(tok) for tok in tokens]
     else:
         if not (text.isascii() and text.isdigit()):

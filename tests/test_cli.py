@@ -1,8 +1,11 @@
 import contextlib
 import csv
+import decimal
 import io
 import json
+import math
 import os
+import sys
 import time
 from importlib import resources
 
@@ -249,6 +252,8 @@ class TestOtherCommands:
         ["image", "--map", "s12", "--n", "3", "--power", "abc"],
         ["count", "--claim", "T4_2", "--n", "0"],
         ["fixed-points", "--machine", "s12", "--n", "3"],
+        ["sort", "--map", "s12", "2," + "1" * 5000],
+        ["orbit", "--map", "s12", "2," + "1" * 5000],
     ])
     def test_bad_value_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -263,6 +268,19 @@ class TestOtherCommands:
             capsys, "count", "--claim", "T3_4", "--n", "9", "--t", "3"
         )
         assert code == 0 and out.strip() == "24576"
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_count_prints_every_digit(self, capsys, fmt):
+        """1999! has 5,733 digits, past the int-to-str limit of Python 3.11;
+        the limit is lifted for the count alone."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(
+            capsys, "count", "--claim", "C5_1_min", "--n", "2000", "--format", fmt
+        )
+        assert code == 0 and err == ""
+        digits = json.loads(out)["count"] if fmt == "json" else out.strip()
+        assert digits == str(decimal.Decimal(math.factorial(1999)))
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_count_missing_t(self, capsys):
         code, _, _ = run_cli(capsys, "count", "--claim", "T3_4", "--n", "9")

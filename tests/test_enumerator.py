@@ -659,21 +659,22 @@ def observed(value):
 
 
 class TestLiftedRoute:
-    """The seven orbit and image claims at n ride on S_{n-1}: each w there
-    stands for the 2^r preimages of its lift, with r its number of runs."""
+    """The six s12 and m12 orbit and image claims at n ride on S_{n-1}: each
+    w there stands for the 2^r preimages of its lift w.n under an s12 pass,
+    with r its number of peak runs."""
 
     @pytest.mark.parametrize("claim", PLAIN_OBSERVED)
     def test_rows_equal_the_plain_sweeps(self, claim):
         """The rows of verify(claim, n, n) read what the public operations
         read from S_n, for every n from the claim's least to 8: from the
-        lift of S_{n-1}, or for T4_2 and T4_4 from S_n itself."""
+        lift of S_{n-1}, or for T3_6, T4_2 and T4_4 from S_n itself."""
         for n in range(enumerator._CLAIMS[claim][0], 9):
             want = [observed(v) for v in PLAIN_OBSERVED[claim](n)]
             rows = verify(claim, n, n).rows
             assert [row.observed for row in rows[:len(want)]] == want, (claim, n)
             assert all(row.passed for row in rows), (claim, n)
 
-    @pytest.mark.parametrize("map_id", [MapId.S12, MapId.S21, MapId.MACHINE12])
+    @pytest.mark.parametrize("map_id", [MapId.S12, MapId.MACHINE12])
     def test_lifted_counters_are_the_plain_counters(self, map_id):
         """The reductions give the Counters of a plain sweep of S_n exactly,
         including the identity and the periodic points, which the shift by
@@ -682,19 +683,19 @@ class TestLiftedRoute:
         for n in range(1, 9):
             plain = [(enumerator._orbit_shape, (map_id,))]
             lifted = [(enumerator._lifted_shape, (map_id,))]
-            if map_id is not MapId.S21 and n > 1:
+            if n > 1:
                 plain.append((enumerator._image, (map_id, n // 2)))
                 lifted.append((enumerator._lifted_image, (map_id, n // 2)))
             shapes, *images = enumerator._tally(n, 1, plain)
             lifted_shapes, *lifted_images = enumerator._tally(n - 1, 1, lifted)
             assert enumerator._shapes_from_lift(lifted_shapes, n, map_id) == shapes, n
             for want, got in zip(images, lifted_images):
-                assert enumerator._images_from_lift(got, map_id) == want, n
+                assert enumerator._images_from_lift(got) == want, n
 
     def test_an_s_n_sweep_builds_no_walker(self, monkeypatch):
         """verify_all(6, 6) sweeps S_5 for the orbit and image claims at 6,
         with walks, and S_6 for the six per-permutation claims and the
-        one-pass claims T4_2 and T4_4, with none."""
+        one-pass claims T3_6, T4_2 and T4_4, with none."""
         built, walker = [], enumerator._walker
 
         def counting(f, ident, ks):
@@ -704,6 +705,38 @@ class TestLiftedRoute:
         monkeypatch.setattr(enumerator, "_walker", counting)
         assert all(r.overall_pass for r in verify_all(6, 6))
         assert built and set(built) == {5}
+
+    def test_no_s21_pass_on_s_n_minus_1(self, monkeypatch):
+        """P3_5, L4_1, L4_3, T4_2, T4_4 and T3_6 share one s21 column of
+        S_6, and T3_6's rows add one pass on the identity."""
+        lengths, s21 = Counter(), engine.s21_closed_form
+
+        def counting(p):
+            lengths[len(p)] += 1
+            return s21(p)
+
+        monkeypatch.setattr(engine, "s21_closed_form", counting)
+        assert all(r.overall_pass for r in verify_all(6, 6))
+        assert lengths == {6: 721}
+
+
+class TestT36Mutants:
+    """T3_6's rows are exact t-fold counts: under an s21 pass that sends some
+    permutations elsewhere (``sends``) they fail and read what a plain
+    sweep of S_5's orbits reads."""
+
+    @pytest.mark.parametrize("sends, want", [
+        ({(2, 1, 3, 4, 5): (1, 2, 3, 4, 5)}, [1] + [0] * 9),
+        ({(1, 2, 3, 4, 5): (1, 2, 3, 4, 5)}, [1] * 10),
+        ({(3, 1, 2, 4, 5): (2, 1, 3, 4, 5), (2, 1, 3, 4, 5): (1, 2, 3, 4, 5)}, [1, 1] + [0] * 8),
+    ], ids=["sorts-21345", "fixes-identity", "sorts-31245-in-two"])
+    def test_a_broken_pass_fails_with_exact_counts(self, monkeypatch, sends, want):
+        s21 = engine.s21_closed_form
+        monkeypatch.setattr(engine, "s21_closed_form", lambda p: sends.get(p) or s21(p))
+        report = verify("T3_6", 5, 5)
+        assert not report.overall_pass
+        assert exact_sortable_counts(MapId.S21, 5, 10)[1:] == want
+        assert [row.observed for row in report.rows] == [str(c) for c in want]
 
 
 class TestVerify:

@@ -1,19 +1,24 @@
-"""The four facts that let the seven orbit and image claims at n (T3_4,
-T3_6, C5_1_min, C5_1_high, T5_2, L5_3, T5_4) ride on S_{n-1}, S_0 = {()}
+"""The three facts that let the six s12 and m12 orbit and image claims at n
+(T3_4, C5_1_min, C5_1_high, T5_2, L5_3, T5_4) ride on S_{n-1}, S_0 = {()}
 at n = 1, checked exhaustively for n <= 9 on the engine's own passes (the
-one-pass claims, T4_2 and T4_4 among them, sweep S_n itself):
+one-pass claims, T3_6, T4_2 and T4_4 among them, sweep S_n itself):
 
 1. s12(S_n) is exactly the permutations that end in n.
 2. Each of them has 2^(LRmax - 1) preimages, LRmax its number of
    left-to-right maxima: cutting it after its left-to-right maxima (the
    last cut forced) and reversing each block gives them.
-3. The s21 mirror: s21(S_n) is the permutations that end in 1, each with
-   2^(LRmin - 1) preimages, by cuts after its left-to-right minima.
-4. Appending n commutes with s12 and west, so with m12; appending 1 to a
-   word on 2..n commutes with s21.
+3. Appending n commutes with s12 and west, so with m12.
 
-Facts 1 to 3 are one check per map: the cuts of the permutations ending in
-n (or 1) give distinct preimages, n! of them in all, so they are all of S_n.
+Their s21 mirror is checked too, as properties of the s21 pass that no
+sweep uses: s21(S_n) is the permutations that end in 1, each with
+2^(LRmin - 1) preimages, by cuts after its left-to-right minima, and
+appending 1 to a word on 2..n commutes with s21.  So for n >= 2 the
+identity, which does not end in 1, is no s21 image at all: T3_6 needs one
+pass only.
+
+Facts 1 and 2 and their mirror are one check per map: the cuts of the
+permutations ending in n (or 1) give distinct preimages, n! of them in all,
+so they are all of S_n.
 """
 
 import itertools

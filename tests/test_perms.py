@@ -38,6 +38,7 @@ class TestParse:
     def test_comma_form(self):
         assert parse("2,4,3,1,5") == (2, 4, 3, 1, 5)
         assert parse("2, 1") == parse(" 2 ,1 ") == (2, 1)
+        assert parse("2,01,003") == (2, 1, 3)
 
     def test_compact_form(self):
         assert parse("24315") == (2, 4, 3, 1, 5)
@@ -47,7 +48,8 @@ class TestParse:
             parse("2,2,1")
 
     @pytest.mark.parametrize("bad", ["", "  ", "1,x,3", "0", "1,3", "2,4,5,1", "²", "1²",
-                                     "١,٢", "2,1_0,3,4,5,6,7,8,9,1", "+2,1"])
+                                     "١,٢", "2,1_0,3,4,5,6,7,8,9,1", "+2,1",
+                                     pytest.param("2," + "1" * 5000, id="5000-digit-token")])
     def test_malformed_rejected(self, bad):
         with pytest.raises(PermutationError):
             parse(bad)
