@@ -19,6 +19,14 @@ generic ``run_pass`` are oracles: public, called by name, and checked
 against the default passes by the test suite and claims P3_1/P3_5.  The dot
 position of a dotted pattern never changes the push predicate:
 ``dotted_policy`` gives both dot placements of a base one predicate object.
+
+``orbit``, ``sorts_in`` and ``iterate`` pass each state of a walk without
+its settled suffix, the longest one it shares with the map's settled
+permutation (``SETTLED``): the identity for west, s12 and m12, whose tail
+k+1..n is a run of left-to-right maxima that no pass moves, and the
+decreasing permutation for s21, whose tail is a run of left-to-right
+minima.  m21 has none: its s21 stage reverses a valley run that the
+identity's tail ends, and its west stage sorts the decreasing tail.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .perms import Perm, identity
+from .perms import Perm, identity, reverse_identity
 
 
 class MapId(str, Enum):
@@ -256,6 +264,21 @@ _PASSES: dict[MapId, str] = {
 DOTTED_STAGE = {MapId.MACHINE12: MapId.S12, MapId.MACHINE21: MapId.S21}
 
 
+# map -> its settled permutation tau of length n: a state x with
+# x[k:] == tau[k:] has the image f(x[:k]) + tau[k:].  Each entry of the
+# identity's tail is a left-to-right maximum, which pops the whole west
+# stack and is a one-entry peak run of s12; each entry of the decreasing
+# tail is a left-to-right minimum, a one-entry valley run of s21.  m21 has
+# none: m21(2,1,3) = (2,1,3) where m21(2,1) + (3,) = (1,2,3), and it
+# sorts the decreasing (2,1).
+SETTLED: dict[MapId, Callable[[int], Perm]] = {
+    MapId.WEST: identity,
+    MapId.S12: identity,
+    MapId.MACHINE12: identity,
+    MapId.S21: reverse_identity,
+}
+
+
 def pass_fn(map_id: MapId) -> Callable[[Perm], Perm]:
     """The function computing one pass of the map."""
     map_id = MapId(map_id)
@@ -274,23 +297,28 @@ def iterate(map_id: MapId, p: Perm, t: int) -> Perm:
     """t-fold application; t = 0 returns ``p`` unchanged, without a pass.
     The orbit is walked with a cap of t passes (see ``_walk``), so a t past
     the tail of an orbit that closes by step t reduces modulo the cycle, and
-    the walk holds O(1) states whatever t is."""
+    the walk holds O(1) states whatever t is.  Each pass acts on the
+    state's unsettled prefix only: a suffix k+1..n for west, s12 and m12,
+    or n-k..1 for s21, is never moved again, and m21 moves both (see
+    ``SETTLED``).  The result has length n."""
     if t < 0:
         raise ValueError("iteration count must be nonnegative")
     if t == 0:
         return p
-    return _walk(pass_fn(map_id), identity(len(p)), p, t, (t,))[4][0]
+    return _settled_walk(map_id, p, t, (t,))[4][0]
 
 
 def sorts_in(map_id: MapId, p: Perm, t_max: int) -> Optional[int]:
     """Least t <= t_max with the t-fold image equal to the identity, else None.
 
     The orbit is walked for at most t_max passes, and stops early when it
-    closes (see ``_walk``).
+    closes (see ``_walk``).  Each pass acts on the state's unsettled
+    prefix only: a suffix k+1..n for west, s12 and m12, or n-k..1 for s21,
+    is never moved again, and m21 moves both (see ``SETTLED``).
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    return _walk(pass_fn(map_id), identity(len(p)), p, t_max)[0]
+    return _settled_walk(map_id, p, t_max)[0]
 
 
 # (identity hit, tail, cycle, last walked state, the k-th states asked for);
@@ -375,6 +403,36 @@ def _states(
     return tuple(got[k] if k <= step else ahead(k) for k in ks)
 
 
+def _settled_walk(
+    map_id: MapId, p: Perm, cap: Optional[int] = None, ks: Sequence[int] = (),
+) -> Walk:
+    """``_walk(pass_fn(map_id), identity(n), p, cap, ks)``, walked on
+    canonical states: a state with its longest suffix in common with the
+    map's settled permutation tau dropped (see ``SETTLED``).  The pass of
+    a canonical state is the pass of the whole state with tau's tail cut
+    off, and for a fixed n a state is its canonical state followed by
+    tau's tail, so the walk makes the same passes, compares the same
+    states and returns the same fields; its last state and k-th states are
+    extended back to length n.  A map with no settled permutation is
+    walked whole."""
+    map_id = MapId(map_id)
+    f, ident = pass_fn(map_id), identity(len(p))
+    if map_id not in SETTLED:
+        return _walk(f, ident, p, cap, ks)
+    tau = SETTLED[map_id](len(p))
+
+    def strip(x: Perm) -> Perm:
+        k = len(x)
+        while k and x[k - 1] == tau[k - 1]:
+            k -= 1
+        return x[:k]
+
+    hit, tail, cycle, last, states = _walk(
+        lambda x: strip(f(x)), strip(ident), strip(p), cap, ks)
+    return (hit, tail, cycle, last + tau[len(last):],
+            tuple(x + tau[len(x):] for x in states))
+
+
 @dataclass(frozen=True)
 class OrbitReport:
     tail_length: int
@@ -385,6 +443,9 @@ class OrbitReport:
 
 def orbit(map_id: MapId, p: Perm) -> OrbitReport:
     """Iterate until a state recurs; report the tail length, cycle length,
-    and the first step at which the identity appears (if it does)."""
-    hit, tail, cycle = _walk(pass_fn(map_id), identity(len(p)), p)[:3]
+    and the first step at which the identity appears (if it does).  Each
+    pass acts on the state's unsettled prefix only: a suffix k+1..n for
+    west, s12 and m12, or n-k..1 for s21, is never moved again, and m21
+    moves both (see ``SETTLED``)."""
+    hit, tail, cycle = _settled_walk(map_id, p)[:3]
     return OrbitReport(tail, cycle, hit, tail == 0)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import sys
 import time
 from importlib import resources
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pss.cli import build_parser, main
-from pss.engine import MapId
+from pss.engine import MapId, apply
 from pss.enumerator import CLAIM_IDS
 from pss.perms import parse
 
@@ -78,6 +79,29 @@ class TestSort:
         code, out, _ = run_cli(capsys, "sort", "--map", map_id, "--times", "100000000", "3,1,2")
         assert code == 0 and out == want
         assert time.monotonic() - start < 10
+
+    @pytest.mark.parametrize("map_id", [m.value for m in MapId])
+    def test_long_states_come_back_whole(self, capsys, map_id):
+        """The walk drops a settled suffix from each state; the printed
+        state has all n entries, as t passes of ``apply`` give them.  Each
+        orbit here ends on a fixed point, so a t past the tail reads it."""
+        n, times = 1500, (1, 2, 37, 10**8)
+        p = list(range(1, n + 1))
+        random.Random(1500).shuffle(p)
+        want, x = {}, tuple(p)
+        for step in range(1, 4 * n):
+            y = apply(MapId(map_id), x)
+            if step in times:
+                want[step] = y
+            if y == x:
+                break
+            x = y
+        else:
+            pytest.fail("no fixed point within 4n passes")
+        for t in times:
+            code, out, _ = run_cli(capsys, "sort", "--map", map_id, "--times", str(t),
+                                   ",".join(map(str, p)))
+            assert code == 0 and parse(out.strip()) == want.get(t, y), (map_id, t)
 
     def test_negative_times_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sort", "--map", "s12", "--times", "-1", "2,1")
@@ -237,6 +261,14 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert code == 0
         assert doc["tail_length"] == 0 and doc["is_periodic_point"] is True
+
+    def test_long_rotation_orbit_json(self, capsys):
+        """The rotation 2..n,1 settles one entry per s12 pass."""
+        rotation = ",".join(map(str, [*range(2, 2001), 1]))
+        code, out, _ = run_cli(capsys, "orbit", "--map", "s12", "--format", "json", rotation)
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["tail_length"], doc["cycle_length"], doc["reaches_identity_at"]) == (1999, 1, 1999)
 
     def test_witness_check(self, capsys):
         code, out, _ = run_cli(

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pss import engine
 from pss.engine import (
+    SETTLED,
     DottedPattern,
     MapId,
+    _PASSES,
+    _settled_walk,
     _walk,
     apply,
     dotted_policy,
@@ -438,6 +442,102 @@ class TestWalk:
                 assert (passes, closed) == (oracle_passes, oracle_closed), (p, cap)
 
 
+class TestSettledSuffix:
+    """``SETTLED``: a state that ends in its map's settled permutation's
+    tail past k is mapped to the pass of its first k entries, followed by
+    that tail.  The walks drop that tail from every state."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("map_id", sorted(SETTLED))
+    def test_no_pass_moves_the_settled_tail(self, map_id, n):
+        f, tau = pass_fn(map_id), SETTLED[map_id](n)
+        for x in all_perms(n):
+            fx, k = f(x), n
+            while k and x[k - 1] == tau[k - 1]:
+                k -= 1
+            for j in range(k, n):
+                assert fx == f(x[:j]) + tau[j:], (map_id, x, j)
+
+    def test_the_table(self):
+        assert SETTLED[MapId.S21](4) == reverse_identity(4)
+        for map_id in (MapId.WEST, MapId.S12, MapId.MACHINE12):
+            assert SETTLED[map_id](4) == identity(4)
+        assert MapId.MACHINE21 not in SETTLED
+
+    @pytest.mark.parametrize("map_id, x, k, image, tail", [
+        (MapId.MACHINE21, (2, 1, 3), 2, (2, 1, 3), identity),
+        (MapId.MACHINE21, (2, 1), 0, (1, 2), reverse_identity),
+        (MapId.S21, (1, 2), 1, (2, 1), identity),
+        (MapId.WEST, (2, 1), 0, (1, 2), reverse_identity),
+        (MapId.S12, (2, 1), 0, (1, 2), reverse_identity),
+        (MapId.MACHINE12, (2, 1), 0, (1, 2), reverse_identity),
+    ])
+    def test_witnesses_that_a_tail_moves(self, map_id, x, k, image, tail):
+        """No other tail could stand in the table: each state ends in the
+        tail past k, but its image is not the pass of x[:k] followed by
+        that tail."""
+        f = pass_fn(map_id)
+        assert x[k:] == tail(len(x))[k:]
+        assert f(x) == image != f(x[:k]) + x[k:]
+
+
+def counted_passes(monkeypatch):
+    """Count the calls to each pass by name, and the entries passed."""
+    calls = {"passes": 0, "entries": 0}
+    for name in set(_PASSES.values()):
+        def counted(p, f=getattr(engine, name)):
+            calls["passes"] += 1
+            calls["entries"] += len(p)
+            return f(p)
+        monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+class TestSettledWalk:
+    """``_settled_walk`` is the plain walk, field for field, with the same
+    passes on shorter states."""
+
+    LENGTHS = (1, 2, 3, 4, 7, 16, 41, 100, 333, 1000)
+
+    @pytest.mark.parametrize("map_id", list(MapId))
+    def test_it_is_the_plain_walk(self, map_id, monkeypatch):
+        calls = counted_passes(monkeypatch)
+        rng = random.Random(20)
+        for n in self.LENGTHS:
+            p = shuffled(n, rng.randrange(2**31))
+            ident = identity(n)
+            for cap in (None, 0, 1, n // 2, 2 * n):
+                # k-th states up to and past the tail, and past the cap
+                ks = [k for k in (0, 1, 2, n // 2, n - 1, n, n + 5, 2 * n, 10**6)
+                      if cap is None or k <= cap]
+                calls["passes"] = 0
+                want = _walk(pass_fn(map_id), ident, p, cap, ks)
+                passes = calls["passes"]
+                calls["passes"] = 0
+                got = _settled_walk(map_id, p, cap, ks)
+                assert got == want, (map_id, n, cap)
+                assert calls["passes"] == passes, (map_id, n, cap)
+
+    @pytest.mark.parametrize("map_id", sorted(SETTLED))
+    def test_a_settled_map_passes_fewer_entries(self, map_id, monkeypatch):
+        """The rotation 2..n,1 (its complement for s21) settles one more
+        entry with each pass: the walk passes about half the entries of
+        the plain one."""
+        calls, n = counted_passes(monkeypatch), 300
+        p = rotation(n) if SETTLED[map_id] is identity else complement(rotation(n))
+        _walk(pass_fn(map_id), identity(n), p)
+        plain, calls["entries"] = calls["entries"], 0
+        _settled_walk(map_id, p)
+        assert calls["entries"] < 0.6 * plain, (map_id, calls["entries"], plain)
+
+    def test_an_unsettled_map_passes_whole_states(self, monkeypatch):
+        calls, p = counted_passes(monkeypatch), shuffled(300, 3)
+        _walk(pass_fn(MapId.MACHINE21), identity(300), p)
+        plain, calls["entries"] = calls["entries"], 0
+        _settled_walk(MapId.MACHINE21, p)
+        assert calls["entries"] == plain
+
+
 class TestBoundedMemory:
     """A walk holds O(1) states however long the orbit: at n = 600 the dict
     walk held 1.4 to 2.8 MiB."""
@@ -455,7 +555,9 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("name", ["orbit-s12", "orbit-s21", "sorts_in-west", "iterate-s12"])
+    @pytest.mark.parametrize("name", [
+        "orbit-s12", "orbit-s21", "orbit-m12", "sorts_in-west", "sorts_in-m21", "iterate-s12",
+    ])
     def test_long_orbit_peak(self, name):
         n = self.N
         p = list(range(1, n + 1))
@@ -464,7 +566,9 @@ class TestBoundedMemory:
         walk = {
             "orbit-s12": lambda: orbit(MapId.S12, p),
             "orbit-s21": lambda: orbit(MapId.S21, p),
+            "orbit-m12": lambda: orbit(MapId.MACHINE12, p),
             "sorts_in-west": lambda: sorts_in(MapId.WEST, p, n - 1),
+            "sorts_in-m21": lambda: sorts_in(MapId.MACHINE21, p, 2 * n),
             "iterate-s12": lambda: iterate(MapId.S12, p, 10**6),
         }[name]
         assert self.peak_bytes(walk) < self.LIMIT
