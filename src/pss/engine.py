@@ -152,44 +152,53 @@ def run_pass(
 
 
 def s12_simulated(p: Perm) -> Perm:
-    """Simulated base-12 dotted pass with an O(1) predicate: a parallel stack
-    of prefix maxima stands in for the existence scan."""
+    """Simulated base-12 dotted pass with an O(1) predicate.
+
+    An entry is pushed only onto an empty stack or below a larger entry,
+    so the bottom of the stack is always its largest entry, and "some
+    stack entry exceeds v" reads ``stack[0] > v``.  The stack still pushes
+    and pops one entry at a time, as ``run_pass`` with the base-12
+    predicate does."""
     stack: list[int] = []
-    maxes: list[int] = []
     out: list[int] = []
     for v in p:
-        while stack and maxes[-1] <= v:
+        while stack and stack[0] < v:
             out.append(stack.pop())
-            maxes.pop()
         stack.append(v)
-        maxes.append(v if not maxes or v > maxes[-1] else maxes[-1])
     out.extend(reversed(stack))
     return tuple(out)
 
 
 def s21_simulated(p: Perm) -> Perm:
-    """Simulated base-21 dotted pass; prefix minima replace the scan."""
+    """Simulated base-21 dotted pass: as ``s12_simulated``, an entry is
+    pushed only onto an empty stack or below a smaller entry, so the bottom
+    of the stack is its smallest entry and the predicate reads
+    ``stack[0] < v``."""
     stack: list[int] = []
-    mins: list[int] = []
     out: list[int] = []
     for v in p:
-        while stack and mins[-1] >= v:
+        while stack and stack[0] > v:
             out.append(stack.pop())
-            mins.pop()
         stack.append(v)
-        mins.append(v if not mins or v < mins[-1] else mins[-1])
     out.extend(reversed(stack))
     return tuple(out)
 
 
 def west_pass(p: Perm) -> Perm:
-    stack: list[int] = []
+    """The classical stack sort of a permutation of 1..n: pop while the top
+    is below the next entry, then push it.  The stack sits on a sentinel
+    n + 1 that no entry exceeds, and its top is kept in a local, so the
+    loop never tests for an empty stack."""
+    stack = [len(p) + 1]
+    top = stack[0]
     out: list[int] = []
     for v in p:
-        while stack and stack[-1] < v:
+        while top < v:
             out.append(stack.pop())
+            top = stack[-1]
         stack.append(v)
-    out.extend(reversed(stack))
+        top = v
+    out.extend(stack[:0:-1])
     return tuple(out)
 
 

@@ -63,10 +63,13 @@ force, are then reduced from its Counter into a
 :class:`VerificationReport`.  A sweep's time is split evenly across the
 claims in it, so the claims' ``elapsed`` sum to the run's time.
 
-The sweep walks half-open rank ranges with the lexicographic successor
-(unranking happens only at range starts).  S_n is cut into one range per
-job, but no more ranges than it has blocks of ``BLOCK`` permutations, and
-the ranges go to worker processes, so a worker's walk memos last for its
+The sweep takes half-open rank ranges in lexicographic order as chains of
+blocks (see ``iter_range``): a block is one head followed by each
+arrangement of an increasing tail, made by ``itertools.permutations``
+with no Python code per permutation, so unranking happens only at range
+starts and ``successor`` only at block starts.  S_n is cut into one range
+per job, but into no more than ceil(n! / ``BLOCK``) ranges, and the
+ranges go to worker processes, so a worker's walk memos last for its
 whole share of S_n; an S_n of at most ``BLOCK`` permutations is one range
 and starts no pool.  The per-range Counters are summed, so the outcome is
 identical for any worker count.  Pool tasks carry only ints, ``MapId``
@@ -81,7 +84,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, permutations, repeat
 from operator import eq, getitem, itemgetter, ne, not_
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -140,10 +143,33 @@ def split_ranges(n: int, parts: int) -> list[RankRange]:
 
 
 def iter_range(r: RankRange) -> Iterator[Perm]:
-    p = unrank(r.n, r.lo) if r.lo < r.hi else None
-    for _ in range(r.hi - r.lo):
-        yield p  # type: ignore[misc]
-        p = successor(p)  # type: ignore[arg-type]
+    """The permutations of ranks lo..hi-1 of S_n, in lexicographic order.
+
+    The range is a chain of blocks.  A permutation p whose last k entries
+    increase starts the block of the k! permutations that share its first
+    n - k entries: those entries followed by each permutation of its last
+    k, which ``itertools.permutations`` of the increasing tail yields in
+    lexicographic order.  Each block takes the largest such k with k! no
+    more than the ranks left, and the next block starts at the successor
+    of the block's last permutation, its head followed by its tail
+    reversed.  So a range costs one ``unrank`` and one ``successor`` per
+    block, a block costs one C-level ``map`` over ``permutations``, and
+    the iterator holds O(n) entries."""
+    return chain.from_iterable(_blocks(r.n, r.lo, r.hi - r.lo))
+
+
+def _blocks(n: int, lo: int, left: int) -> Iterator[Iterator[Perm]]:
+    p = unrank(n, lo) if left else ()
+    while left:
+        k, size = min(n, 1), 1  # S_0's one block is the empty tuple
+        while k < n and p[n - k - 1] < p[n - k] and size * (k + 1) <= left:
+            k += 1
+            size *= k
+        head, tail = p[:n - k], p[n - k:]
+        yield map(head.__add__, permutations(tail))
+        left -= size
+        if left:
+            p = successor(head + tail[::-1])  # type: ignore[assignment]
 
 
 # -- the sweep primitive -----------------------------------------------------

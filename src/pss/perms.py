@@ -115,7 +115,7 @@ def delete_one(p: Perm) -> Perm:
     """Remove the entry 1 and decrement the rest; inverse of every ins(p, i)."""
     if len(p) < 2:
         raise PermutationError("cannot delete from a singleton permutation")
-    return tuple(v - 1 for v in p if v != 1)
+    return tuple([v - 1 for v in p if v != 1])
 
 
 def peaks(p: Perm) -> tuple[int, ...]:
@@ -253,5 +253,7 @@ def successor(p: Perm) -> Optional[Perm]:
 
 def all_perms(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic order (``itertools.permutations`` of a
-    sorted input), independent of ``successor``."""
+    sorted input), independent of ``successor``.  The sweeps' rank ranges
+    are blocks of ``itertools.permutations`` too, so their tests compare
+    them with a walk of ``successor``."""
     return itertools.permutations(identity(n))

@@ -234,6 +234,19 @@ class TestWest:
         for p in all_perms(n):
             assert west_pass(p) == west_recursive(p)
 
+    @given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(1, n + 1)).map(tuple)))
+    @settings(max_examples=200)
+    def test_oracles_agree_random(self, p):
+        assert west_pass(p) == west_recursive(p) == run_pass(p, west_policy())[0]
+
+    @given(near_sorted_st)
+    def test_oracles_agree_near_sorted(self, p):
+        assert west_pass(p) == west_recursive(p) == run_pass(p, west_policy())[0]
+
+    @pytest.mark.parametrize("p", [(), (1,)])
+    def test_shortest(self, p):
+        assert west_pass(p) == west_recursive(p) == run_pass(p, west_policy())[0] == p
+
 
 class TestApply:
     def test_machine12_anchor(self):

@@ -42,8 +42,21 @@ from pss.enumerator import (
     verify_all,
 )
 from pss.guard import GuardExceeded
-from pss.perms import PermutationError, all_perms, format_perm, identity, peak_runs, valley_runs
+from pss.perms import (
+    PermutationError, all_perms, format_perm, identity, peak_runs, rank, successor, unrank, valley_runs,
+)
 from walk_oracle import dict_walk, state_at, synthetic_map
+
+
+def successor_walk(n, lo, hi):
+    """Ranks lo..hi-1 of S_n by unranking lo and stepping ``successor``:
+    the oracle for ``iter_range``."""
+    out, p = [], unrank(n, lo) if lo < hi else None
+    for _ in range(hi - lo):
+        out.append(p)
+        p = successor(p)
+    return out
+
 
 CLAIMS = (
     "RED", "P3_1", "P3_5", "L3_3", "T3_4", "T3_6", "L4_1", "T4_2",
@@ -69,6 +82,57 @@ class TestRangeIteration:
         assert ranges[0].lo == 0 and ranges[-1].hi == 24
         visited = [p for r in ranges for p in iter_range(r)]
         assert visited == list(all_perms(4))
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_ranges_equal_the_successor_walk(self, n):
+        """Seeded random ranges, with edges on and beside each block size
+        k!, single ranks and empty ranges, against the successor walk."""
+        total = math.factorial(n)
+        rng = random.Random(n)
+        bounds = [(0, total), (0, 0), (total, total)]
+        for k in range(1, n + 1):
+            f = math.factorial(k)
+            for edge in (f - 1, f, f + 1, total - f):
+                if 0 <= edge <= total:
+                    bounds += [(edge, min(total, edge + rng.randint(0, 2 * f))),
+                               (max(0, edge - rng.randint(0, 2 * f)), edge)]
+        for _ in range(40):
+            lo = rng.randrange(total + 1)
+            hi = min(total, lo + int(total ** rng.random()))
+            bounds += [(lo, lo), (lo, min(lo + 1, total)), (lo, hi)]
+        for lo, hi in bounds:
+            assert list(iter_range(RankRange(n, lo, hi))) == successor_walk(n, lo, hi), (lo, hi)
+
+    def test_long_range_equals_the_successor_walk(self):
+        """100 ranks of S_1000 from a random permutation."""
+        rng = random.Random(1000)
+        p = list(range(1, 1001))
+        rng.shuffle(p)
+        lo = rank(tuple(p))
+        assert list(iter_range(RankRange(1000, lo, lo + 100))) == successor_walk(1000, lo, lo + 100)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 12])
+    def test_one_successor_per_block(self, n, monkeypatch):
+        """All of S_n is one block.  A range takes blocks of k! ranks with
+        k rising up to an aligned rank and then falling, at most k blocks
+        of each size, so fewer than n^2 blocks."""
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return successor(p)
+
+        monkeypatch.setattr(enumerator, "successor", counting)
+        if n <= 8:
+            assert sum(1 for _ in iter_range(RankRange(n, 0, math.factorial(n)))) == math.factorial(n)
+            assert calls == []
+        rng = random.Random(n)
+        span = min(5000, math.factorial(n) // 2)
+        for _ in range(10):
+            lo = rng.randrange(math.factorial(n) - span)
+            calls.clear()
+            assert sum(1 for _ in iter_range(RankRange(n, lo, lo + span))) == span
+            assert len(calls) < n * n, lo
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
