@@ -25,6 +25,7 @@ from .engine import (
     west_recursive,
 )
 from .enumerator import (
+    GuardExceeded,
     RankRange,
     Row,
     VerificationReport,
@@ -39,7 +40,6 @@ from .enumerator import (
     verify,
     verify_all,
 )
-from .guard import GuardExceeded, brute_guard
 from .perms import (
     Perm,
     PermutationError,

@@ -26,7 +26,7 @@ from .engine import (
     run_pass,
     west_policy,
 )
-from .guard import GuardExceeded
+from .enumerator import GuardExceeded
 from .perms import PermutationError, format_perm, parse, peak_runs, valley_runs
 
 MAP_CHOICES = [m.value for m in MapId]
@@ -212,6 +212,10 @@ def cmd_witness(args) -> int:
     return 0
 
 
+# largest --n of ``pss count``: every count is then at most 1000!, 2,568
+# digits, and T4_4's recurrence, about cubic in n, takes seconds
+COUNT_N_MAX = 1000
+
 # claim -> closed-form count, called with (n, t) for T3_4 and with (n) otherwise
 _COUNTS = {
     "T3_4": formulas.count_t_sortable_s12,
@@ -235,6 +239,8 @@ def cmd_count(args) -> int:
         raise UsageError("claim T3_4 requires --t")
     if not takes_t and args.t is not None:
         raise UsageError(f"--t applies only to claim T3_4, not {args.claim}")
+    if not 1 <= args.n <= COUNT_N_MAX:
+        raise UsageError(f"--n must be in 1..{COUNT_N_MAX}, got {args.n}")
     try:
         value = _COUNTS[args.claim](*((args.n, args.t) if takes_t else (args.n,)))
     except ValueError as exc:

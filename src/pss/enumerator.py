@@ -53,7 +53,8 @@ column; and T3_6, which reads the s21 column of P3_5, since every t-fold
 s21 image is a one-pass image.  The six s12 and m12 orbit and image claims
 ride on S_{n-1} by the lifted route (see its section), S_0 = {()} at
 n = 1: each w in S_{n-1} stands for the 2^r preimages of its lift under
-an s12 pass.  So the sweep of S_m serves the first kind at m and the
+an s12 pass, a weight that only the orbit shapes read, as the image claims
+compare sets.  So the sweep of S_m serves the first kind at m and the
 second at m + 1, and the sweep of the largest S_n makes first passes only
 and holds no walk.  The route rests on three facts about the passes,
 which the tests check exhaustively only up to n = 9; the public
@@ -100,7 +101,6 @@ from .engine import (
     s21_simulated,
     _walk,
 )
-from .guard import GuardExceeded, check_guard
 from .perms import (
     Perm,
     PermutationError,
@@ -174,11 +174,25 @@ def _blocks(n: int, lo: int, left: int) -> Iterator[Iterator[Perm]]:
 
 # -- the sweep primitive -----------------------------------------------------
 
+GUARD = 12  # largest n swept unless forced: 12! is about 4.8e8 permutations
 KEY_CAP = 10**6  # most distinct keys one sweep may hold
 MEMO_CAP = 10**6  # most first states one walk memo may hold; a full memo is cleared
 BLOCK = 4096  # fewest permutations per rank range worth a worker process
 CHUNK = 256  # permutations per fact column; the key cap is checked after each chunk
 RUNS = "runs"  # the kind of fact beside a map's walks and states
+
+
+class GuardExceeded(ValueError):
+    """An exhaustive sweep was requested above ``GUARD`` or holds more than
+    ``KEY_CAP`` distinct keys."""
+
+
+def check_guard(n: int, force: bool = False) -> None:
+    if n > GUARD and not force:
+        raise GuardExceeded(
+            f"exhaustive sweep over S_{n} exceeds the guard (n <= {GUARD}); "
+            "pass force (--force on the command line) to override"
+        )
 
 
 def _walker(
@@ -192,13 +206,7 @@ def _walker(
     ``bytes(q)``; a memo of ``MEMO_CAP`` summaries is cleared.  p's hit and
     tail are q's shifted by one and its cycle is q's, unless p is q's last
     walked state: q is then periodic and p lies on its cycle, so p's walk
-    has tail 0 and q's cycle.
-
-    If f fixes the identity, asked once here, a walk steps from the identity
-    to itself without a pass, so a walk that reaches it closes there."""
-    step = f
-    if f(ident) == ident:
-        step = lambda x: x if x == ident else f(x)
+    has tail 0 and q's cycle."""
     before = [k - 1 for k in ks]
     memo: dict[bytes, tuple] = {}
     interned: dict[tuple, tuple] = {}
@@ -207,7 +215,7 @@ def _walker(
         if len(memo) >= MEMO_CAP:
             memo.clear()
             interned.clear()
-        hit, tail, cycle, last, states = _walk(step, ident, q, None, before)
+        hit, tail, cycle, last, states = _walk(f, ident, q, None, before)
         s = (hit, tail, cycle, last if tail == 0 else None, *states)
         return interned.setdefault(s, s)
 
@@ -455,9 +463,10 @@ def _insertion_miss(facts: _Facts, t: int) -> Kernel:
 # last cut forced.  The lift commutes with s12 and west, so with m12.  So
 # the orbit of each preimage p continues as the lift of the orbit of x = w
 # (s12) or x = west(w) (m12), and p's k-th state is the lift of x's
-# (k-1)-th.  A lifted kernel keys each w in S_m by what its preimages share
-# and by r; the reductions that follow multiply each count by 2^r, so
-# ``Counter.update`` stays C-level.
+# (k-1)-th.  The shape kernel keys each w in S_m by what its preimages share
+# and by r, and its reduction multiplies each count by 2^r, so
+# ``Counter.update`` stays C-level.  An image claim compares sets, so the
+# image kernel keys w by the state alone.
 
 
 def _lifted_source(facts: _Facts, map_id: MapId) -> Hashable:
@@ -478,9 +487,8 @@ def _lifted_shape(facts: _Facts, map_id: MapId) -> Kernel:
 
 def _lifted_image(facts: _Facts, map_id: MapId, k: int) -> Kernel:
     """k-fold images of s12 or m12 over S_{m+1}, k >= 1: the (k-1)-th state
-    of x's orbit, and r."""
-    state, runs = facts.state(map_id, k - 1, _lifted_source(facts, map_id)), facts.runs()
-    return lambda cols: zip(cols[state], cols[runs])
+    of x's orbit."""
+    return itemgetter(facts.state(map_id, k - 1, _lifted_source(facts, map_id)))
 
 
 def _shapes_from_lift(lifted: Counter, n: int, map_id: MapId) -> Counter:
@@ -511,13 +519,10 @@ def _shapes_from_lift(lifted: Counter, n: int, map_id: MapId) -> Counter:
     return Counter({shape: c for shape, c in shapes.items() if c})
 
 
-def _images_from_lift(lifted: Counter) -> Counter:
-    """The Counter of k-fold images over S_n from ``_lifted_image``'s over
-    S_{n-1}: each state lifted, each count times 2^r."""
-    images: Counter = Counter()
-    for (state, runs), count in lifted.items():
-        images[state + (len(state) + 1,)] += count << runs
-    return images
+def _images_from_lift(lifted: Counter) -> set[Perm]:
+    """The set of k-fold images over S_n from ``_lifted_image``'s Counter
+    over S_{n-1}: each state lifted."""
+    return {s + (len(s) + 1,) for s in lifted}
 
 
 # -- public brute-force operations -------------------------------------------
@@ -771,7 +776,7 @@ def _rows_t42(n):
 
 def _rows_t44(n):
     def rows(points):
-        observed = len(_fixed(points))
+        observed = len(points) - (None in points)
         return [_count_row(n, "fixed points", formulas.count_machine21_fixed_points(n), observed)]
 
     return n, (_fixed_point, (MapId.MACHINE21,)), rows
@@ -799,7 +804,7 @@ def _rows_t52(n):
     k = formulas.s12_terminal_power(n)
 
     def rows(images):
-        return [_set_row(n, f"power={k}", formulas.image_s12_power(n), set(images))]
+        return [_set_row(n, f"power={k}", formulas.image_s12_power(n), images)]
 
     return n - 1, (_lifted_image, (MapId.S12, k)), lambda lifted: rows(
         _images_from_lift(lifted))
@@ -819,7 +824,7 @@ def _rows_t54(n):
     k = formulas.machine12_terminal_power(n)
 
     def rows(images):
-        out = [_set_row(n, f"power={k}", formulas.image_machine12(n), set(images))]
+        out = [_set_row(n, f"power={k}", formulas.image_machine12(n), images)]
         families = ["even"] if n % 2 == 0 else ["cycle", "pi213", "pi132", "pi312"]
         for fam in families:
             _, target, actual = formulas.machine12_witness_check(fam, n)

@@ -208,13 +208,15 @@ def contains_pattern(p: Perm, q: Perm) -> bool:
 
 
 def rank(p: Perm) -> int:
-    """Lexicographic position of ``p`` within S_n, counting from 0."""
+    """Lexicographic position of ``p`` within S_n, counting from 0: its
+    digits in the factorial number system, the i-th (from 0) the number of
+    later entries smaller than p[i], read by Horner's rule."""
     n = len(p)
     r = 0
     remaining = sorted(p)
     for i, v in enumerate(p):
         j = remaining.index(v)
-        r += j * math.factorial(n - 1 - i)
+        r = r * (n - i) + j
         remaining.pop(j)
     return r
 
@@ -225,13 +227,12 @@ def unrank(n: int, r: int) -> Perm:
         raise PermutationError("length must be >= 0")
     if not 0 <= r < math.factorial(n):
         raise ValueError(f"rank {r} out of range for S_{n}")
+    digits = []  # r in the factorial number system, least significant first
+    for i in range(1, n + 1):
+        r, j = divmod(r, i)
+        digits.append(j)
     remaining = list(range(1, n + 1))
-    out = []
-    for i in range(n, 0, -1):
-        f = math.factorial(i - 1)
-        j, r = divmod(r, f)
-        out.append(remaining.pop(j))
-    return tuple(out)
+    return tuple(remaining.pop(j) for j in reversed(digits))
 
 
 def successor(p: Perm) -> Optional[Perm]:

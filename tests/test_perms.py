@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -203,6 +204,17 @@ class TestRanking:
             chain.append(nxt)
         assert chain == list(all_perms(n)) == sorted(chain)
         assert len(chain) == math.factorial(n)
+
+    def test_long_permutations(self):
+        """At n = 1000 a rank has 2,568 digits: round trips, the successor
+        one rank on, and the last rank the decreasing permutation."""
+        rng = random.Random(1000)
+        for _ in range(5):
+            p = tuple(rng.sample(range(1, 1001), 1000))
+            r = rank(p)
+            assert unrank(1000, r) == p
+            assert rank(successor(p)) == r + 1
+        assert unrank(1000, math.factorial(1000) - 1) == reverse_identity(1000)
 
 
 def test_perm_validation():
