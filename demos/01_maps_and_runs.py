@@ -30,6 +30,6 @@ print("west pass:       ", format_perm(west_pass(p)))
 
 print("\npush/pop log of the base-12 pass:")
 out, trace = run_pass(p, dotted_policy(DottedPattern(12, 1)), want_trace=True)
-for e in trace.events:
-    print(f"  step {e.step:2d}  {e.op:4s} {e.value}")
+for step, e in enumerate(trace.events):
+    print(f"  step {step:2d}  {e.op:4s} {e.value}")
 print("output:", format_perm(out))

@@ -64,7 +64,6 @@ class DottedPattern:
 class TraceEvent:
     op: str  # "push" | "pop"
     value: int
-    step: int
 
 
 @dataclass(frozen=True)
@@ -123,27 +122,25 @@ def run_pass(
     Repeatedly: if input remains and the policy permits, push the next input
     value; otherwise pop the top to the output.  Once the input is exhausted
     the stack is flushed top-to-bottom.  The policy sees the stack as
-    stored, bottom to top, with the top last.
+    stored, bottom to top, with the top last.  With ``want_trace`` the
+    pushes and pops are also returned in order; an event's step is its
+    index.
     """
     stack: list[int] = []
     out: list[int] = []
     events: list[TraceEvent] = []
-    step = 0
     for v in p:
         while stack and not policy(stack, v):
             out.append(stack.pop())
             if want_trace:
-                events.append(TraceEvent("pop", out[-1], step))
-                step += 1
+                events.append(TraceEvent("pop", out[-1]))
         stack.append(v)
         if want_trace:
-            events.append(TraceEvent("push", v, step))
-            step += 1
+            events.append(TraceEvent("push", v))
     while stack:
         out.append(stack.pop())
         if want_trace:
-            events.append(TraceEvent("pop", out[-1], step))
-            step += 1
+            events.append(TraceEvent("pop", out[-1]))
     result = tuple(out)
     return result, (StackTrace(tuple(events)) if want_trace else None)
 
@@ -303,17 +300,15 @@ def apply(map_id: MapId, p: Perm) -> Perm:
 
 
 def iterate(map_id: MapId, p: Perm, t: int) -> Perm:
-    """t-fold application; t = 0 returns ``p`` unchanged, without a pass.
-    The orbit is walked with a cap of t passes (see ``_walk``), so a t past
-    the tail of an orbit that closes by step t reduces modulo the cycle, and
-    the walk holds O(1) states whatever t is.  Each pass acts on the
-    state's unsettled prefix only: a suffix k+1..n for west, s12 and m12,
-    or n-k..1 for s21, is never moved again, and m21 moves both (see
+    """t-fold application.  The orbit is walked with a cap of t passes (see
+    ``_walk``), so t = 0 is a walk that makes no pass and returns p, a t
+    past the tail of an orbit that closes by step t reduces modulo the
+    cycle, and the walk holds O(1) states whatever t is.  Each pass acts on
+    the state's unsettled prefix only: a suffix k+1..n for west, s12 and
+    m12, or n-k..1 for s21, is never moved again, and m21 moves both (see
     ``SETTLED``).  The result has length n."""
     if t < 0:
         raise ValueError("iteration count must be nonnegative")
-    if t == 0:
-        return p
     return _settled_walk(map_id, p, t, (t,))[4][0]
 
 

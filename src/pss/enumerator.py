@@ -10,11 +10,11 @@ list of that fact for each p of the chunk.  A top-level *kernel factory*
 ``make_kernel(facts, *params)`` asks ``facts`` for the keys its kernel
 reads: orbit walks (the first step at the identity, tail and cycle of the
 engine's one walker) and k-th states of orbits, of p or of the entries of
-another column, and p's number of runs.  The kernel maps the facts of a
-chunk to an iterable of hashable keys, one per permutation in the chunk's
-order, mostly C-level ``map`` calls over ``operator`` functions; each
-Counter is then advanced by ``Counter.update(kernel(facts))`` and its
-size checked against ``KEY_CAP`` after every chunk.  A column is made, with
+another column.  The kernel maps the facts of a chunk to an iterable of
+hashable keys, one per permutation in the chunk's order, mostly C-level
+``map`` calls over ``operator`` functions; each Counter is then advanced
+by ``Counter.update(kernel(facts))`` and its size checked against
+``KEY_CAP`` after every chunk.  A column is made, with
 ``map`` over the columns it reads, the first time a kernel reads it, so
 each fact is made once per permutation however many kernels read it.  A
 first state is one pass, shared by every kernel and walk of that map.
@@ -70,22 +70,24 @@ arrangement of an increasing tail, made by ``itertools.permutations``
 with no Python code per permutation, so unranking happens only at range
 starts and ``successor`` only at block starts.  S_n is cut into one range
 per job, but into no more than ceil(n! / ``BLOCK``) ranges, and the
-ranges go to worker processes, so a worker's walk memos last for its
-whole share of S_n; an S_n of at most ``BLOCK`` permutations is one range
-and starts no pool.  The per-range Counters are summed, so the outcome is
-identical for any worker count.  Pool tasks carry only ints, ``MapId``
-values and module-level functions, so they pickle under any start method.
+ranges go to worker processes, at most one per core, so a worker's walk
+memos last for its whole share of S_n; an S_n of at most ``BLOCK``
+permutations is one range and starts no pool.  The per-range Counters are
+summed, so the outcome is identical for any worker count.  Pool tasks
+carry only ints, ``MapId`` values and module-level functions, so they
+pickle under any start method.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice, permutations, repeat
+from itertools import chain, islice, permutations, repeat
 from operator import eq, getitem, itemgetter, ne, not_
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -108,6 +110,7 @@ from .perms import (
     format_perm,
     identity,
     ins,
+    peaks,
     successor,
     unrank,
 )
@@ -179,7 +182,6 @@ KEY_CAP = 10**6  # most distinct keys one sweep may hold
 MEMO_CAP = 10**6  # most first states one walk memo may hold; a full memo is cleared
 BLOCK = 4096  # fewest permutations per rank range worth a worker process
 CHUNK = 256  # permutations per fact column; the key cap is checked after each chunk
-RUNS = "runs"  # the kind of fact beside a map's walks and states
 
 
 class GuardExceeded(ValueError):
@@ -235,9 +237,9 @@ class _Facts(dict):
     """What the kernels of one sweep of S_n share about each permutation p
     of the current chunk: a dict from a fact's key to its column, that fact
     of every p of the chunk in the chunk's (rank) order.  Key 0 holds the
-    chunk itself; ``load`` starts a chunk with it alone.  A fact of a map
-    may be asked of the entries of another column, ``of`` (the chunk by
-    default), rather than of p itself.
+    chunk itself; ``load`` starts a chunk with it alone.  A fact is a walk
+    or a state of a map, and may be asked of the entries of another column,
+    ``of`` (the chunk by default), rather than of p itself.
 
     * ``walk(map_id, of)``, key ``(map_id, None, of)``: the walk record,
       ``engine._walk``'s (identity hit, tail, cycle) of the whole orbit,
@@ -247,8 +249,6 @@ class _Facts(dict):
       one pass, and a machine's first state is the west pass of its dotted
       stage's first state (so m12(p) and m21(p) reuse s12(p) and s21(p)).
       A later state is stored by the walk of that map.
-    * ``runs()``, key ``(MapId.S12, RUNS, 0)``: the number of p's peak
-      runs, that is of its left-to-right maxima.
 
     A column is made, by ``map`` over the columns it reads, the first time a
     kernel reads it, so each fact is made once per p, however many kernels
@@ -274,9 +274,6 @@ class _Facts(dict):
             self._stored[map_id].append(k)
         return of if k == 0 else (map_id, k, of)
 
-    def runs(self) -> tuple:
-        return (MapId.S12, RUNS, 0)
-
     def load(self, chunk: list[Perm]) -> None:
         """Start a chunk of permutations: its columns are made as read."""
         self.clear()
@@ -290,8 +287,6 @@ class _Facts(dict):
                 record = self._walkers[map_id] = _walker(
                     pass_fn(map_id), self.ident, self._stored.get(map_id, ()))
             column = list(map(record, self[of], self[(map_id, 1, of)]))
-        elif k == RUNS:  # the distinct prefix maxima are the left-to-right ones
-            column = list(map(len, map(set, map(accumulate, self[of], repeat(max)))))
         elif k > 1:
             at = itemgetter(3 + self._stored[map_id].index(k))
             column = list(map(at, self[(map_id, None, of)]))
@@ -312,11 +307,13 @@ def _check_cap(counts: Counter) -> None:
 
 
 def _run(worker: Callable, tasks: list, jobs: int) -> list:
-    """``worker`` over ``tasks``; with more than one of each, in a pool of
-    ``jobs`` processes, or of one per task if that is fewer."""
-    if jobs <= 1 or len(tasks) <= 1:
+    """``worker`` over ``tasks``, in a pool of one process per job, but of no
+    more than one per task or per core; with one or none, in this process.
+    The tasks do not depend on the pool, so neither does the outcome."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(t) for t in tasks]
-    with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+    with multiprocessing.Pool(workers) as pool:
         return pool.map(worker, tasks)
 
 
@@ -458,15 +455,15 @@ def _insertion_miss(facts: _Facts, t: int) -> Kernel:
 # -- the lifted route: orbit and image facts of S_{m+1} from a sweep of S_m --
 #
 # One s12 pass reverses each peak run, so its image of S_{m+1} is the lift
-# w.(m+1) of S_m, and the lift of w has 2^r preimages, r = ``runs`` of w:
-# one for each choice of cuts after the lift's left-to-right maxima, the
-# last cut forced.  The lift commutes with s12 and west, so with m12.  So
-# the orbit of each preimage p continues as the lift of the orbit of x = w
-# (s12) or x = west(w) (m12), and p's k-th state is the lift of x's
-# (k-1)-th.  The shape kernel keys each w in S_m by what its preimages share
-# and by r, and its reduction multiplies each count by 2^r, so
-# ``Counter.update`` stays C-level.  An image claim compares sets, so the
-# image kernel keys w by the state alone.
+# w.(m+1) of S_m, and the lift of w has 2^r preimages, r = len(peaks(w))
+# the number of w's peak runs: one for each choice of cuts after the lift's
+# left-to-right maxima, the last cut forced.  The lift commutes with s12
+# and west, so with m12.  So the orbit of each preimage p continues as the
+# lift of the orbit of x = w (s12) or x = west(w) (m12), and p's k-th state
+# is the lift of x's (k-1)-th.  The shape kernel keys each w in S_m by what
+# its preimages share and by r, and its reduction multiplies each count by
+# 2^r, so ``Counter.update`` stays C-level.  An image claim compares sets,
+# so the image kernel keys w by the state alone.
 
 
 def _lifted_source(facts: _Facts, map_id: MapId) -> Hashable:
@@ -478,11 +475,12 @@ def _lifted_shape(facts: _Facts, map_id: MapId) -> Kernel:
     """Orbit shapes of s12 or m12 over S_{m+1}: x's orbit shape, r, and x
     if it is periodic (tail 0), else None."""
     x = _lifted_source(facts, map_id)
-    walk, runs = facts.walk(map_id, x), facts.runs()
+    walk = facts.walk(map_id, x)
     shape, tail = itemgetter(slice(3)), itemgetter(1)
     # (None, x)[tail == 0]
-    return lambda cols: zip(map(shape, cols[walk]), cols[runs], map(
-        getitem, zip(repeat(None), cols[x]), map(not_, map(tail, cols[walk]))))
+    return lambda cols: zip(
+        map(shape, cols[walk]), map(len, map(peaks, cols[0])),
+        map(getitem, zip(repeat(None), cols[x]), map(not_, map(tail, cols[walk]))))
 
 
 def _lifted_image(facts: _Facts, map_id: MapId, k: int) -> Kernel:
@@ -593,17 +591,14 @@ def brute_machine_sortable(
     return _tally(n, jobs, [(_sorted_by, (MapId(machine),))])[0][True]
 
 
-def _fixed(points: Counter) -> list[Perm]:
-    return sorted(p for p in points if p is not None)
-
-
 def brute_fixed_points(
     machine: MapId, n: int, collect: bool = False, jobs: int = 1, force: bool = False
 ) -> tuple[int, Optional[list[Perm]]]:
     """Fixed points of ``machine`` in S_n: their count and, with ``collect``,
     the list in lexicographic order."""
     check_guard(n, force)
-    found = _fixed(_tally(n, jobs, [(_fixed_point, (MapId(machine),))])[0])
+    points = _tally(n, jobs, [(_fixed_point, (MapId(machine),))])[0]
+    found = sorted(p for p in points if p is not None)
     return len(found), (found if collect else None)
 
 
@@ -670,11 +665,18 @@ def random_agreement_failures(
 
 @dataclass(frozen=True)
 class Row:
+    """One check of a claim at n: the expected and observed values, each
+    formatted injectively (an int's digits, a permutation, or a set's
+    sorted permutations), so the row passes iff they are equal."""
+
     n: int
     param: str
     expected: str
     observed: str
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.observed
 
 
 @dataclass
@@ -714,11 +716,11 @@ def _perm_set_str(ps: set[Perm]) -> str:
 
 
 def _count_row(n: int, param: str, expected: int, observed: int) -> Row:
-    return Row(n, param, str(expected), str(observed), expected == observed)
+    return Row(n, param, str(expected), str(observed))
 
 
 def _set_row(n: int, param: str, expected: set[Perm], observed: set[Perm]) -> Row:
-    return Row(n, param, _perm_set_str(expected), _perm_set_str(observed), expected == observed)
+    return Row(n, param, _perm_set_str(expected), _perm_set_str(observed))
 
 
 def _zero_rows(n, label, make_kernel, *params):
@@ -828,8 +830,7 @@ def _rows_t54(n):
         families = ["even"] if n % 2 == 0 else ["cycle", "pi213", "pi132", "pi312"]
         for fam in families:
             _, target, actual = formulas.machine12_witness_check(fam, n)
-            out.append(Row(n, f"witness {fam}", format_perm(target), format_perm(actual),
-                           target == actual))
+            out.append(Row(n, f"witness {fam}", format_perm(target), format_perm(actual)))
         return out
 
     return n - 1, (_lifted_image, (MapId.MACHINE12, k)), lambda lifted: rows(

@@ -7,8 +7,8 @@ they stay correct far beyond the brute-force ceiling.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import comb, factorial
+from math import factorial
+from operator import add, mul
 
 from .engine import MapId, iterate
 from .perms import Perm, identity
@@ -85,15 +85,18 @@ def is_machine21_fixed_shape(p: Perm) -> bool:
     return p[-1] > end
 
 
-@lru_cache(maxsize=None)
 def count_machine21_fixed_points(n: int) -> int:
     """Fixed points of the 21 machine, by the binomial recurrence
-    a_n = sum_{k=0}^{n-2} C(n-2, k) a_k with a_0 = a_1 = 1."""
+    a_n = sum_{k=0}^{n-2} C(n-2, k) a_k with a_0 = a_1 = 1.  The terms are
+    made in order, each from row n-2 of Pascal's triangle, and that row
+    from the one before it."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n <= 1:
-        return 1
-    return sum(comb(n - 2, k) * count_machine21_fixed_points(k) for k in range(n - 1))
+    a, row = [1, 1], [1]
+    while len(a) <= n:
+        a.append(sum(map(mul, row, a)))
+        row = [1, *map(add, row, row[1:]), 1]
+    return a[n]
 
 
 # -- highly / minimally sorted under the base-12 map -------------------------

@@ -43,12 +43,23 @@ class TestSort:
         assert code == 0 and out.strip() == "1,2,3"
 
     def test_trace(self, capsys):
-        code, out, _ = run_cli(capsys, "sort", "--map", "s12", "--trace", "2,1")
-        lines = out.strip().splitlines()
+        """The README's example: each event numbered by its step, then the
+        pass's output."""
+        code, out, _ = run_cli(capsys, "sort", "--map", "s12", "--trace", "2,4,3,1,5")
         assert code == 0
-        assert lines[-1] == "1,2"
-        events = [line.split()[1:] for line in lines[:-1]]
-        assert [e[0] for e in events].count("push") == 2
+        assert out == (
+            "   0 push 2\n"
+            "   1 pop  2\n"
+            "   2 push 4\n"
+            "   3 push 3\n"
+            "   4 push 1\n"
+            "   5 pop  1\n"
+            "   6 pop  3\n"
+            "   7 pop  4\n"
+            "   8 push 5\n"
+            "   9 pop  5\n"
+            "2,1,3,4,5\n"
+        )
 
     def test_trace_needs_single_pass(self, capsys):
         code, _, err = run_cli(

@@ -137,7 +137,6 @@ class TestRunPass:
         pushes = [e.value for e in trace.events if e.op == "push"]
         assert len(pushes) == len(p) == sum(e.op == "pop" for e in trace.events)
         assert trace.output() == out
-        assert [e.step for e in trace.events] == list(range(2 * len(p)))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_dot_position_is_immaterial(self, n):

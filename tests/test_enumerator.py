@@ -896,8 +896,9 @@ class TestVerify:
     def test_a_pool_starts_no_more_processes_than_tasks(self, monkeypatch):
         """Many jobs and few tasks: at 64 jobs S_7 is 2 tasks, S_8 is 10
         (one per ``BLOCK``), and the random sample 2.  At 2 jobs each is 2
-        tasks: one rank range per job.  The pool is a fake that maps in this
-        process."""
+        tasks: one rank range per job.  The tasks follow the jobs, but a
+        pool has no more processes than cores, and one core starts none.
+        The pool is a fake that maps in this process."""
         asked = []
 
         class SerialPool:
@@ -915,11 +916,15 @@ class TestVerify:
                 return [worker(t) for t in tasks]
 
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-        for jobs, want in ((64, [(2, 2), (10, 10), (2, 2)]), (2, [(2, 2), (2, 2), (2, 2)])):
+        for cores, jobs, want in ((64, 64, [(2, 2), (10, 10), (2, 2)]),
+                                  (64, 2, [(2, 2), (2, 2), (2, 2)]),
+                                  (4, 64, [(2, 2), (4, 10), (2, 2)]),
+                                  (1, 2, [])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
             asked.clear()
             assert all(r.overall_pass for r in verify_all(7, 8, jobs=jobs))
             assert random_agreement_failures(5000, 20, jobs=jobs) == 0
-            assert asked == want, jobs
+            assert asked == want, (cores, jobs)
 
     def test_verify_all_covers_registry(self):
         reports = verify_all(1, 4)

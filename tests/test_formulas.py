@@ -1,8 +1,10 @@
+import hashlib
 from math import factorial
 
 import pytest
 
 from pss import formulas
+from pss.cli import main
 from pss.engine import MapId, apply, iterate, s21_closed_form
 from pss.perms import all_perms, identity, reverse_identity, valley_runs
 
@@ -116,6 +118,16 @@ class TestMachine21:
             for k in range(n - 1)
         )
         assert lhs == rhs
+
+    def test_fixed_points_at_n_1000(self, capsys):
+        """a_1000, 1,686 digits, against the sha256 of the digits that the
+        recursive form sum(comb(n - 2, k) * a_k) gave, directly and through
+        ``pss count``."""
+        want = "d574e6cbc28eb6eb3e1026025f76f1951684d4ec82a036cba8ba38a8d63d1594"
+        digits = str(formulas.count_machine21_fixed_points(1000))
+        assert hashlib.sha256(digits.encode()).hexdigest() == want
+        assert main(["count", "--claim", "T4_4", "--n", "1000"]) == 0
+        assert capsys.readouterr().out == digits + "\n"
 
 
 class TestHighlyMinimally:
