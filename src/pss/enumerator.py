@@ -3,17 +3,23 @@
 Every brute-force statistic is one query on one map's functional graph, and
 every sweep is made by one primitive, ``_tally``: it walks S_n once and
 evaluates several kernels on each permutation, keeping one ``Counter`` of
-keys per kernel.  The sweep is columnar.  It takes each rank range in
-chunks of ``CHUNK`` permutations, in rank order, and loads each chunk into
-its facts (a ``_Facts``): a dict from a fact's key to its *column*, the
-list of that fact for each p of the chunk.  A top-level *kernel factory*
-``make_kernel(facts, *params)`` asks ``facts`` for the keys its kernel
-reads: orbit walks (the first step at the identity, tail and cycle of the
-engine's one walker) and k-th states of orbits, of p or of the entries of
-another column.  The kernel maps the facts of a chunk to an iterable of
-hashable keys, one per permutation in the chunk's order, mostly C-level
-``map`` calls over ``operator`` functions; each Counter is then advanced
-by ``Counter.update(kernel(facts))`` and its size checked against
+keys per kernel.  The sweep is columnar.  It visits S_n as the insertions
+of 1 into S_{n-1}: each p in S_n is ins(u, i) for exactly one *parent* u
+in S_{n-1} and position i (Knuth, TAOCP 4A, 7.2.1.2).  It takes each rank
+range of S_{n-1} in groups of ``CHUNK // n`` parents, builds their n
+insertions each by slicing, and loads them and the parents, two base
+columns, into its facts (a ``_Facts``): a dict from a fact's key to its
+*column*, the list of that fact for each p of the chunk.  A top-level
+*kernel factory* ``make_kernel(facts, *params)`` asks ``facts`` for the
+keys its kernel reads: orbit walks (the first step at the identity, tail
+and cycle of the engine's one walker) and k-th states of orbits, of p or
+of the entries of another column.  The kernel maps the facts of a chunk
+to an iterable of hashable keys of its permutations, mostly C-level
+``map`` calls over ``operator`` functions.  A kernel that asks a yes or
+no question gives only its True keys, by ``filter(None, ...)``, and T4_4's
+only the fixed points, by ``compress``, so a Counter counts only the keys
+that rows read.  Each Counter is advanced by
+``Counter.update(kernel(facts))`` and its size checked against
 ``KEY_CAP`` after every chunk.  A column is made, with
 ``map`` over the columns it reads, the first time a kernel reads it, so
 each fact is made once per permutation however many kernels read it.  A
@@ -64,15 +70,15 @@ force, are then reduced from its Counter into a
 :class:`VerificationReport`.  A sweep's time is split evenly across the
 claims in it, so the claims' ``elapsed`` sum to the run's time.
 
-The sweep takes half-open rank ranges in lexicographic order as chains of
-blocks (see ``iter_range``): a block is one head followed by each
-arrangement of an increasing tail, made by ``itertools.permutations``
-with no Python code per permutation, so unranking happens only at range
-starts and ``successor`` only at block starts.  S_n is cut into one range
-per job, but into no more than ceil(n! / ``BLOCK``) ranges, and the
-ranges go to worker processes, at most one per core, so a worker's walk
-memos last for its whole share of S_n; an S_n of at most ``BLOCK``
-permutations is one range and starts no pool.  The per-range Counters are
+The parents come from half-open rank ranges of S_{n-1}, each a chain of
+blocks (see ``iter_range``): one head followed by each arrangement of an
+increasing tail, made by ``itertools.permutations``, so unranking happens
+only at range starts and ``successor`` only at block starts.  S_{n-1} is
+cut into one range per job, but into no more than ceil(n! / ``BLOCK``)
+ranges, and the ranges go to worker processes, at most one per core, so a
+worker's walk memos last for its whole share of S_n; an S_n of at most
+``BLOCK`` permutations is one range and starts no pool.  S_0 = {()} is one
+chunk with no parents.  The per-range Counters are
 summed, so the outcome is identical for any worker count.  Pool tasks
 carry only ints, ``MapId`` values and module-level functions, so they
 pickle under any start method.
@@ -87,7 +93,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice, permutations, repeat
+from itertools import chain, compress, islice, permutations, repeat
 from operator import eq, getitem, itemgetter, ne, not_
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -109,7 +115,6 @@ from .perms import (
     delete_one,
     format_perm,
     identity,
-    ins,
     peaks,
     successor,
     unrank,
@@ -181,7 +186,8 @@ GUARD = 12  # largest n swept unless forced: 12! is about 4.8e8 permutations
 KEY_CAP = 10**6  # most distinct keys one sweep may hold
 MEMO_CAP = 10**6  # most first states one walk memo may hold; a full memo is cleared
 BLOCK = 4096  # fewest permutations per rank range worth a worker process
-CHUNK = 256  # permutations per fact column; the key cap is checked after each chunk
+CHUNK = 256  # permutations per fact column, in whole groups; the key cap is checked per chunk
+PARENTS = 1  # the facts' key of the chunk's parents in S_{n-1}
 
 
 class GuardExceeded(ValueError):
@@ -236,8 +242,10 @@ def _walker(
 class _Facts(dict):
     """What the kernels of one sweep of S_n share about each permutation p
     of the current chunk: a dict from a fact's key to its column, that fact
-    of every p of the chunk in the chunk's (rank) order.  Key 0 holds the
-    chunk itself; ``load`` starts a chunk with it alone.  A fact is a walk
+    of every p of the chunk in the chunk's order.  ``load`` starts a chunk
+    with its two base columns alone: key 0 holds the chunk, and key
+    ``PARENTS`` one parent per group, lined up so that the chunk's j-th p
+    has parent ``(parents * n)[j]`` (see ``_inserted``).  A fact is a walk
     or a state of a map, and may be asked of the entries of another column,
     ``of`` (the chunk by default), rather than of p itself.
 
@@ -274,10 +282,11 @@ class _Facts(dict):
             self._stored[map_id].append(k)
         return of if k == 0 else (map_id, k, of)
 
-    def load(self, chunk: list[Perm]) -> None:
-        """Start a chunk of permutations: its columns are made as read."""
+    def load(self, chunk: list[Perm], parents: list[Perm]) -> None:
+        """Start a chunk of permutations and their parents: the other
+        columns are made as read."""
         self.clear()
-        self[0] = chunk
+        self[0], self[PARENTS] = chunk, parents
 
     def __missing__(self, fact: tuple) -> list:
         map_id, k, of = fact
@@ -317,29 +326,52 @@ def _run(worker: Callable, tasks: list, jobs: int) -> list:
         return pool.map(worker, tasks)
 
 
+def _inserted(parents: list[Perm], n: int) -> list[Perm]:
+    """ins(u, i) for each position i = 1..n and each u of ``parents`` in
+    S_{n-1}, position-major, so ``parents * n`` lines up with them."""
+    shifted = [tuple(map((1).__add__, u)) for u in parents]
+    return [w[:i] + (1,) + w[i:] for i in range(n) for w in shifted]
+
+
+def _insertions(n: int, lo: int, hi: int) -> Iterator[tuple[list[Perm], list[Perm]]]:
+    """The chunks of S_n, each (its permutations, their parents), from the
+    parents of ranks lo..hi-1 of S_{n-1}, ``CHUNK // n`` (at least one) at
+    a time.  S_0 = {()} is one chunk of no parents."""
+    if not n:
+        yield [()], []
+        return
+    parents, group = iter_range(RankRange(n - 1, lo, hi)), max(1, CHUNK // n)
+    for _ in range(lo, hi, group):
+        chunk = list(islice(parents, group))
+        yield _inserted(chunk, n), chunk
+
+
 def _tally_range(task: tuple) -> list[Counter]:
     n, lo, hi, specs = task
     facts = _Facts(n)
     tallies = [(Counter(), make_kernel(facts, *params)) for make_kernel, params in specs]
-    perms = iter_range(RankRange(n, lo, hi))
-    for _ in range(lo, hi, CHUNK):
-        facts.load(list(islice(perms, CHUNK)))
+    for chunk, parents in _insertions(n, lo, hi):
+        facts.load(chunk, parents)
         for c, kernel in tallies:
             c.update(kernel(facts))
             _check_cap(c)
     return [c for c, _ in tallies]
 
 
+def _split(n: int, jobs: int) -> list[RankRange]:
+    """The rank ranges of S_{n-1} (of S_0 at n = 0) whose insertions a sweep
+    of S_n takes, one per task.  There is one per job, so a worker's memos
+    last for its whole share, but no more than ceil(n! / ``BLOCK``): an S_n
+    of at most ``BLOCK`` permutations is one range, so it starts no pool."""
+    return split_ranges(max(n - 1, 0), min(jobs, -(-math.factorial(n) // BLOCK)))
+
+
 def _tally(n: int, jobs: int, specs: list[tuple]) -> list[Counter]:
     """For each kernel spec ``(make_kernel, params)``, the Counter of the
     keys that ``make_kernel(facts, *params)`` gives the permutations of S_n,
     all from one sweep.  Equal specs are one kernel and share one Counter."""
-    # one rank range per job, so a worker's memos last for its whole
-    # share; an S_n of at most BLOCK permutations is one range, so it
-    # starts no pool
-    parts = min(jobs, -(-math.factorial(n) // BLOCK))
     totals = {spec: Counter() for spec in specs}
-    tasks = [(r.n, r.lo, r.hi, list(totals)) for r in split_ranges(n, parts)]
+    tasks = [(n, r.lo, r.hi, list(totals)) for r in _split(n, jobs)]
     for counts in _run(_tally_range, tasks, jobs):
         for total, c in zip(totals.values(), counts):
             total.update(c)
@@ -351,8 +383,9 @@ def _tally(n: int, jobs: int, specs: list[tuple]) -> list[Counter]:
 # -- kernel factories (top level so they pickle) ------------------------------
 #
 # A factory asks ``facts`` for the keys its kernel reads; the kernel reads
-# their columns from one chunk's facts and gives the chunk's keys, one per
-# permutation and in the chunk's order.
+# their columns from one chunk's facts and gives the keys of the chunk's
+# permutations.  A yes-or-no kernel gives only its True keys, read at
+# ``[True]``.
 
 Kernel = Callable[[_Facts], Iterable[Hashable]]
 
@@ -371,14 +404,13 @@ def _image(facts: _Facts, map_id: MapId, k: int) -> Kernel:
 def _sorted_by(facts: _Facts, map_id: MapId) -> Kernel:
     """Whether one pass sorts the permutation."""
     image, ident = facts.state(map_id, 1), facts.ident
-    return lambda cols: map(eq, cols[image], repeat(ident))
+    return lambda cols: filter(None, map(eq, cols[image], repeat(ident)))
 
 
 def _fixed_point(facts: _Facts, map_id: MapId) -> Kernel:
-    """The permutation if one pass fixes it, else None."""
+    """The permutations that one pass fixes."""
     image = facts.state(map_id, 1)
-    # (None, p)[p == image]
-    return lambda cols: map(getitem, zip(repeat(None), cols[0]), map(eq, cols[0], cols[image]))
+    return lambda cols: compress(cols[0], map(eq, cols[0], cols[image]))
 
 
 def _closed_vs_simulated(facts: _Facts, map_id: MapId) -> Kernel:
@@ -386,7 +418,7 @@ def _closed_vs_simulated(facts: _Facts, map_id: MapId) -> Kernel:
     simulated stack."""
     closed = facts.state(map_id, 1)
     simulated = s12_simulated if map_id is MapId.S12 else s21_simulated
-    return lambda cols: map(ne, cols[closed], map(simulated, cols[0]))
+    return lambda cols: filter(None, map(ne, cols[closed], map(simulated, cols[0])))
 
 
 def _dot_variants_differ(facts: _Facts) -> Kernel:
@@ -398,39 +430,45 @@ def _dot_variants_differ(facts: _Facts) -> Kernel:
     every p, so it cannot differ and runs no pass; any other base runs its
     two passes on each p.  ``engine.dotted_policy`` gives each base one
     object, so this kernel keys every p False with no pass and no Python
-    call per p."""
+    call per p: it gives no key at all."""
     pairs = [(dotted_policy(DottedPattern(base, 1)), dotted_policy(DottedPattern(base, 2)))
              for base in (12, 21)]
     pairs = [(one, two) for one, two in pairs if one is not two]
     if not pairs:
-        return lambda cols: repeat(False, len(cols[0]))
+        return lambda cols: ()
 
     def differ(p: Perm) -> bool:
         return any(run_pass(p, one)[0] != run_pass(p, two)[0] for one, two in pairs)
 
-    return lambda cols: map(differ, cols[0])
+    return lambda cols: filter(None, map(differ, cols[0]))
 
 
 def _machine21_sortable_mismatch(facts: _Facts) -> Kernel:
     """One m21 pass sorts p, against the structural test on p, which shares
     no code with the pass."""
-    sorts, sortable = _sorted_by(facts, MapId.MACHINE21), formulas.is_machine21_sortable
-    return lambda cols: map(ne, sorts(cols), map(sortable, cols[0]))
+    m21, ident = facts.state(MapId.MACHINE21, 1), facts.ident
+    sortable = formulas.is_machine21_sortable
+    return lambda cols: filter(None, map(ne, map(eq, cols[m21], repeat(ident)),
+                                         map(sortable, cols[0])))
 
 
 def _machine21_fixed_mismatch(facts: _Facts) -> Kernel:
     m21, fixed_shape = facts.state(MapId.MACHINE21, 1), formulas.is_machine21_fixed_shape
-    return lambda cols: map(ne, map(eq, cols[m21], cols[0]), map(fixed_shape, cols[0]))
+    return lambda cols: filter(None, map(ne, map(eq, cols[m21], cols[0]),
+                                         map(fixed_shape, cols[0])))
 
 
 def _deletion_differs(facts: _Facts) -> Kernel:
     """Whether q in S_n, sorted by one s12 pass and with its 1 deleted,
-    differs from q with its 1 deleted, then sorted.  Each q is ins(p, i) for
-    exactly one p in S_{n-1} and position i, so this is L3_3's
-    ``delete_one(s12(ins(p, i))) != s12(p)`` for that pair."""
-    sorted_q, s12 = facts.state(MapId.S12, 1), pass_fn(MapId.S12)
-    return lambda cols: map(ne, map(delete_one, cols[sorted_q]),
-                            map(s12, map(delete_one, cols[0])))
+    differs from q's parent p, sorted.  q is ins(p, i) for exactly one p in
+    S_{n-1} and position i, so this is L3_3's
+    ``delete_one(s12(ins(p, i))) != s12(p)`` for that pair.  It reads the
+    s12 column of the chunk, which P3_1 reads too, and that of the parents,
+    one pass per n insertions, repeated to line up with the chunk."""
+    sorted_q, n = facts.state(MapId.S12, 1), facts.n
+    sorted_p = facts.state(MapId.S12, 1, PARENTS)
+    return lambda cols: filter(None, map(ne, map(delete_one, cols[sorted_q]),
+                                         cols[sorted_p] * n))
 
 
 def _insertion_miss(facts: _Facts, t: int) -> Kernel:
@@ -446,10 +484,10 @@ def _insertion_miss(facts: _Facts, t: int) -> Kernel:
         hit = walk[0]
         if hit is None or hit > t:
             return False
-        children.load([ins(p, i) for i in range(1, m + 2)])
+        children.load(_inserted([p], m + 1), [p])
         return sum(c[0] is not None and c[0] <= t for c in children[child]) != t + 1
 
-    return lambda cols: map(miss, cols[0], cols[parent])
+    return lambda cols: filter(None, map(miss, cols[0], cols[parent]))
 
 
 # -- the lifted route: orbit and image facts of S_{m+1} from a sweep of S_m --
@@ -598,7 +636,7 @@ def brute_fixed_points(
     the list in lexicographic order."""
     check_guard(n, force)
     points = _tally(n, jobs, [(_fixed_point, (MapId(machine),))])[0]
-    found = sorted(p for p in points if p is not None)
+    found = sorted(points)
     return len(found), (found if collect else None)
 
 
@@ -724,9 +762,10 @@ def _set_row(n: int, param: str, expected: set[Perm], observed: set[Perm]) -> Ro
 
 
 def _zero_rows(n, label, make_kernel, *params):
-    """One row: the permutations of S_n whose kernel reports a mismatch,
-    expected to number zero.  For L3_3 each q in S_n is one insertion
-    q = ins(p, i), so a failing L3_3 row counts failing pairs (p, i)."""
+    """One row: the permutations of S_n that the kernel keys True, its
+    mismatches, expected to number zero.  For L3_3 each q in S_n is one
+    insertion q = ins(p, i) into its parent p, so a failing L3_3 row counts
+    failing pairs (p, i)."""
     return n, (make_kernel, params), lambda bad: [_count_row(n, label, 0, bad[True])]
 
 
@@ -778,7 +817,7 @@ def _rows_t42(n):
 
 def _rows_t44(n):
     def rows(points):
-        observed = len(points) - (None in points)
+        observed = len(points)
         return [_count_row(n, "fixed points", formulas.count_machine21_fixed_points(n), observed)]
 
     return n, (_fixed_point, (MapId.MACHINE21,)), rows

@@ -143,6 +143,33 @@ class TestRangeIteration:
             split_ranges(-1, 1)
 
 
+def deleted(q):
+    """q with its 1 removed and the rest shifted down, by hand."""
+    return tuple(v - 1 for v in q if v != 1)
+
+
+class TestInsertionSweep:
+    """A sweep of S_n takes the insertions of 1 into rank ranges of
+    S_{n-1}, in chunks of whole groups, each chunk with its parents."""
+
+    @pytest.mark.parametrize("chunk", [enumerator.CHUNK, 11])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_each_permutation_once_with_its_parent(self, monkeypatch, n, jobs, chunk):
+        """The chunks of every range of a split hold S_n exactly once, and
+        the parents repeated n times line up with them."""
+        monkeypatch.setattr(enumerator, "CHUNK", chunk)
+        seen = []
+        for r in enumerator._split(n, jobs):
+            for perms, parents in enumerator._insertions(n, r.lo, r.hi):
+                assert len(perms) == len(parents) * n if n else (perms, parents) == ([()], [])
+                assert len(perms) <= max(chunk, n)
+                for q, p in zip(perms, parents * n):
+                    assert deleted(q) == p, (q, p)
+                seen += perms
+        assert sorted(seen) == list(all_perms(n))
+
+
 class TestBruteCounts:
     def test_t_sortable_anchors(self):
         assert brute_t_sortable(MapId.S12, 3, 1) == 4
@@ -307,8 +334,8 @@ class TestDotVariants:
 
     @pytest.mark.parametrize("name", [None, *RED_MUTANTS])
     def test_any_order_of_permutations(self, monkeypatch, name):
-        """Each key answers for its own p, whatever order the permutations
-        come in."""
+        """The kernel keys True each p whose placements differ, and gives no
+        other key, whatever order the permutations come in."""
         policy = dotted_policy if name is None else mutated(name)
         monkeypatch.setattr(enumerator, "dotted_policy", policy)
         kernel = enumerator._dot_variants_differ(enumerator._Facts(6))
@@ -316,10 +343,10 @@ class TestDotVariants:
         shuffled = lex[:]
         random.Random(8).shuffle(shuffled)
         perms = lex + lex[::-1] + shuffled
-        keys = list(kernel([perms]))  # fact column 0 holds the chunk itself
-        assert len(keys) == len(perms)
-        for p, key in zip(perms, keys):
-            assert key == dot_variants_differ(policy, p), p
+        # fact column 0 holds the chunk itself
+        assert list(kernel([perms])) == [True] * sum(dot_variants_differ(policy, p) for p in perms)
+        for p in shuffled:
+            assert list(kernel([[p]])) == [True] * dot_variants_differ(policy, p), p
 
 
 def counted_run_pass(monkeypatch) -> list:
@@ -344,9 +371,9 @@ class TestOnePredicatePerBase:
         report = verify("RED", 1, 8)
         assert [row.observed for row in report.rows] == ["0"] * 8 and report.overall_pass
         assert calls == []
-        # and no Python call per permutation: its keys are one repeat of False
+        # and no Python call per permutation: it gives no key at all
         keys = enumerator._dot_variants_differ(enumerator._Facts(3))([list(all_perms(3))])
-        assert isinstance(keys, itertools.repeat) and list(keys) == [False] * 6
+        assert keys == ()
 
     def test_fresh_wrappers_take_the_per_permutation_path(self, monkeypatch):
         """Two wrappers of one predicate are two objects, so each p runs the
@@ -604,12 +631,13 @@ class TestFacts:
         assert sum(images.values()) == 720
 
     def test_kernels_share_the_first_state(self, monkeypatch):
-        """P3_1's and L3_3's kernels both read s12(q); L3_3 adds one s12
-        pass of q with its 1 deleted."""
+        """P3_1's and L3_3's kernels both read s12(q) for the 720 q of S_6;
+        L3_3 adds one s12 pass of each of the 120 parents p in S_5, whose
+        six insertions of 1 the q are."""
         calls = counted_passes(monkeypatch)
         mismatches = enumerator._tally(6, 1, [(enumerator._closed_vs_simulated, (MapId.S12,)),
                                               (enumerator._deletion_differs, ())])
-        assert calls == {"s12_closed_form": 1440}
+        assert calls == {"s12_closed_form": 840}
         assert [c[True] for c in mismatches] == [0, 0]
 
     def test_the_m21_twins_share_one_column(self, monkeypatch):
@@ -626,16 +654,17 @@ class TestFacts:
         assert calls == {"s21_closed_form": 720, "west_pass": 720}
 
     def test_a_column_is_made_on_first_read_only(self, monkeypatch):
-        want = [iterate(MapId.MACHINE12, p, 1) for p in all_perms(3)]
+        (chunk, parents), = enumerator._insertions(3, 0, 2)
+        want = [iterate(MapId.MACHINE12, p, 1) for p in chunk]
         calls = counted_passes(monkeypatch)
         facts = enumerator._Facts(3)
         key = facts.state(MapId.MACHINE12, 1)
-        facts.load(list(all_perms(3)))
+        facts.load(chunk, parents)
         assert not calls
         assert facts[key] == want and facts[key] is facts[key]
         assert calls == {"s12_closed_form": 6, "west_pass": 6}
-        facts.load([(2, 1, 3)])
-        assert set(facts) == {0}
+        facts.load([(2, 1, 3)], [(1, 2)])
+        assert set(facts) == {0, enumerator.PARENTS}
         assert facts[key] == [(1, 2, 3)]
 
 
@@ -873,13 +902,13 @@ class TestVerify:
                 assert [r.to_dict() for r in verify_all(1, 7, jobs=jobs)] == want[jobs], (memo_cap, jobs)
 
     def test_each_length_is_swept_once(self, monkeypatch):
-        walked = []
+        walked, insertions = [], enumerator._insertions
 
-        def counting(r):
-            walked.append(r.n)
-            return iter_range(r)
+        def counting(n, lo, hi):
+            walked.append(n)
+            return insertions(n, lo, hi)
 
-        monkeypatch.setattr(enumerator, "iter_range", counting)
+        monkeypatch.setattr(enumerator, "_insertions", counting)
         verify_all(1, 6)
         assert walked == [0, 1, 2, 3, 4, 5, 6]  # the orbit and image claims at 1 ride on S_0
         walked.clear()
