@@ -5,29 +5,32 @@ every sweep is made by one primitive, ``_tally``: it walks S_n once and
 evaluates several kernels on each permutation, keeping one ``Counter`` of
 keys per kernel.  The sweep is columnar.  It visits S_n as the insertions
 of 1 into S_{n-1}: each p in S_n is ins(u, i) for exactly one *parent* u
-in S_{n-1} and position i (Knuth, TAOCP 4A, 7.2.1.2).  It takes each rank
-range of S_{n-1} in groups of ``CHUNK // n`` parents, builds their n
-insertions each by slicing, and loads them and the parents, two base
-columns, into its facts (a ``_Facts``): a dict from a fact's key to its
-*column*, the list of that fact for each p of the chunk.  A top-level
-*kernel factory* ``make_kernel(facts, *params)`` asks ``facts`` for the
-keys its kernel reads: orbit walks (the first step at the identity, tail
-and cycle of the engine's one walker) and k-th states of orbits, of p or
-of the entries of another column.  The kernel maps the facts of a chunk
+in S_{n-1} and position i (Knuth, TAOCP 4A, 7.2.1.2), so it visits every
+parent once too.  It takes each rank range of S_{n-1} in groups of
+``CHUNK // n`` parents and loads each group into its facts (a ``_Facts``):
+a dict from a fact's key to its *column*, the list of that fact for each p
+of the chunk.  The parents are facts of their own length, ``parents``,
+whose column 0 is the group; the chunk's column 0 is the n insertions of
+each parent, made by slicing.  A top-level *kernel factory*
+``make_kernel(facts, *params)`` asks ``facts``, or ``facts.parents``, for
+the keys its kernel reads: orbit walks (the first step at the identity,
+tail and cycle of the engine's one walker) and k-th states of orbits, of p
+or of the entries of another column.  The kernel maps the facts of a chunk
 to an iterable of hashable keys of its permutations, mostly C-level
 ``map`` calls over ``operator`` functions.  A kernel that asks a yes or
 no question gives only its True keys, by ``filter(None, ...)``, and T4_4's
 only the fixed points, by ``compress``, so a Counter counts only the keys
 that rows read.  Each Counter is advanced by
 ``Counter.update(kernel(facts))`` and its size checked against
-``KEY_CAP`` after every chunk.  A column is made, with
-``map`` over the columns it reads, the first time a kernel reads it, so
-each fact is made once per permutation however many kernels read it.  A
+``KEY_CAP`` after every chunk.  A column, the chunk's included, is made,
+with ``map`` over the columns it reads, the first time a kernel reads it,
+so each fact is made once per permutation however many kernels read it,
+and a sweep whose kernels read only the parents builds no insertion.  A
 first state is one pass, shared by every kernel and walk of that map.
 Every walk runs to the end of the orbit, so a sweep holds at most one walk
-per map, and that walk stores every later k-th state of its map: k-fold
-images cost no passes of their own, and past the tail the state at step k
-is the one at tail + (k - tail) mod cycle.
+per map and length, and that walk stores every later k-th state of its
+map: k-fold images cost no passes of their own, and past the tail the
+state at step k is the one at tail + (k - tail) mod cycle.
 
 A kernel is built once per rank range and may keep state for that range,
 provided its key for p depends on p alone, whatever order it sees
@@ -38,11 +41,11 @@ its one-pass image: p's walk is composed from the walk of its first state
 q, which is walked once and memoised.  The memo is keyed on ``bytes(q)``;
 its value is an interned (hit, tail, cycle, q's last walked state if q is
 periodic, the stored states read at step k - 1).  Each walk has its own
-memo per rank range (a worker's whole share of S_n), dropped with the
-range; it holds at most the one-pass image of S_n ((n-1)! states for s12
-and s21, 326 for m12 at n = 8), and a memo that reaches ``MEMO_CAP``
-states is cleared.  Permutations and their columns are dropped once their
-chunk is counted, so no memory grows with n!.
+memo per length and rank range (a worker's whole share of S_n), dropped
+with the range; it holds at most the one-pass image of the S_m it walks
+((m-1)! states for s12 and s21, 326 for m12 at m = 8), and a memo that
+reaches ``MEMO_CAP`` states is cleared.  Permutations and their columns
+are dropped once their chunk is counted, so no memory grows with n!.
 
 The public brute-force operations are one-kernel calls of ``_tally``, each
 reducing its Counter, and a cap on passes applies only in the reduction:
@@ -51,22 +54,21 @@ counts repeat it along the cycle up to theirs, the order is the largest
 tail.
 
 ``verify`` and ``verify_all`` are one path: a verification run gathers,
-for each m, the kernels of every claim that rides on S_m, and sweeps each
-S_m once for all of them.  The nine one-pass claims ride on S_n: the six
-that compare two things on each p (RED, P3_1, P3_5, L3_3, L4_1, L4_3);
-T4_2 and T4_4, which count what L4_1 and L4_3 check and read their m21
-column; and T3_6, which reads the s21 column of P3_5, since every t-fold
-s21 image is a one-pass image.  The six s12 and m12 orbit and image claims
-ride on S_{n-1} by the lifted route (see its section), S_0 = {()} at
-n = 1: each w in S_{n-1} stands for the 2^r preimages of its lift under
-an s12 pass, a weight that only the orbit shapes read, as the image claims
-compare sets.  So the sweep of S_m serves the first kind at m and the
-second at m + 1, and the sweep of the largest S_n makes first passes only
-and holds no walk.  The route rests on three facts about the passes,
-which the tests check exhaustively only up to n = 9; the public
-brute-force operations stay plain sweeps of S_n, its oracle.  Each
-claim's rows, its closed forms (from :mod:`pss.formulas`) against brute
-force, are then reduced from its Counter into a
+for each n, the kernels of every claim at n, and sweeps each S_n once for
+all of them.  The nine one-pass claims read the chunk: the six that
+compare two things on each p (RED, P3_1, P3_5, L3_3, L4_1, L4_3); T4_2
+and T4_4, which count what L4_1 and L4_3 check and read their m21 column;
+and T3_6, which reads the s21 column of P3_5, since every t-fold s21 image
+is a one-pass image.  The six s12 and m12 orbit and image claims read the
+parents, by the lifted route (see its section): each w in S_{n-1} stands
+for the 2^r preimages of its lift under an s12 pass, a weight that only
+the orbit shapes read, as the image claims compare sets.  So the walks of
+a sweep are of S_{n-1}, and L3_3's s12 column of the parents is the first
+state of the lifted s12 walk.  The route rests on three facts about the
+passes, which the tests check exhaustively up to n = 9 and CI on S_10;
+the public brute-force operations stay plain sweeps of S_n, its oracle.
+Each claim's rows, its closed forms (from :mod:`pss.formulas`) against
+brute force, are then reduced from its Counter into a
 :class:`VerificationReport`.  A sweep's time is split evenly across the
 claims in it, so the claims' ``elapsed`` sum to the run's time.
 
@@ -187,7 +189,6 @@ KEY_CAP = 10**6  # most distinct keys one sweep may hold
 MEMO_CAP = 10**6  # most first states one walk memo may hold; a full memo is cleared
 BLOCK = 4096  # fewest permutations per rank range worth a worker process
 CHUNK = 256  # permutations per fact column, in whole groups; the key cap is checked per chunk
-PARENTS = 1  # the facts' key of the chunk's parents in S_{n-1}
 
 
 class GuardExceeded(ValueError):
@@ -242,12 +243,14 @@ def _walker(
 class _Facts(dict):
     """What the kernels of one sweep of S_n share about each permutation p
     of the current chunk: a dict from a fact's key to its column, that fact
-    of every p of the chunk in the chunk's order.  ``load`` starts a chunk
-    with its two base columns alone: key 0 holds the chunk, and key
-    ``PARENTS`` one parent per group, lined up so that the chunk's j-th p
-    has parent ``(parents * n)[j]`` (see ``_inserted``).  A fact is a walk
-    or a state of a map, and may be asked of the entries of another column,
-    ``of`` (the chunk by default), rather than of p itself.
+    of every p of the chunk in the chunk's order.  The chunk's parents in
+    S_{n-1} are facts of their own length, ``parents`` (none at n = 0),
+    with their own identity and walks; ``load`` starts a chunk with them
+    alone.  Key 0 holds the chunk, the n insertions of each parent (see
+    ``_inserted``), so that its j-th p has parent ``(parents[0] * n)[j]``;
+    at n = 0 it is S_0 = [()].  A fact is a walk or a state of a map, and
+    may be asked of the entries of another column, ``of`` (the chunk by
+    default), rather than of p itself.
 
     * ``walk(map_id, of)``, key ``(map_id, None, of)``: the walk record,
       ``engine._walk``'s (identity hit, tail, cycle) of the whole orbit,
@@ -258,19 +261,21 @@ class _Facts(dict):
       stage's first state (so m12(p) and m21(p) reuse s12(p) and s21(p)).
       A later state is stored by the walk of that map.
 
-    A column is made, by ``map`` over the columns it reads, the first time a
-    kernel reads it, so each fact is made once per p, however many kernels
-    read it, and only if one does.  A map's walk is made on its first read,
-    once every kernel is built and has asked for the states it stores, and
-    lives as long as these facts, which a sweep makes once per rank range:
-    it reads each first state from these facts and the rest of the orbit
-    from its memo (see ``_walker``), one memo per map whatever column is
-    walked.
+    A column, the chunk's included, is made, by ``map`` over the columns it
+    reads, the first time a kernel reads it, so each fact is made once per
+    p, however many kernels read it, and only if one does: a sweep whose
+    kernels read only the parents builds no insertion.  A map's walk is
+    made on its first read, once every kernel is built and has asked for
+    the states it stores, and lives as long as these facts, which a sweep
+    makes once per rank range: it reads each first state from these facts
+    and the rest of the orbit from its memo (see ``_walker``), one memo per
+    map whatever column is walked.
     """
 
     def __init__(self, n: int) -> None:
         super().__init__()
         self.n, self.ident = n, identity(n)
+        self.parents = _Facts(n - 1) if n else None
         self._stored: dict[MapId, list[int]] = {}  # map -> the k of the states its walk stores
         self._walkers: dict[MapId, Callable[[Perm, Perm], tuple]] = {}
 
@@ -282,13 +287,18 @@ class _Facts(dict):
             self._stored[map_id].append(k)
         return of if k == 0 else (map_id, k, of)
 
-    def load(self, chunk: list[Perm], parents: list[Perm]) -> None:
-        """Start a chunk of permutations and their parents: the other
-        columns are made as read."""
+    def load(self, parents: list[Perm]) -> None:
+        """Start the chunk of the insertions of ``parents``: every column
+        is made as read."""
         self.clear()
-        self[0], self[PARENTS] = chunk, parents
+        if self.n:
+            self.parents.clear()
+            self.parents[0] = parents
 
-    def __missing__(self, fact: tuple) -> list:
+    def __missing__(self, fact: Hashable) -> list:
+        if fact == 0:
+            self[0] = column = _inserted(self.parents[0], self.n) if self.n else [()]
+            return column
         map_id, k, of = fact
         if k is None:
             record = self._walkers.get(map_id)
@@ -333,25 +343,24 @@ def _inserted(parents: list[Perm], n: int) -> list[Perm]:
     return [w[:i] + (1,) + w[i:] for i in range(n) for w in shifted]
 
 
-def _insertions(n: int, lo: int, hi: int) -> Iterator[tuple[list[Perm], list[Perm]]]:
-    """The chunks of S_n, each (its permutations, their parents), from the
-    parents of ranks lo..hi-1 of S_{n-1}, ``CHUNK // n`` (at least one) at
-    a time.  S_0 = {()} is one chunk of no parents."""
+def _insertions(n: int, lo: int, hi: int) -> Iterator[list[Perm]]:
+    """The parents of each chunk of S_n: the ranks lo..hi-1 of S_{n-1},
+    ``CHUNK // n`` (at least one) at a time.  S_0 = {()} is one chunk of
+    no parents."""
     if not n:
-        yield [()], []
+        yield []
         return
     parents, group = iter_range(RankRange(n - 1, lo, hi)), max(1, CHUNK // n)
     for _ in range(lo, hi, group):
-        chunk = list(islice(parents, group))
-        yield _inserted(chunk, n), chunk
+        yield list(islice(parents, group))
 
 
 def _tally_range(task: tuple) -> list[Counter]:
     n, lo, hi, specs = task
     facts = _Facts(n)
     tallies = [(Counter(), make_kernel(facts, *params)) for make_kernel, params in specs]
-    for chunk, parents in _insertions(n, lo, hi):
-        facts.load(chunk, parents)
+    for parents in _insertions(n, lo, hi):
+        facts.load(parents)
         for c, kernel in tallies:
             c.update(kernel(facts))
             _check_cap(c)
@@ -359,17 +368,19 @@ def _tally_range(task: tuple) -> list[Counter]:
 
 
 def _split(n: int, jobs: int) -> list[RankRange]:
-    """The rank ranges of S_{n-1} (of S_0 at n = 0) whose insertions a sweep
-    of S_n takes, one per task.  There is one per job, so a worker's memos
-    last for its whole share, but no more than ceil(n! / ``BLOCK``): an S_n
-    of at most ``BLOCK`` permutations is one range, so it starts no pool."""
+    """The rank ranges of S_{n-1} (of S_0 at n = 0) whose parents and their
+    insertions a sweep of S_n takes, one per task.  There is one per job,
+    so a worker's memos last for its whole share, but no more than
+    ceil(n! / ``BLOCK``): an S_n of at most ``BLOCK`` permutations is one
+    range, so it starts no pool."""
     return split_ranges(max(n - 1, 0), min(jobs, -(-math.factorial(n) // BLOCK)))
 
 
 def _tally(n: int, jobs: int, specs: list[tuple]) -> list[Counter]:
     """For each kernel spec ``(make_kernel, params)``, the Counter of the
     keys that ``make_kernel(facts, *params)`` gives the permutations of S_n,
-    all from one sweep.  Equal specs are one kernel and share one Counter."""
+    or their parents in S_{n-1}, all from one sweep.  Equal specs are one
+    kernel and share one Counter."""
     totals = {spec: Counter() for spec in specs}
     tasks = [(n, r.lo, r.hi, list(totals)) for r in _split(n, jobs)]
     for counts in _run(_tally_range, tasks, jobs):
@@ -464,18 +475,20 @@ def _deletion_differs(facts: _Facts) -> Kernel:
     S_{n-1} and position i, so this is L3_3's
     ``delete_one(s12(ins(p, i))) != s12(p)`` for that pair.  It reads the
     s12 column of the chunk, which P3_1 reads too, and that of the parents,
-    one pass per n insertions, repeated to line up with the chunk."""
+    one pass per n insertions, repeated to line up with the chunk.  The
+    lifted s12 walk starts from that column of the parents too."""
     sorted_q, n = facts.state(MapId.S12, 1), facts.n
-    sorted_p = facts.state(MapId.S12, 1, PARENTS)
+    sorted_p = facts.parents.state(MapId.S12, 1)
     return lambda cols: filter(None, map(ne, map(delete_one, cols[sorted_q]),
-                                         cols[sorted_p] * n))
+                                         cols.parents[sorted_p] * n))
 
 
 def _insertion_miss(facts: _Facts, t: int) -> Kernel:
     """Whether p in S_m is t-sortable under s12 yet does not have exactly
-    t+1 of its m+1 insertions t-sortable.  The insertions of p are loaded as
-    one chunk of the kernel's own facts over S_{m+1}, kept for its rank
-    range, so the walks of all insertions share one memo."""
+    t+1 of its m+1 insertions t-sortable.  p is loaded as the one parent of
+    a chunk of the kernel's own facts over S_{m+1}, kept for its rank range,
+    so the walks of all insertions share one memo.  Only the t-sortable p
+    have their insertions made and walked."""
     parent, m = facts.walk(MapId.S12), facts.n
     children = _Facts(m + 1)
     child = children.walk(MapId.S12)
@@ -484,52 +497,60 @@ def _insertion_miss(facts: _Facts, t: int) -> Kernel:
         hit = walk[0]
         if hit is None or hit > t:
             return False
-        children.load(_inserted([p], m + 1), [p])
+        children.load([p])
         return sum(c[0] is not None and c[0] <= t for c in children[child]) != t + 1
 
     return lambda cols: filter(None, map(miss, cols[0], cols[parent]))
 
 
-# -- the lifted route: orbit and image facts of S_{m+1} from a sweep of S_m --
+# -- the lifted route: orbit and image facts of S_n from its sweep's parents --
 #
-# One s12 pass reverses each peak run, so its image of S_{m+1} is the lift
-# w.(m+1) of S_m, and the lift of w has 2^r preimages, r = len(peaks(w))
-# the number of w's peak runs: one for each choice of cuts after the lift's
+# One s12 pass reverses each peak run, so its image of S_n is the lift w.n
+# of S_{n-1}, and the lift of w has 2^r preimages, r = len(peaks(w)) the
+# number of w's peak runs: one for each choice of cuts after the lift's
 # left-to-right maxima, the last cut forced.  The lift commutes with s12
 # and west, so with m12.  So the orbit of each preimage p continues as the
 # lift of the orbit of x = w (s12) or x = west(w) (m12), and p's k-th state
-# is the lift of x's (k-1)-th.  The shape kernel keys each w in S_m by what
-# its preimages share and by r, and its reduction multiplies each count by
-# 2^r, so ``Counter.update`` stays C-level.  An image claim compares sets,
-# so the image kernel keys w by the state alone.
+# is the lift of x's (k-1)-th.  Each w in S_{n-1} is a parent of the sweep
+# of S_n, once, so these kernels read only the parents' facts, where x's
+# walk compares its states with S_{n-1}'s identity.  The shape kernel keys
+# each w by what its preimages share and by r, and its reduction
+# multiplies each count by 2^r, so ``Counter.update`` stays C-level.  An
+# image claim compares sets, so the image kernel keys w by the state alone.
 
 
-def _lifted_source(facts: _Facts, map_id: MapId) -> Hashable:
-    """The column of x: w itself for s12, west(w) for m12."""
-    return 0 if map_id is MapId.S12 else facts.state(MapId.WEST, 1)
+def _lifted_source(parents: _Facts, map_id: MapId) -> Hashable:
+    """The column of x in the parents' facts: w itself for s12, west(w) for
+    m12."""
+    return 0 if map_id is MapId.S12 else parents.state(MapId.WEST, 1)
 
 
 def _lifted_shape(facts: _Facts, map_id: MapId) -> Kernel:
-    """Orbit shapes of s12 or m12 over S_{m+1}: x's orbit shape, r, and x
-    if it is periodic (tail 0), else None."""
-    x = _lifted_source(facts, map_id)
-    walk = facts.walk(map_id, x)
+    """Orbit shapes of s12 or m12 over S_n, keyed by each parent w: x's
+    orbit shape, r, and x if it is periodic (tail 0), else None."""
+    x = _lifted_source(facts.parents, map_id)
+    walk = facts.parents.walk(map_id, x)
     shape, tail = itemgetter(slice(3)), itemgetter(1)
-    # (None, x)[tail == 0]
-    return lambda cols: zip(
-        map(shape, cols[walk]), map(len, map(peaks, cols[0])),
-        map(getitem, zip(repeat(None), cols[x]), map(not_, map(tail, cols[walk]))))
+
+    def keys(cols: _Facts) -> Iterable[Hashable]:
+        cols = cols.parents
+        # (None, x)[tail == 0]
+        return zip(map(shape, cols[walk]), map(len, map(peaks, cols[0])),
+                   map(getitem, zip(repeat(None), cols[x]), map(not_, map(tail, cols[walk]))))
+
+    return keys
 
 
 def _lifted_image(facts: _Facts, map_id: MapId, k: int) -> Kernel:
-    """k-fold images of s12 or m12 over S_{m+1}, k >= 1: the (k-1)-th state
-    of x's orbit."""
-    return itemgetter(facts.state(map_id, k - 1, _lifted_source(facts, map_id)))
+    """k-fold images of s12 or m12 over S_n, k >= 1: the (k-1)-th state of
+    the orbit of each parent's x."""
+    state = facts.parents.state(map_id, k - 1, _lifted_source(facts.parents, map_id))
+    return lambda cols: cols.parents[state]
 
 
 def _shapes_from_lift(lifted: Counter, n: int, map_id: MapId) -> Counter:
-    """The Counter of map_id's orbit shapes over S_n from ``_lifted_shape``'s
-    over S_{n-1}.
+    """The Counter of map_id's orbit shapes over S_n from ``_lifted_shape``'s,
+    keyed by the parents in S_{n-1}.
 
     A preimage p of x's lift has x's walk shifted by one step, since the
     lift of S_{n-1}'s identity is S_n's: its hit is x's plus one, its tail
@@ -556,8 +577,8 @@ def _shapes_from_lift(lifted: Counter, n: int, map_id: MapId) -> Counter:
 
 
 def _images_from_lift(lifted: Counter) -> set[Perm]:
-    """The set of k-fold images over S_n from ``_lifted_image``'s Counter
-    over S_{n-1}: each state lifted."""
+    """The set of k-fold images over S_n from ``_lifted_image``'s Counter,
+    keyed by the parents in S_{n-1}: each state lifted."""
     return {s + (len(s) + 1,) for s in lifted}
 
 
@@ -766,13 +787,13 @@ def _zero_rows(n, label, make_kernel, *params):
     mismatches, expected to number zero.  For L3_3 each q in S_n is one
     insertion q = ins(p, i) into its parent p, so a failing L3_3 row counts
     failing pairs (p, i)."""
-    return n, (make_kernel, params), lambda bad: [_count_row(n, label, 0, bad[True])]
+    return (make_kernel, params), lambda bad: [_count_row(n, label, 0, bad[True])]
 
 
 def _shapes_at(n, map_id, rows):
-    """(m, kernel spec, rows of its Counter over S_m) for ``rows`` of the
-    Counter of map_id's orbit shapes over S_n, lifted from S_{n-1}."""
-    return n - 1, (_lifted_shape, (map_id,)), lambda lifted: rows(_shapes_from_lift(lifted, n, map_id))
+    """(kernel spec, rows of its Counter) for ``rows`` of the Counter of
+    map_id's orbit shapes over S_n, lifted from the sweep's parents."""
+    return (_lifted_shape, (map_id,)), lambda lifted: rows(_shapes_from_lift(lifted, n, map_id))
 
 
 def _rows_t34(n):
@@ -804,7 +825,7 @@ def _rows_t36(n):
         expected = formulas.count_t_sortable_s21(n)
         return [_count_row(n, f"t={t}", expected, counts[t]) for t in range(1, 2 * n + 1)]
 
-    return n, (_sorted_by, (MapId.S21,)), rows
+    return (_sorted_by, (MapId.S21,)), rows
 
 
 def _rows_t42(n):
@@ -812,7 +833,7 @@ def _rows_t42(n):
         expected = formulas.count_machine21_sortable(n)
         return [_count_row(n, "machine-sortable", expected, sorts[True])]
 
-    return n, (_sorted_by, (MapId.MACHINE21,)), rows
+    return (_sorted_by, (MapId.MACHINE21,)), rows
 
 
 def _rows_t44(n):
@@ -820,7 +841,7 @@ def _rows_t44(n):
         observed = len(points)
         return [_count_row(n, "fixed points", formulas.count_machine21_fixed_points(n), observed)]
 
-    return n, (_fixed_point, (MapId.MACHINE21,)), rows
+    return (_fixed_point, (MapId.MACHINE21,)), rows
 
 
 def _rows_c51_min(n):
@@ -847,8 +868,7 @@ def _rows_t52(n):
     def rows(images):
         return [_set_row(n, f"power={k}", formulas.image_s12_power(n), images)]
 
-    return n - 1, (_lifted_image, (MapId.S12, k)), lambda lifted: rows(
-        _images_from_lift(lifted))
+    return (_lifted_image, (MapId.S12, k)), lambda lifted: rows(_images_from_lift(lifted))
 
 
 def _rows_l53(n):
@@ -872,18 +892,16 @@ def _rows_t54(n):
             out.append(Row(n, f"witness {fam}", format_perm(target), format_perm(actual)))
         return out
 
-    return n - 1, (_lifted_image, (MapId.MACHINE12, k)), lambda lifted: rows(
-        _images_from_lift(lifted))
+    return (_lifted_image, (MapId.MACHINE12, k)), lambda lifted: rows(_images_from_lift(lifted))
 
 
 # claim -> (least n, builder, *builder arguments).  For one n, a builder
-# gives the m of the S_m that the claim's kernel rides on, the kernel's
-# spec, and the function from the kernel's Counter to the rows.  The nine
-# one-pass claims ride on S_n: the six that compare two things on each p,
-# whose zero-mismatch rows share one builder and differ by its arguments,
-# and T3_6, T4_2 and T4_4.  The six s12 and m12 orbit and image claims ride
-# on S_{n-1} by the lifted route, so one sweep of S_m serves the first at m
-# and the second at m + 1.
+# gives the spec of the claim's kernel on the sweep of S_n and the function
+# from the kernel's Counter to the rows.  Every claim at n rides on that one
+# sweep.  The nine one-pass claims read its chunk: the six that compare two
+# things on each p, whose zero-mismatch rows share one builder and differ by
+# its arguments, and T3_6, T4_2 and T4_4.  The six s12 and m12 orbit and
+# image claims read its parents in S_{n-1}, by the lifted route.
 _CLAIMS: dict[str, tuple] = {
     "RED": (1, _zero_rows, "dot-variant mismatches", _dot_variants_differ),
     "P3_1": (1, _zero_rows, "closed vs simulated mismatches", _closed_vs_simulated, MapId.S12),
@@ -908,10 +926,9 @@ CLAIM_IDS = tuple(_CLAIMS)
 def _verify(
     claims: Sequence[str], n_min: int, n_max: int, jobs: int, force: bool
 ) -> list[VerificationReport]:
-    """Reports of ``claims`` over n_min..n_max, from one sweep of each S_m
-    that some claim rides on (S_n or S_{n-1} for a claim at n).  A sweep's
-    time is split evenly across the claims in it, and each claim is charged
-    its own row reduction."""
+    """Reports of ``claims`` over n_min..n_max, from one sweep of each S_n
+    that some claim has rows at.  A sweep's time is split evenly across the
+    claims in it, and each claim is charged its own row reduction."""
     for claim in claims:
         if claim not in _CLAIMS:
             raise ValueError(f"unknown claim {claim!r}; known: {', '.join(_CLAIMS)}")
@@ -919,17 +936,16 @@ def _verify(
         raise ValueError("n_min must not exceed n_max")
     check_guard(n_max, force)
     reports = {claim: VerificationReport(claim, n_min, n_max) for claim in claims}
-    riders: dict[int, list] = {}  # m -> [(claim, kernel spec, rows)] riding on S_m
+    riders: dict[int, list] = {}  # n -> [(claim, kernel spec, rows)] riding on S_n
     for claim in claims:
         lo, build, *args = _CLAIMS[claim]
         for n in range(max(n_min, lo), n_max + 1):
-            m, spec, rows = build(n, *args)
-            riders.setdefault(m, []).append((claim, spec, rows))
-    for m in sorted(riders):  # m grows with n, so each claim's rows come in n order
+            riders.setdefault(n, []).append((claim, *build(n, *args)))
+    for n in sorted(riders):
         start = time.monotonic()
-        counts = _tally(m, jobs, [spec for _, spec, _ in riders[m]])
+        counts = _tally(n, jobs, [spec for _, spec, _ in riders[n]])
         share = (time.monotonic() - start) / len(counts)
-        for (claim, _, rows), c in zip(riders[m], counts):
+        for (claim, _, rows), c in zip(riders[n], counts):
             start = time.monotonic()
             reports[claim].rows.extend(rows(c))
             reports[claim].elapsed += share + time.monotonic() - start

@@ -214,9 +214,9 @@ def witness_pi_target(n: int, seed: Perm) -> Perm:
     return tuple(seed) + tuple(range(4, n + 1))
 
 
-def machine12_witness_check(family: str, n: int) -> tuple[Perm, Perm, Perm]:
-    """Return (witness, claimed image, actual image after the claimed number
-    of machine passes) for one witness family."""
+def machine12_witness(family: str, n: int) -> tuple[Perm, Perm]:
+    """Return (witness, claimed image) for one witness family, with no
+    machine pass."""
     if family == "even":
         w = witness_even(n)
         target = (2, 1) + identity(n)[2:]
@@ -229,5 +229,11 @@ def machine12_witness_check(family: str, n: int) -> tuple[Perm, Perm, Perm]:
         target = witness_pi_target(n, seed)
     else:
         raise ValueError(f"unknown witness family {family!r}")
-    actual = iterate(MapId.MACHINE12, w, machine12_terminal_power(n))
-    return w, target, actual
+    return w, target
+
+
+def machine12_witness_check(family: str, n: int) -> tuple[Perm, Perm, Perm]:
+    """Return (witness, claimed image, actual image after the claimed number
+    of machine passes) for one witness family."""
+    w, target = machine12_witness(family, n)
+    return w, target, iterate(MapId.MACHINE12, w, machine12_terminal_power(n))

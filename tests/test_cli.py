@@ -15,10 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pss import engine, formulas
 from pss.cli import build_parser, main
 from pss.engine import MapId, apply
 from pss.enumerator import CLAIM_IDS
-from pss.perms import parse
+from pss.perms import format_perm, parse
 
 
 def run_cli(capsys, *argv):
@@ -286,6 +287,28 @@ class TestOtherCommands:
     def test_witness(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "--family", "pi312", "--n", "5")
         assert code == 0 and out == "3,5,1,2,4\n"
+
+    def test_witness_without_check_makes_no_pass(self, capsys, monkeypatch):
+        """Only --check iterates the machine: with its two stages made to
+        raise, the witness still prints, and --check fails loudly."""
+        def no_pass(p):
+            raise AssertionError("a machine pass was made")
+
+        for name in ("s12_closed_form", "west_pass"):
+            monkeypatch.setattr(engine, name, no_pass)
+        code, out, _ = run_cli(capsys, "witness", "--family", "even", "--n", "16000")
+        evens_then_odds = [*range(2, 16001, 2), *range(1, 16000, 2)]
+        assert code == 0 and out == ",".join(map(str, evens_then_odds)) + "\n"
+        with pytest.raises(AssertionError):
+            main(["witness", "--family", "pi312", "--n", "5", "--check"])
+
+    @pytest.mark.parametrize("family, n", [("even", 8), ("cycle", 9), ("pi213", 9),
+                                           ("pi132", 7), ("pi312", 11)])
+    def test_witness_check_reads_the_machine(self, capsys, family, n):
+        w, target, actual = formulas.machine12_witness_check(family, n)
+        assert target == actual
+        code, out, _ = run_cli(capsys, "witness", "--family", family, "--n", str(n), "--check")
+        assert code == 0 and out == f"{format_perm(w)} → {format_perm(actual)} PASS\n"
 
     @pytest.mark.parametrize("argv", [
         ["image", "--map", "s12", "--n", "3", "--power", "abc"],

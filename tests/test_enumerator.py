@@ -156,12 +156,15 @@ class TestInsertionSweep:
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize("n", range(0, 8))
     def test_each_permutation_once_with_its_parent(self, monkeypatch, n, jobs, chunk):
-        """The chunks of every range of a split hold S_n exactly once, and
-        the parents repeated n times line up with them."""
+        """The chunks that the facts load from every range of a split hold
+        S_n exactly once, and the parents repeated n times line up with
+        them."""
         monkeypatch.setattr(enumerator, "CHUNK", chunk)
-        seen = []
+        seen, facts = [], enumerator._Facts(n)
         for r in enumerator._split(n, jobs):
-            for perms, parents in enumerator._insertions(n, r.lo, r.hi):
+            for group in enumerator._insertions(n, r.lo, r.hi):
+                facts.load(group)
+                perms, parents = facts[0], facts.parents[0] if n else group
                 assert len(perms) == len(parents) * n if n else (perms, parents) == ([()], [])
                 assert len(perms) <= max(chunk, n)
                 for q, p in zip(perms, parents * n):
@@ -633,7 +636,9 @@ class TestFacts:
     def test_kernels_share_the_first_state(self, monkeypatch):
         """P3_1's and L3_3's kernels both read s12(q) for the 720 q of S_6;
         L3_3 adds one s12 pass of each of the 120 parents p in S_5, whose
-        six insertions of 1 the q are."""
+        six insertions of 1 the q are.  The lifted s12 claims at 6 read that
+        parents' column too (see
+        ``test_the_parents_s12_column_is_made_once``)."""
         calls = counted_passes(monkeypatch)
         mismatches = enumerator._tally(6, 1, [(enumerator._closed_vs_simulated, (MapId.S12,)),
                                               (enumerator._deletion_differs, ())])
@@ -646,26 +651,30 @@ class TestFacts:
         specs = []
         for claim in ("L4_1", "L4_3", "T4_2", "T4_4"):
             _, build, *args = enumerator._CLAIMS[claim]
-            m, spec, _ = build(6, *args)
-            assert m == 6, claim
+            spec, _ = build(6, *args)
             specs.append(spec)
         calls = counted_passes(monkeypatch)
         enumerator._tally(6, 1, specs)
         assert calls == {"s21_closed_form": 720, "west_pass": 720}
 
     def test_a_column_is_made_on_first_read_only(self, monkeypatch):
-        (chunk, parents), = enumerator._insertions(3, 0, 2)
+        """``load`` makes no column, not even the chunk: it holds the
+        parents alone, as column 0 of the parents' facts."""
+        parents, = enumerator._insertions(3, 0, 2)
+        chunk = enumerator._inserted(parents, 3)
         want = [iterate(MapId.MACHINE12, p, 1) for p in chunk]
         calls = counted_passes(monkeypatch)
         facts = enumerator._Facts(3)
         key = facts.state(MapId.MACHINE12, 1)
-        facts.load(chunk, parents)
-        assert not calls
+        facts.load(parents)
+        assert not calls and not facts and facts.parents == {0: parents}
         assert facts[key] == want and facts[key] is facts[key]
+        assert facts[0] == chunk
         assert calls == {"s12_closed_form": 6, "west_pass": 6}
-        facts.load([(2, 1, 3)], [(1, 2)])
-        assert set(facts) == {0, enumerator.PARENTS}
-        assert facts[key] == [(1, 2, 3)]
+        facts.load([(1, 2)])
+        assert not facts and facts.parents == {0: [(1, 2)]}
+        inserted = [(1, 2, 3), (2, 1, 3), (2, 3, 1)]
+        assert facts[key] == [iterate(MapId.MACHINE12, q, 1) for q in inserted]
 
 
 class TestMemoisedWalk:
@@ -756,15 +765,16 @@ def observed(value):
 
 
 class TestLiftedRoute:
-    """The six s12 and m12 orbit and image claims at n ride on S_{n-1}: each
-    w there stands for the 2^r preimages of its lift w.n under an s12 pass,
-    with r its number of peak runs."""
+    """The six s12 and m12 orbit and image claims at n read the parents in
+    S_{n-1} of the sweep of S_n: each w there stands for the 2^r preimages
+    of its lift w.n under an s12 pass, with r its number of peak runs."""
 
     @pytest.mark.parametrize("claim", PLAIN_OBSERVED)
     def test_rows_equal_the_plain_sweeps(self, claim):
         """The rows of verify(claim, n, n) read what the public operations
         read from S_n, for every n from the claim's least to 8: from the
-        lift of S_{n-1}, or for T3_6, T4_2 and T4_4 from S_n itself."""
+        lift of the parents in S_{n-1}, or for T3_6, T4_2 and T4_4 from the
+        chunks of S_n itself."""
         for n in range(enumerator._CLAIMS[claim][0], 9):
             want = [observed(v) for v in PLAIN_OBSERVED[claim](n)]
             rows = verify(claim, n, n).rows
@@ -775,8 +785,9 @@ class TestLiftedRoute:
     def test_lifted_counters_are_the_plain_counters(self, map_id):
         """The reductions give the Counters of a plain sweep of S_n exactly,
         including the identity and the periodic points, which the shift by
-        one step would misplace.  At n = 1 the lift is of S_0, which has no
-        image power n // 2 >= 1 to compare."""
+        one step would misplace.  Both are tallied on S_n, the lifted ones
+        from its parents.  At n = 1 the parents are S_0, which has no image
+        power n // 2 >= 1 to compare."""
         for n in range(1, 9):
             plain = [(enumerator._orbit_shape, (map_id,))]
             lifted = [(enumerator._lifted_shape, (map_id,))]
@@ -784,15 +795,15 @@ class TestLiftedRoute:
                 plain.append((enumerator._image, (map_id, n // 2)))
                 lifted.append((enumerator._lifted_image, (map_id, n // 2)))
             shapes, *images = enumerator._tally(n, 1, plain)
-            lifted_shapes, *lifted_images = enumerator._tally(n - 1, 1, lifted)
+            lifted_shapes, *lifted_images = enumerator._tally(n, 1, lifted)
             assert enumerator._shapes_from_lift(lifted_shapes, n, map_id) == shapes, n
             for want, got in zip(images, lifted_images):
                 assert enumerator._images_from_lift(got) == set(want), n
 
-    def test_an_s_n_sweep_builds_no_walker(self, monkeypatch):
-        """verify_all(6, 6) sweeps S_5 for the orbit and image claims at 6,
-        with walks, and S_6 for the six per-permutation claims and the
-        one-pass claims T3_6, T4_2 and T4_4, with none."""
+    def test_walkers_are_built_only_in_the_parents_facts(self, monkeypatch):
+        """verify_all(6, 6) sweeps S_6 once.  The orbit and image claims walk
+        its parents in S_5; the six per-permutation claims and the one-pass
+        claims T3_6, T4_2 and T4_4 read its chunks with no walk."""
         built, walker = [], enumerator._walker
 
         def counting(f, ident, ks):
@@ -815,6 +826,36 @@ class TestLiftedRoute:
         monkeypatch.setattr(engine, "s21_closed_form", counting)
         assert all(r.overall_pass for r in verify_all(6, 6))
         assert lengths == {6: 721}
+
+    def test_the_parents_s12_column_is_made_once(self, monkeypatch):
+        """verify_all(6, 6) makes 2,725 passes, 312 of them s12 passes on
+        S_5: one column of the 120 parents, read by L3_3 and as the first
+        states of the lifted s12 walk, and 192 in that walk's memo."""
+        calls, lengths = counted_passes(monkeypatch), Counter()
+        s12 = engine.s12_closed_form
+
+        def by_length(p):
+            lengths[len(p)] += 1
+            return s12(p)
+
+        monkeypatch.setattr(engine, "s12_closed_form", by_length)
+        assert all(r.overall_pass for r in verify_all(6, 6))
+        assert sum(calls.values()) == 2725
+        assert lengths[5] == 312
+
+    @pytest.mark.parametrize("claim, n", [("T3_4", 6), ("T5_4", 9)])
+    def test_a_lifted_claim_alone_builds_no_insertion(self, monkeypatch, claim, n):
+        """A lifted claim verified alone reads only the parents of the
+        sweep of S_n, so no chunk of S_n is made."""
+        made, inserted = [], enumerator._inserted
+
+        def counting(parents, n):
+            made.append(n)
+            return inserted(parents, n)
+
+        monkeypatch.setattr(enumerator, "_inserted", counting)
+        assert verify(claim, n, n).overall_pass
+        assert made == []
 
 
 class TestT36Mutants:
@@ -910,10 +951,10 @@ class TestVerify:
 
         monkeypatch.setattr(enumerator, "_insertions", counting)
         verify_all(1, 6)
-        assert walked == [0, 1, 2, 3, 4, 5, 6]  # the orbit and image claims at 1 ride on S_0
+        assert walked == [1, 2, 3, 4, 5, 6]  # the orbit and image claims at 1 read S_0 as parents
         walked.clear()
         verify_all(6, 6)
-        assert walked == [5, 6]  # the orbit and image claims at 6 ride on S_5
+        assert walked == [6]  # the orbit and image claims at 6 read S_5 as parents
 
     def test_small_sweeps_start_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -1,7 +1,8 @@
 """The three facts that let the six s12 and m12 orbit and image claims at n
-(T3_4, C5_1_min, C5_1_high, T5_2, L5_3, T5_4) ride on S_{n-1}, S_0 = {()}
-at n = 1, checked exhaustively for n <= 9 on the engine's own passes (the
-one-pass claims, T3_6, T4_2 and T4_4 among them, sweep S_n itself):
+(T3_4, C5_1_min, C5_1_high, T5_2, L5_3, T5_4) read only the parents in
+S_{n-1} of the sweep of S_n, S_0 = {()} at n = 1, checked exhaustively for
+n <= 9 on the engine's own passes, and on S_10 by CI (the one-pass claims,
+T3_6, T4_2 and T4_4 among them, read the permutations of S_n themselves):
 
 1. s12(S_n) is exactly the permutations that end in n.
 2. Each of them has 2^(LRmax - 1) preimages, LRmax its number of
