@@ -46,7 +46,6 @@ from .perms import (
     RunDecomposition,
     Word,
     all_perms,
-    contains_pattern,
     delete_one,
     format_perm,
     identity,
@@ -57,9 +56,7 @@ from .perms import (
     peaks,
     perm,
     rank,
-    rev,
     reverse_identity,
-    standardize,
     successor,
     unrank,
     valley_runs,

@@ -7,7 +7,7 @@ keys per kernel.  The sweep is columnar.  It visits S_n as the insertions
 of 1 into S_{n-1}: each p in S_n is ins(u, i) for exactly one *parent* u
 in S_{n-1} and position i (Knuth, TAOCP 4A, 7.2.1.2), so it visits every
 parent once too.  It takes each rank range of S_{n-1} in groups of
-``CHUNK // n`` parents and loads each group into its facts (a ``_Facts``):
+``CHUNK`` parents and loads each group into its facts (a ``_Facts``):
 a dict from a fact's key to its *column*, the list of that fact for each p
 of the chunk.  The parents are facts of their own length, ``parents``,
 whose column 0 is the group; the chunk's column 0 is the n insertions of
@@ -26,25 +26,31 @@ that rows read.  Each Counter is advanced by
 with ``map`` over the columns it reads, the first time a kernel reads it,
 so each fact is made once per permutation however many kernels read it,
 and a sweep whose kernels read only the parents builds no insertion.  A
-first state is one pass, shared by every kernel and walk of that map.
-Every walk runs to the end of the orbit, so a sweep holds at most one walk
-per map and length, and that walk stores every later k-th state of its
-map: k-fold images cost no passes of their own, and past the tail the
-state at step k is the one at tail + (k - tail) mod cycle.
+first state of a permutation is one pass, shared by every kernel and walk
+of that map.  Every walk runs to the end of the orbit, so a sweep holds at
+most one walk per map and walked column, and that walk stores every later
+k-th state of its map: k-fold images cost no passes of their own, and past
+the tail the state at step k is the one at tail + (k - tail) mod cycle.
 
 A kernel is built once per rank range and may keep state for that range,
 provided its key for p depends on p alone, whatever order it sees
 permutations in.
 
-A walk is dynamic programming on the map's functional graph, restricted to
-its one-pass image: p's walk is composed from the walk of its first state
-q, which is walked once and memoised.  The memo is keyed on ``bytes(q)``;
-its value is an interned (hit, tail, cycle, q's last walked state if q is
-periodic, the stored states read at step k - 1).  Each walk has its own
-memo per length and rank range (a worker's whole share of S_n), dropped
-with the range; it holds at most the one-pass image of the S_m it walks
-((m-1)! states for s12 and s21, 326 for m12 at m = 8), and a memo that
-reaches ``MEMO_CAP`` states is cleared.  Permutations and their columns
+A walk is dynamic programming on the map's functional graph: each state
+is walked once and memoised on its bytes, as an interned summary (hit,
+tail, cycle, the states the kernels read, its cycle's states if it is
+periodic).
+A walk of distinct permutations, a chunk's or its parents', is composed
+from the walk of each p's first state (the chunk's, walked by the public
+sweeps) or its second state (the parents', the lifted s12 walk), so that
+memo holds the one-pass or two-pass image of the S_m walked: (m-1)! or
+(m-2)! states for s12.  A walk of the entries of another column, which
+repeat, is memoised on the entry itself: the lifted m12 walk of
+x = west(w) holds |west(S_{n-1})| states and makes no pass before its
+lookup.  Each walk has its own memo per length and rank range (a worker's
+whole share of S_n), dropped with the range, and a memo that reaches
+``MEMO_CAP`` states is cleared; no walk of a verification run clears up
+to n = 12 (9! and 578,290 states there).  Permutations and their columns
 are dropped once their chunk is counted, so no memory grows with n!.
 
 The public brute-force operations are one-kernel calls of ``_tally``, each
@@ -114,7 +120,6 @@ from .engine import (
 from .perms import (
     Perm,
     PermutationError,
-    delete_one,
     format_perm,
     identity,
     peaks,
@@ -186,9 +191,9 @@ def _blocks(n: int, lo: int, left: int) -> Iterator[Iterator[Perm]]:
 
 GUARD = 12  # largest n swept unless forced: 12! is about 4.8e8 permutations
 KEY_CAP = 10**6  # most distinct keys one sweep may hold
-MEMO_CAP = 10**6  # most first states one walk memo may hold; a full memo is cleared
+MEMO_CAP = 10**6  # most states one walk memo may hold; a full memo is cleared
 BLOCK = 4096  # fewest permutations per rank range worth a worker process
-CHUNK = 256  # permutations per fact column, in whole groups; the key cap is checked per chunk
+CHUNK = 64  # parents per chunk, which holds their n insertions each; the key cap is checked per chunk
 
 
 class GuardExceeded(ValueError):
@@ -204,40 +209,80 @@ def check_guard(n: int, force: bool = False) -> None:
         )
 
 
+class _Memo(dict):
+    """The walks of one map from the states it is asked for, keyed on
+    ``bytes(x)`` for each state x: x's *summary*, (identity hit, tail,
+    cycle, x's k-th state for each k in ``ks``, x's *loop* if x is periodic
+    (tail 0), else None), from ``engine._walk``.  The loop is the tuple of
+    the states of x's cycle from x on.  A miss walks x to the end of its
+    orbit, and a periodic x around its cycle once more, and interns the
+    summary; a memo of ``MEMO_CAP`` summaries is cleared first.  A hit is
+    one C-level lookup."""
+
+    def __init__(self, f: Callable[[Perm], Perm], ident: Perm, ks: Sequence[int]) -> None:
+        super().__init__()
+        self.f, self.ident, self.ks = f, ident, ks
+        self.interned: dict[tuple, tuple] = {}
+
+    def __missing__(self, key: bytes) -> tuple:
+        if len(self) >= MEMO_CAP:
+            self.clear()
+            self.interned.clear()
+        x = tuple(key)
+        hit, tail, cycle, _, states = _walk(self.f, self.ident, x, None, self.ks)
+        loop = None
+        if tail == 0:
+            loop = [x]
+            while len(loop) < cycle:
+                loop.append(self.f(loop[-1]))
+            loop = tuple(loop)
+        s = (hit, tail, cycle, *states, loop)
+        s = self[key] = self.interned.setdefault(s, s)
+        return s
+
+
+def _shift(p: Perm, ident: Perm, s: tuple) -> tuple:
+    """p's summary from ``s``, that of its first state q: p's hit and tail
+    are q's one step later and its cycle is q's, unless p is the last state
+    of q's loop: p is then periodic, and its loop starts at p."""
+    hit, tail, cycle, loop = s[0], s[1], s[2], s[-1]
+    hit = 0 if p == ident else None if hit is None else hit + 1
+    if loop is not None and p == loop[-1]:
+        return (hit, 0, cycle) + s[3:-1] + ((p,) + loop[:-1],)
+    return (hit, tail + 1, cycle) + s[3:-1] + (None,)
+
+
 def _walker(
-    f: Callable[[Perm], Perm], ident: Perm, ks: Sequence[int]
+    f: Callable[[Perm], Perm], ident: Perm, ks: Sequence[int], depth: int = 1
 ) -> Callable[[Perm, Perm], tuple]:
     """The function from p and its first state q = f(p) to p's walk record
     under f: ``engine._walk``'s (identity hit, tail, cycle), then p's k-th
-    state for each k in ``ks`` (k >= 1).
+    state for each k in ``ks`` (k >= ``depth``).
 
-    q's walk is walked to its end once and its summary memoised on
-    ``bytes(q)``; a memo of ``MEMO_CAP`` summaries is cleared.  p's hit and
-    tail are q's shifted by one and its cycle is q's, unless p is q's last
-    walked state: q is then periodic and p lies on its cycle, so p's walk
-    has tail 0 and q's cycle."""
-    before = [k - 1 for k in ks]
-    memo: dict[bytes, tuple] = {}
-    interned: dict[tuple, tuple] = {}
-
-    def summary(q: Perm) -> tuple:
-        if len(memo) >= MEMO_CAP:
-            memo.clear()
-            interned.clear()
-        hit, tail, cycle, last, states = _walk(f, ident, q, None, before)
-        s = (hit, tail, cycle, last if tail == 0 else None, *states)
-        return interned.setdefault(s, s)
+    p's walk is composed, by ``_shift``, from the walk of its
+    ``depth``-th state, 1 or 2, kept in a ``_Memo`` with its
+    (k - depth)-th states.  At depth 2 each p costs the pass f(q) more, and
+    the memo holds the two-pass image instead of the one-pass image.  If
+    that state is not periodic and neither p nor q is the identity, the
+    composition is a shift of its hit and tail by ``depth``."""
+    memo = _Memo(f, ident, [k - depth for k in ks])
 
     def record(p: Perm, q: Perm) -> tuple:
-        key = bytes(q)
-        s = memo.get(key)
-        if s is None:
-            s = memo[key] = summary(q)
-        hit, tail, cycle, last = s[:4]
-        hit = 0 if p == ident else None if hit is None else hit + 1
-        return (hit, 0 if p == last else tail + 1, cycle) + s[4:]
+        s = memo[bytes(q) if depth == 1 else bytes(f(q))]
+        if s[-1] is None and p != ident and q != ident:
+            hit = s[0]
+            return (hit if hit is None else hit + depth, s[1] + depth, s[2]) + s[3:-1]
+        if depth == 2:
+            s = _shift(q, ident, s)
+        return _shift(p, ident, s)[:-1]
 
     return record
+
+
+def _walk_stores(k: int, of: Hashable) -> bool:
+    """Whether the walk of the entries of column ``of`` stores their k-th
+    state: a later than first state of column 0's, any of another's."""
+    return k > 1 or (k == 1 and of != 0)
 
 
 class _Facts(dict):
@@ -256,35 +301,46 @@ class _Facts(dict):
       ``engine._walk``'s (identity hit, tail, cycle) of the whole orbit,
       then the later states the walk stores.
     * ``state(map_id, k, of)``, key ``(map_id, k, of)``: the k-th state of
-      the orbit.  The 0-th is the entry itself, key ``of``; a first state is
-      one pass, and a machine's first state is the west pass of its dotted
-      stage's first state (so m12(p) and m21(p) reuse s12(p) and s21(p)).
-      A later state is stored by the walk of that map.
+      the orbit.  The 0-th is the entry itself, key ``of``.  A state of the
+      entries of column 0 is a pass if it is the first, and a machine's
+      first state is the west pass of its dotted stage's first state (so
+      m12(p) and m21(p) reuse s12(p) and s21(p)); a later state is stored
+      by the walk of that map.  Every state of the entries of another
+      column is stored by their walk.
 
     A column, the chunk's included, is made, by ``map`` over the columns it
     reads, the first time a kernel reads it, so each fact is made once per
     p, however many kernels read it, and only if one does: a sweep whose
-    kernels read only the parents builds no insertion.  A map's walk is
-    made on its first read, once every kernel is built and has asked for
-    the states it stores, and lives as long as these facts, which a sweep
-    makes once per rank range: it reads each first state from these facts
-    and the rest of the orbit from its memo (see ``_walker``), one memo per
-    map whatever column is walked.
+    kernels read only the parents builds no insertion.  A walk is made on
+    its first read, once every kernel is built and has asked for the states
+    it stores, and lives as long as these facts, which a sweep makes once
+    per rank range; there is one per map and walked column.  Column 0 holds
+    distinct permutations, so its walk reads each first state from these
+    facts and the rest of the orbit from a memo keyed on the ``depth``-th
+    state (see ``_walker``): the first for the chunk, whose walks are those
+    of the public sweeps, and the second for the parents, whose s12 walk
+    is the lifted one, so that its memo holds (n-3)! states, not (n-2)!.
+    Another column is an image of column 0 and repeats its entries, so its
+    walk is a ``_Memo`` keyed on the entry itself: an entry seen before
+    costs one lookup and no pass.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, depth: int = 1) -> None:
         super().__init__()
-        self.n, self.ident = n, identity(n)
-        self.parents = _Facts(n - 1) if n else None
-        self._stored: dict[MapId, list[int]] = {}  # map -> the k of the states its walk stores
-        self._walkers: dict[MapId, Callable[[Perm, Perm], tuple]] = {}
+        self.n, self.ident, self.depth = n, identity(n), depth
+        self.parents = _Facts(n - 1, 2) if n else None
+        # (map, walked column) -> the k of the states its walk stores
+        self._stored: dict[tuple, list[int]] = {}
+        self._walks: dict[tuple, Callable] = {}
 
     def walk(self, map_id: MapId, of: Hashable = 0) -> tuple:
         return (map_id, None, of)
 
     def state(self, map_id: MapId, k: int, of: Hashable = 0) -> Hashable:
-        if k > 1 and k not in self._stored.setdefault(map_id, []):
-            self._stored[map_id].append(k)
+        if _walk_stores(k, of):
+            stored = self._stored.setdefault((map_id, of), [])
+            if k not in stored:
+                stored.append(k)
         return of if k == 0 else (map_id, k, of)
 
     def load(self, parents: list[Perm]) -> None:
@@ -301,13 +357,9 @@ class _Facts(dict):
             return column
         map_id, k, of = fact
         if k is None:
-            record = self._walkers.get(map_id)
-            if record is None:
-                record = self._walkers[map_id] = _walker(
-                    pass_fn(map_id), self.ident, self._stored.get(map_id, ()))
-            column = list(map(record, self[of], self[(map_id, 1, of)]))
-        elif k > 1:
-            at = itemgetter(3 + self._stored[map_id].index(k))
+            column = self._walked(map_id, of)
+        elif _walk_stores(k, of):
+            at = itemgetter(3 + self._stored[map_id, of].index(k))
             column = list(map(at, self[(map_id, None, of)]))
         elif map_id in DOTTED_STAGE:
             column = list(map(pass_fn(MapId.WEST), self[(DOTTED_STAGE[map_id], 1, of)]))
@@ -315,6 +367,17 @@ class _Facts(dict):
             column = list(map(pass_fn(map_id), self[of]))
         self[fact] = column
         return column
+
+    def _walked(self, map_id: MapId, of: Hashable) -> list[tuple]:
+        walk = self._walks.get((map_id, of))
+        if walk is None:
+            f, ks = pass_fn(map_id), self._stored.get((map_id, of), ())
+            walk = self._walks[map_id, of] = (
+                _walker(f, self.ident, ks, self.depth) if of == 0
+                else _Memo(f, self.ident, ks).__getitem__)
+        if of == 0:
+            return list(map(walk, self[0], self[(map_id, 1, 0)]))
+        return list(map(walk, map(bytes, self[of])))
 
 
 def _check_cap(counts: Counter) -> None:
@@ -345,14 +408,13 @@ def _inserted(parents: list[Perm], n: int) -> list[Perm]:
 
 def _insertions(n: int, lo: int, hi: int) -> Iterator[list[Perm]]:
     """The parents of each chunk of S_n: the ranks lo..hi-1 of S_{n-1},
-    ``CHUNK // n`` (at least one) at a time.  S_0 = {()} is one chunk of
-    no parents."""
+    ``CHUNK`` at a time.  S_0 = {()} is one chunk of no parents."""
     if not n:
         yield []
         return
-    parents, group = iter_range(RankRange(n - 1, lo, hi)), max(1, CHUNK // n)
-    for _ in range(lo, hi, group):
-        yield list(islice(parents, group))
+    parents = iter_range(RankRange(n - 1, lo, hi))
+    for _ in range(lo, hi, CHUNK):
+        yield list(islice(parents, CHUNK))
 
 
 def _tally_range(task: tuple) -> list[Counter]:
@@ -469,18 +531,30 @@ def _machine21_fixed_mismatch(facts: _Facts) -> Kernel:
                                          map(fixed_shape, cols[0])))
 
 
+_UP = bytes(range(1, 256)) + b"\0"  # bytes.translate table: each entry below 255 up by one
+
+
 def _deletion_differs(facts: _Facts) -> Kernel:
     """Whether q in S_n, sorted by one s12 pass and with its 1 deleted,
     differs from q's parent p, sorted.  q is ins(p, i) for exactly one p in
     S_{n-1} and position i, so this is L3_3's
-    ``delete_one(s12(ins(p, i))) != s12(p)`` for that pair.  It reads the
-    s12 column of the chunk, which P3_1 reads too, and that of the parents,
-    one pass per n insertions, repeated to line up with the chunk.  The
-    lifted s12 walk starts from that column of the parents too."""
+    ``delete_one(s12(ins(p, i))) != s12(p)`` for that pair, read shifted up
+    by one: s12(q) without its 1 against s12(p) with every entry plus one.
+    Both are bytes, so that the 1 is removed and the entries shifted by
+    C-level calls, and s12(p) is shifted once per parent, not once per
+    insertion.  It reads the s12 column of the chunk, which P3_1 reads too,
+    and that of the parents, one pass per n insertions, repeated to line up
+    with the chunk.  The lifted s12 walk starts from that column of the
+    parents too."""
     sorted_q, n = facts.state(MapId.S12, 1), facts.n
     sorted_p = facts.parents.state(MapId.S12, 1)
-    return lambda cols: filter(None, map(ne, map(delete_one, cols[sorted_q]),
-                                         cols.parents[sorted_p] * n))
+
+    def kernel(cols: _Facts) -> Iterable[Hashable]:
+        shifted = list(map(bytes.translate, map(bytes, cols.parents[sorted_p]), repeat(_UP)))
+        deleted = map(bytes.replace, map(bytes, cols[sorted_q]), repeat(b"\x01"), repeat(b""))
+        return filter(None, map(ne, deleted, shifted * n))
+
+    return kernel
 
 
 def _insertion_miss(facts: _Facts, t: int) -> Kernel:
@@ -513,7 +587,10 @@ def _insertion_miss(facts: _Facts, t: int) -> Kernel:
 # lift of the orbit of x = w (s12) or x = west(w) (m12), and p's k-th state
 # is the lift of x's (k-1)-th.  Each w in S_{n-1} is a parent of the sweep
 # of S_n, once, so these kernels read only the parents' facts, where x's
-# walk compares its states with S_{n-1}'s identity.  The shape kernel keys
+# walk compares its states with S_{n-1}'s identity.  The s12 walk of w is
+# memoised on w's second state, the m12 walk of west(w) on west(w) itself,
+# which also stores every m12 state of it that the image kernel reads, the
+# first included (see ``_Facts``).  The shape kernel keys
 # each w by what its preimages share and by r, and its reduction
 # multiplies each count by 2^r, so ``Counter.update`` stays C-level.  An
 # image claim compares sets, so the image kernel keys w by the state alone.
@@ -521,7 +598,7 @@ def _insertion_miss(facts: _Facts, t: int) -> Kernel:
 
 def _lifted_source(parents: _Facts, map_id: MapId) -> Hashable:
     """The column of x in the parents' facts: w itself for s12, west(w) for
-    m12."""
+    m12, which repeats its entries, so that x's walk is memoised on x."""
     return 0 if map_id is MapId.S12 else parents.state(MapId.WEST, 1)
 
 

@@ -85,11 +85,6 @@ def reverse_identity(n: int) -> Perm:
     return tuple(range(n, 0, -1))
 
 
-def rev(p: Perm) -> Perm:
-    """Reverse the order of the entries."""
-    return p[::-1]
-
-
 def inc(p: Perm) -> Word:
     """Increment every entry by 1. The result is a word on 2..n+1, not a
     permutation."""
@@ -174,34 +169,6 @@ def valley_runs(p: Perm) -> RunDecomposition:
     ((1, 3), (4, 5))
     """
     return _runs_from_starts(valleys(p), len(p), "valley")
-
-
-def standardize(w: Sequence[int]) -> Perm:
-    """Replace each entry of a word of distinct values by its rank (smallest
-    entry becomes 1), yielding the order-isomorphic permutation."""
-    if len(w) == 0:
-        raise PermutationError("cannot standardize an empty word")
-    order = {v: i for i, v in enumerate(sorted(w), start=1)}
-    if len(order) != len(w):
-        raise PermutationError("word entries must be pairwise distinct")
-    return tuple(order[v] for v in w)
-
-
-def contains_pattern(p: Perm, q: Perm) -> bool:
-    """True iff some subsequence of ``p`` is order-isomorphic to ``q``.
-
-    Only patterns of length <= 3 are supported.
-    """
-    k = len(q)
-    if k > 3:
-        raise ValueError("patterns longer than 3 are not supported")
-    if k > len(p):
-        return False
-    std_q = standardize(q)
-    for sub in itertools.combinations(p, k):
-        if standardize(sub) == std_q:
-            return True
-    return False
 
 
 # -- lexicographic rank / unrank / successor ---------------------------------

@@ -152,13 +152,15 @@ class TestInsertionSweep:
     """A sweep of S_n takes the insertions of 1 into rank ranges of
     S_{n-1}, in chunks of whole groups, each chunk with its parents."""
 
-    @pytest.mark.parametrize("chunk", [enumerator.CHUNK, 11])
+    @pytest.mark.parametrize("chunk", [enumerator.CHUNK, 11, 256])
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize("n", range(0, 8))
     def test_each_permutation_once_with_its_parent(self, monkeypatch, n, jobs, chunk):
         """The chunks that the facts load from every range of a split hold
-        S_n exactly once, and the parents repeated n times line up with
-        them."""
+        S_n exactly once, at most ``CHUNK`` parents each, and the parents
+        repeated n times line up with them.  11 parents divide no range of
+        a split evenly; 256 are more than any range holds up to n = 6, so
+        there each range is one chunk."""
         monkeypatch.setattr(enumerator, "CHUNK", chunk)
         seen, facts = [], enumerator._Facts(n)
         for r in enumerator._split(n, jobs):
@@ -166,7 +168,7 @@ class TestInsertionSweep:
                 facts.load(group)
                 perms, parents = facts[0], facts.parents[0] if n else group
                 assert len(perms) == len(parents) * n if n else (perms, parents) == ([()], [])
-                assert len(perms) <= max(chunk, n)
+                assert 0 < len(parents) <= chunk or not n
                 for q, p in zip(perms, parents * n):
                     assert deleted(q) == p, (q, p)
                 seen += perms
@@ -677,10 +679,22 @@ class TestFacts:
         assert facts[key] == [iterate(MapId.MACHINE12, q, 1) for q in inserted]
 
 
+def assert_records_are_walks(seed, ident_at, ks, depth):
+    """Every p of S_5, in a seeded order, has the walk record under
+    ``synthetic_map(seed, ident_at)`` that the dict walk reads."""
+    f, ident = synthetic_map(seed, ident_at), identity(5)
+    record = enumerator._walker(f, ident, ks, depth)
+    perms = list(all_perms(5))
+    random.Random(seed).shuffle(perms)
+    for p in perms:
+        walk = dict_walk(f, ident, p)
+        assert record(p, f(p)) == walk[:3] + tuple(state_at(walk, k) for k in ks), p
+
+
 class TestMemoisedWalk:
     """``enumerator._walker`` composes each walk from the walk of its first
-    state; the five maps have no cycle longer than 1 at small n, so these
-    tests drive it with synthetic maps that do."""
+    or second state; the five maps have no cycle longer than 1 at small n,
+    so these tests drive it with synthetic maps that do."""
 
     @pytest.mark.parametrize("k_max", [None, 0, 1, 3])
     @pytest.mark.parametrize("ident_at", [0, 4, 12, 119])
@@ -688,22 +702,28 @@ class TestMemoisedWalk:
     def test_walk_record_is_the_walk(self, seed, ident_at, k_max):
         """The record of a walk that stores no later state, the first, the
         first three or all of 1, 2, 3, 7 and 100 (k_max None)."""
-        f, ident = synthetic_map(seed, ident_at), identity(5)
         ks = [k for k in (1, 2, 3, 7, 100) if k_max is None or k <= k_max]
-        record = enumerator._walker(f, ident, ks)
-        perms = list(all_perms(5))
-        random.Random(seed).shuffle(perms)
-        for p in perms:
-            walk = dict_walk(f, ident, p)
-            assert record(p, f(p)) == walk[:3] + tuple(state_at(walk, k) for k in ks), p
+        assert_records_are_walks(seed, ident_at, ks, 1)
+
+    @pytest.mark.parametrize("k_max", [None, 2, 3])
+    @pytest.mark.parametrize("ident_at", [0, 4, 12, 39, 119])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_walk_record_from_the_second_state_is_the_walk(self, seed, ident_at, k_max):
+        """The same records, composed from the memoised walk of each p's
+        second state, which stores the states from the second on: p and
+        its first state may each be the identity or on a cycle.  At 39 the
+        identity is in a tree, off the cycles by two steps or more, and has
+        preimages, for both seeds."""
+        ks = [k for k in (2, 3, 7, 100) if k_max is None or k <= k_max]
+        assert_records_are_walks(seed, ident_at, ks, 2)
 
     def test_one_walk_per_map_per_sweep(self, monkeypatch):
         """An orbit shape and a k-fold image of one map read one walk."""
         built, walker = [], enumerator._walker
 
-        def counting(f, ident, ks):
+        def counting(f, ident, ks, *depth):
             built.append(list(ks))
-            return walker(f, ident, ks)
+            return walker(f, ident, ks, *depth)
 
         monkeypatch.setattr(enumerator, "_walker", counting)
         shapes, images = enumerator._tally(5, 1, [(enumerator._orbit_shape, (MapId.S12,)),
@@ -731,10 +751,11 @@ class TestMemoisedWalk:
         monkeypatch.setattr(enumerator, "MEMO_CAP", 2)
         assert [r.to_dict() for r in verify_all(1, 6)] == want
         f, ident = synthetic_map(3, 4), identity(5)
-        record = enumerator._walker(f, ident, [2])
-        for p in all_perms(5):
-            walk = dict_walk(f, ident, p)
-            assert record(p, f(p)) == walk[:3] + (state_at(walk, 2),)
+        for depth in (1, 2):
+            record = enumerator._walker(f, ident, [2], depth)
+            for p in all_perms(5):
+                walk = dict_walk(f, ident, p)
+                assert record(p, f(p)) == walk[:3] + (state_at(walk, 2),), (depth, p)
 
 
 # claim -> the observed values of its rows at n, reduced from the plain
@@ -764,6 +785,27 @@ def observed(value):
     return str(value)
 
 
+def assert_lifted_is_plain(n, jobs, *map_ids):
+    """On one sweep of S_n, for each map, the Counters of its orbit shapes
+    and of its images at power n // 2 and at its claim's own (T5_2's or
+    T5_4's), where these are >= 1, tallied by the plain kernels
+    ``_orbit_shape`` and ``_image``, equal the reductions of those of the
+    lifted kernels, which read the sweep's parents in S_{n-1}."""
+    pairs = []  # (plain spec, lifted spec, reduction of the lifted Counter)
+    for map_id in map_ids:
+        own = formulas.s12_terminal_power if map_id is MapId.S12 else formulas.machine12_terminal_power
+        pairs.append(((enumerator._orbit_shape, (map_id,)), (enumerator._lifted_shape, (map_id,)),
+                      lambda lifted, map_id=map_id: enumerator._shapes_from_lift(lifted, n, map_id)))
+        for k in sorted({k for k in (n // 2, own(n)) if k >= 1}):
+            pairs.append(((enumerator._image, (map_id, k)), (enumerator._lifted_image, (map_id, k)),
+                          enumerator._images_from_lift))
+    counts = enumerator._tally(n, jobs, [spec for plain, lifted, _ in pairs for spec in (plain, lifted)])
+    for (plain, _, reduce), want, got in zip(pairs, counts[::2], counts[1::2]):
+        if plain[0] is enumerator._image:
+            want = set(want)
+        assert reduce(got) == want, (n, jobs, plain)
+
+
 class TestLiftedRoute:
     """The six s12 and m12 orbit and image claims at n read the parents in
     S_{n-1} of the sweep of S_n: each w there stands for the 2^r preimages
@@ -782,37 +824,35 @@ class TestLiftedRoute:
             assert all(row.passed for row in rows), (claim, n)
 
     @pytest.mark.parametrize("map_id", [MapId.S12, MapId.MACHINE12])
-    def test_lifted_counters_are_the_plain_counters(self, map_id):
+    def test_lifted_counters_are_the_plain_counters(self, monkeypatch, map_id):
         """The reductions give the Counters of a plain sweep of S_n exactly,
         including the identity and the periodic points, which the shift by
-        one step would misplace.  Both are tallied on S_n, the lifted ones
-        from its parents.  At n = 1 the parents are S_0, which has no image
-        power n // 2 >= 1 to compare."""
-        for n in range(1, 9):
-            plain = [(enumerator._orbit_shape, (map_id,))]
-            lifted = [(enumerator._lifted_shape, (map_id,))]
-            if n > 1:
-                plain.append((enumerator._image, (map_id, n // 2)))
-                lifted.append((enumerator._lifted_image, (map_id, n // 2)))
-            shapes, *images = enumerator._tally(n, 1, plain)
-            lifted_shapes, *lifted_images = enumerator._tally(n, 1, lifted)
-            assert enumerator._shapes_from_lift(lifted_shapes, n, map_id) == shapes, n
-            for want, got in zip(images, lifted_images):
-                assert enumerator._images_from_lift(got) == set(want), n
+        one step would misplace, for n <= 8, at jobs 1 and 2, and with a
+        ``MEMO_CAP`` of 2, so that every walk memo clears.  The images are
+        compared at power n // 2 and at the claim's own (T5_2's or
+        T5_4's) where they are >= 1: at n = 1 the parents are S_0, which
+        has none."""
+        for memo_cap in (enumerator.MEMO_CAP, 2):
+            monkeypatch.setattr(enumerator, "MEMO_CAP", memo_cap)
+            for jobs in (1, 2):
+                for n in range(1, 9):
+                    assert_lifted_is_plain(n, jobs, map_id)
 
     def test_walkers_are_built_only_in_the_parents_facts(self, monkeypatch):
         """verify_all(6, 6) sweeps S_6 once.  The orbit and image claims walk
-        its parents in S_5; the six per-permutation claims and the one-pass
-        claims T3_6, T4_2 and T4_4 read its chunks with no walk."""
-        built, walker = [], enumerator._walker
+        its parents in S_5, with one memo per map, s12 and m12; the six
+        per-permutation claims and the one-pass claims T3_6, T4_2 and T4_4
+        read its chunks with no walk."""
+        built = []
 
-        def counting(f, ident, ks):
-            built.append(len(ident))
-            return walker(f, ident, ks)
+        class Counted(enumerator._Memo):
+            def __init__(self, f, ident, ks):
+                built.append(len(ident))
+                super().__init__(f, ident, ks)
 
-        monkeypatch.setattr(enumerator, "_walker", counting)
+        monkeypatch.setattr(enumerator, "_Memo", Counted)
         assert all(r.overall_pass for r in verify_all(6, 6))
-        assert built and set(built) == {5}
+        assert built == [5, 5]
 
     def test_no_s21_pass_on_s_n_minus_1(self, monkeypatch):
         """P3_5, L4_1, L4_3, T4_2, T4_4 and T3_6 share one s21 column of
@@ -828,9 +868,11 @@ class TestLiftedRoute:
         assert lengths == {6: 721}
 
     def test_the_parents_s12_column_is_made_once(self, monkeypatch):
-        """verify_all(6, 6) makes 2,725 passes, 312 of them s12 passes on
+        """verify_all(6, 6) makes 2,615 passes, 289 of them s12 passes on
         S_5: one column of the 120 parents, read by L3_3 and as the first
-        states of the lifted s12 walk, and 192 in that walk's memo."""
+        states of the lifted s12 walk, 120 more for their second states, on
+        which that walk is memoised, 13 in the walks of the 6 second states
+        and 36 in those of the 17 x = west(w) of the lifted m12 walk.""" 
         calls, lengths = counted_passes(monkeypatch), Counter()
         s12 = engine.s12_closed_form
 
@@ -840,8 +882,48 @@ class TestLiftedRoute:
 
         monkeypatch.setattr(engine, "s12_closed_form", by_length)
         assert all(r.overall_pass for r in verify_all(6, 6))
-        assert sum(calls.values()) == 2725
-        assert lengths[5] == 312
+        assert sum(calls.values()) == 2615
+        assert lengths[5] == 289
+
+    def test_the_lifted_m12_walk_is_keyed_on_x(self, monkeypatch):
+        """verify_all(9, 9) walks the 40,320 parents w in S_8.  The lifted
+        m12 walk of x = west(w) is memoised on x itself, so each of the
+        1,780 x in west(S_8) is walked once, and the lifted s12 walk on the
+        720 second states s12(s12(w)).  Outside these walks the sweep makes
+        three passes per parent: the columns s12(w) and x, and the key
+        s12(s12(w)) of the s12 walk.  No parent makes an s12 or west pass
+        on its x."""
+        where, outside, walked = ["claims"], Counter(), Counter()
+        for name in ("s12_closed_form", "west_pass"):
+            def counting(p, _name=name, _pass=getattr(engine, name)):
+                if where[0] == "sweep" and len(p) == 8:
+                    outside[_name] += 1
+                return _pass(p)
+
+            monkeypatch.setattr(engine, name, counting)
+        walk, tally_range = enumerator._walk, enumerator._tally_range
+
+        def walking(f, *args):
+            if where[0] == "sweep":
+                walked[f] += 1
+            where[0], was = "walk", where[0]
+            try:
+                return walk(f, *args)
+            finally:
+                where[0] = was
+
+        def sweeping(task):
+            where[0] = "sweep"
+            try:
+                return tally_range(task)
+            finally:
+                where[0] = "claims"
+
+        monkeypatch.setattr(enumerator, "_walk", walking)
+        monkeypatch.setattr(enumerator, "_tally_range", sweeping)
+        assert all(r.overall_pass for r in verify_all(9, 9))
+        assert outside == {"s12_closed_form": 2 * 40320, "west_pass": 40320}
+        assert sorted(walked.values()) == [720, 1780]
 
     @pytest.mark.parametrize("claim, n", [("T3_4", 6), ("T5_4", 9)])
     def test_a_lifted_claim_alone_builds_no_insertion(self, monkeypatch, claim, n):

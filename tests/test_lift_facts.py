@@ -20,6 +20,12 @@ pass only.
 Facts 1 and 2 and their mirror are one check per map: the cuts of the
 permutations ending in n (or 1) give distinct preimages, n! of them in all,
 so they are all of S_n.
+
+T5_2, whose rows past n = 10 are read from the lifted route alone, is fact
+1 iterated: the k-fold s12 image of S_n is S_{n-k} followed by
+n-k+1, ..., n.  That is checked here too, for every k <= n - 1 and n <= 9,
+on image sets made by the simulated stack, which shares no code with the
+sweep's pass.
 """
 
 import itertools
@@ -27,7 +33,7 @@ import math
 
 import pytest
 
-from pss.engine import MapId, pass_fn
+from pss.engine import MapId, pass_fn, s12_simulated
 from pss.perms import inc
 
 N_MAX = 9
@@ -90,3 +96,14 @@ def test_appending_commutes_with_the_passes(n):
         for f in (s12, west, m12):
             assert f(top) == f(w) + (n,), (f, w)
         assert s21(inc(w) + (1,)) == inc(s21(w)) + (1,), w
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_k_fold_s12_image_is_s_n_minus_k_then_the_top(n):
+    """Each image set is the simulated stack's image of the one before, so
+    S_n is passed once and each k-fold image once."""
+    image = set(itertools.permutations(range(1, n + 1)))
+    for k in range(1, n):
+        image = set(map(s12_simulated, image))
+        top = tuple(range(n - k + 1, n + 1))
+        assert image == {v + top for v in itertools.permutations(range(1, n - k + 1))}, (n, k)

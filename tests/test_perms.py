@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -10,7 +9,6 @@ from pss import perms
 from pss.perms import (
     PermutationError,
     all_perms,
-    contains_pattern,
     delete_one,
     format_perm,
     identity,
@@ -21,9 +19,7 @@ from pss.perms import (
     peaks,
     perm,
     rank,
-    rev,
     reverse_identity,
-    standardize,
     successor,
     unrank,
     valley_runs,
@@ -61,14 +57,6 @@ class TestParse:
 
 
 class TestElementary:
-    def test_rev(self):
-        assert rev((2, 1, 4, 5, 3)) == (3, 5, 4, 1, 2)
-        assert rev((1,)) == (1,)
-
-    @given(perm_st)
-    def test_rev_involution(self, p):
-        assert rev(rev(p)) == p
-
     def test_inc(self):
         assert inc((2, 1, 4, 5, 3)) == (3, 2, 5, 6, 4)
         assert inc((1,)) == (2,)
@@ -138,39 +126,6 @@ class TestPeaksValleys:
     def test_position_one_is_peak_and_valley(self, p):
         assert 1 in peaks(p)
         assert 1 in valleys(p)
-
-
-class TestStandardize:
-    def test_examples(self):
-        assert standardize((3, 5, 4, 1, 2)) == (3, 5, 4, 1, 2)
-        assert standardize((2, 9, 4)) == (1, 3, 2)
-        assert standardize((7,)) == (1,)
-
-    @given(perm_st)
-    def test_fixed_on_permutations(self, p):
-        assert standardize(p) == p
-
-    def test_empty_rejected(self):
-        with pytest.raises(PermutationError):
-            standardize(())
-
-
-class TestPatternContainment:
-    def test_examples(self):
-        assert contains_pattern((2, 4, 3, 1, 5), (2, 3, 1))
-        assert not contains_pattern(reverse_identity(6), (2, 3, 1))
-        assert contains_pattern(identity(4), (1, 2))
-
-    def test_long_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            contains_pattern(identity(5), (1, 2, 3, 4))
-
-    @given(perm_st, st.sampled_from([(1, 2, 3), (2, 3, 1), (3, 2, 1), (1, 3, 2)]))
-    def test_agrees_with_all_triples_oracle(self, p, q):
-        oracle = any(
-            standardize(tri) == q for tri in itertools.combinations(p, 3)
-        )
-        assert contains_pattern(p, q) == oracle
 
 
 class TestRanking:
