@@ -18,9 +18,9 @@ tail and cycle of the engine's one walker) and k-th states of orbits, of p
 or of the entries of another column.  The kernel maps the facts of a chunk
 to an iterable of hashable keys of its permutations, mostly C-level
 ``map`` calls over ``operator`` functions.  A kernel that asks a yes or
-no question gives only its True keys, by ``filter(None, ...)``, and T4_4's
-only the fixed points, by ``compress``, so a Counter counts only the keys
-that rows read.  Each Counter is advanced by
+no question gives only its True keys, by ``filter(None, ...)``, and a
+fixed-point kernel only the fixed points, by ``compress``, so a Counter
+counts only the keys that rows read.  Each Counter is advanced by
 ``Counter.update(kernel(facts))`` and its size checked against
 ``KEY_CAP`` after every chunk.  A column, the chunk's included, is made,
 with ``map`` over the columns it reads, the first time a kernel reads it,
@@ -61,18 +61,19 @@ tail.
 
 ``verify`` and ``verify_all`` are one path: a verification run gathers,
 for each n, the kernels of every claim at n, and sweeps each S_n once for
-all of them.  The nine one-pass claims read the chunk: the six that
-compare two things on each p (RED, P3_1, P3_5, L3_3, L4_1, L4_3); T4_2
-and T4_4, which count what L4_1 and L4_3 check and read their m21 column;
-and T3_6, which reads the s21 column of P3_5, since every t-fold s21 image
-is a one-pass image.  The six s12 and m12 orbit and image claims read the
-parents, by the lifted route (see its section): each w in S_{n-1} stands
-for the 2^r preimages of its lift under an s12 pass, a weight that only
-the orbit shapes read, as the image claims compare sets.  So the walks of
-a sweep are of S_{n-1}, and L3_3's s12 column of the parents is the first
-state of the lifted s12 walk.  The route rests on three facts about the
-passes, which the tests check exhaustively up to n = 9 and CI on S_10;
-the public brute-force operations stay plain sweeps of S_n, its oracle.
+all of them.  The five one-pass claims read the chunk: RED, P3_1, P3_5 and
+L3_3 compare two things on each p, and T3_6 reads P3_5's s21 column, as
+every t-fold s21 image is a one-pass image.  The four m21 claims make
+their m21 passes on the parents' lifts and on the p that L4_1's or L4_3's
+structural test accepts (see the 21 machine's section).  The six s12 and
+m12 orbit and image claims read the parents, by the lifted route (see its
+section): each w in S_{n-1} stands for the 2^r preimages of its lift under
+an s12 pass, a weight that only the orbit shapes read, as the image claims
+compare sets.  So the walks of a sweep are of S_{n-1}, and L3_3's s12
+column of the parents is the first state of the lifted s12 walk.  Both
+routes rest on facts about the passes, which the tests check exhaustively
+up to n = 9 and CI on S_10; the public brute-force operations stay plain
+sweeps of S_n, their oracle.
 Each claim's rows, its closed forms (from :mod:`pss.formulas`) against
 brute force, are then reduced from its Counter into a
 :class:`VerificationReport`.  A sweep's time is split evenly across the
@@ -125,6 +126,7 @@ from .perms import (
     peaks,
     successor,
     unrank,
+    valleys,
 )
 
 
@@ -147,14 +149,9 @@ def split_ranges(n: int, parts: int) -> list[RankRange]:
         raise PermutationError("length must be >= 0")
     total = math.factorial(n)
     parts = max(1, min(parts, total))
-    step, extra = divmod(total, parts)
-    ranges = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        ranges.append(RankRange(n, lo, hi))
-        lo = hi
-    return ranges
+    step, extra = divmod(total, parts)  # the first ``extra`` ranges hold one more
+    bounds = [i * step + min(i, extra) for i in range(parts + 1)]
+    return [RankRange(n, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def iter_range(r: RankRange) -> Iterator[Perm]:
@@ -279,10 +276,14 @@ def _walker(
     return record
 
 
+LIFT = "lift"  # the chunk's column of the insertions of 1 at the end: its parents' lifts
+
+
 def _walk_stores(k: int, of: Hashable) -> bool:
     """Whether the walk of the entries of column ``of`` stores their k-th
-    state: a later than first state of column 0's, any of another's."""
-    return k > 1 or (k == 1 and of != 0)
+    state: a later than first state of column 0's or ``LIFT``'s, whose
+    entries are distinct, any of another's."""
+    return k > 1 or (k == 1 and of not in (0, LIFT))
 
 
 class _Facts(dict):
@@ -293,8 +294,9 @@ class _Facts(dict):
     with their own identity and walks; ``load`` starts a chunk with them
     alone.  Key 0 holds the chunk, the n insertions of each parent (see
     ``_inserted``), so that its j-th p has parent ``(parents[0] * n)[j]``;
-    at n = 0 it is S_0 = [()].  A fact is a walk or a state of a map, and
-    may be asked of the entries of another column, ``of`` (the chunk by
+    at n = 0 it is S_0 = [()].  Key ``LIFT`` holds its last insertions, the
+    parents' lifts inc(w).1.  A fact is a walk or a state of a map, and may
+    be asked of the entries of another column, ``of`` (the chunk by
     default), rather than of p itself.
 
     * ``walk(map_id, of)``, key ``(map_id, None, of)``: the walk record,
@@ -302,11 +304,11 @@ class _Facts(dict):
       then the later states the walk stores.
     * ``state(map_id, k, of)``, key ``(map_id, k, of)``: the k-th state of
       the orbit.  The 0-th is the entry itself, key ``of``.  A state of the
-      entries of column 0 is a pass if it is the first, and a machine's
-      first state is the west pass of its dotted stage's first state (so
-      m12(p) and m21(p) reuse s12(p) and s21(p)); a later state is stored
-      by the walk of that map.  Every state of the entries of another
-      column is stored by their walk.
+      entries of column 0 or ``LIFT`` is a pass if it is the first, and a
+      machine's first state is the west pass of its dotted stage's first
+      state (so m12(p) and m21(p) reuse s12(p) and s21(p)); a later state
+      is stored by the walk of that map.  Every state of the entries of
+      another column is stored by their walk.
 
     A column, the chunk's included, is made, by ``map`` over the columns it
     reads, the first time a kernel reads it, so each fact is made once per
@@ -355,6 +357,8 @@ class _Facts(dict):
         if fact == 0:
             self[0] = column = _inserted(self.parents[0], self.n) if self.n else [()]
             return column
+        if fact == LIFT:
+            return self.setdefault(LIFT, self[0][(self.n - 1) * len(self.parents[0]):])
         map_id, k, of = fact
         if k is None:
             column = self._walked(map_id, of)
@@ -516,21 +520,6 @@ def _dot_variants_differ(facts: _Facts) -> Kernel:
     return lambda cols: filter(None, map(differ, cols[0]))
 
 
-def _machine21_sortable_mismatch(facts: _Facts) -> Kernel:
-    """One m21 pass sorts p, against the structural test on p, which shares
-    no code with the pass."""
-    m21, ident = facts.state(MapId.MACHINE21, 1), facts.ident
-    sortable = formulas.is_machine21_sortable
-    return lambda cols: filter(None, map(ne, map(eq, cols[m21], repeat(ident)),
-                                         map(sortable, cols[0])))
-
-
-def _machine21_fixed_mismatch(facts: _Facts) -> Kernel:
-    m21, fixed_shape = facts.state(MapId.MACHINE21, 1), formulas.is_machine21_fixed_shape
-    return lambda cols: filter(None, map(ne, map(eq, cols[m21], cols[0]),
-                                         map(fixed_shape, cols[0])))
-
-
 _UP = bytes(range(1, 256)) + b"\0"  # bytes.translate table: each entry below 255 up by one
 
 
@@ -657,6 +646,48 @@ def _images_from_lift(lifted: Counter) -> set[Perm]:
     """The set of k-fold images over S_n from ``_lifted_image``'s Counter,
     keyed by the parents in S_{n-1}: each state lifted."""
     return {s + (len(s) + 1,) for s in lifted}
+
+
+# -- the 21 machine: its four claims from the lifts of the sweep's parents --
+#
+# An s21 pass reverses each valley run, so its image of S_n is the lifts
+# y = inc(w).1 of the parents w, each with 2^r preimages, r the number of
+# w's left-to-right minima.  So m21(p) = west(y) for every preimage p of y:
+# one west pass per parent, on ``LIFT``.  The p that m21 sorts, set A of
+# L4_1 and T4_2, are the preimages of the y with west(y) = id, keyed by y.
+# The p that m21 fixes, set A of L4_3 and T4_4, are the x = west(y) with
+# s21(x) = y, each keyed by the one parent of its s21 image.  Set B, the p
+# that the claim's structural test accepts, is tested on every p, and only
+# its members make an m21 pass, keyed True if p is in A, else False: so
+# |A ^ B| = |A| + #False - #True, what a comparison on each p counts.
+
+
+def _machine21_sorts(facts: _Facts) -> Kernel:
+    """The lifts y with west(y) = id, and whether m21 sorts each p that
+    ``is_machine21_sortable`` accepts."""
+    west, m21, ident = facts.state(MapId.WEST, 1, LIFT), pass_fn(MapId.MACHINE21), facts.ident
+    sorts, sortable = (lambda p: m21(p) == ident), formulas.is_machine21_sortable
+    return lambda cols: chain(compress(cols[LIFT], map(eq, cols[west], repeat(ident))),
+                              map(sorts, compress(cols[0], map(sortable, cols[0]))))
+
+
+def _machine21_fixes(facts: _Facts) -> Kernel:
+    """The x = west(y) with s21(x) = y over the lifts y, and whether m21
+    fixes each p that ``is_machine21_fixed_shape`` accepts."""
+    west, s21, m21 = facts.state(MapId.WEST, 1, LIFT), pass_fn(MapId.S21), pass_fn(MapId.MACHINE21)
+    fixes, shaped = (lambda p: m21(p) == p), formulas.is_machine21_fixed_shape
+    return lambda cols: chain(compress(cols[west], map(eq, map(s21, cols[west]), cols[LIFT])),
+                              map(fixes, compress(cols[0], map(shaped, cols[0]))))
+
+
+def _sorts_from_lift(counts: Counter) -> int:
+    """|A| from ``_machine21_sorts``'s keys: 2^r for each y, r = LRmin(y) - 1."""
+    return sum(c << len(valleys(y)) - 1 for y, c in counts.items() if type(y) is tuple)
+
+
+def _fixed_from_lift(counts: Counter) -> int:
+    """|A| from ``_machine21_fixes``'s keys: one for each x."""
+    return sum(type(x) is tuple for x in counts)
 
 
 # -- public brute-force operations -------------------------------------------
@@ -884,6 +915,14 @@ def _rows_t34(n):
     return _shapes_at(n, MapId.S12, rows)
 
 
+def _rows_m21(n, label, make_kernel, size, count=None):
+    """An m21 claim's row: |A| against the closed form named ``count``, or
+    else |A ^ B| against zero."""
+    if count:
+        return (make_kernel, ()), lambda c: [_count_row(n, label, getattr(formulas, count)(n), size(c))]
+    return (make_kernel, ()), lambda c: [_count_row(n, label, 0, size(c) + c[False] - c[True])]
+
+
 def _rows_t36(n):
     """T3_6's rows from whether one s21 pass sorts p.  A t-fold image is a
     one-pass image, and an identity that one pass fixes is its own only
@@ -903,22 +942,6 @@ def _rows_t36(n):
         return [_count_row(n, f"t={t}", expected, counts[t]) for t in range(1, 2 * n + 1)]
 
     return (_sorted_by, (MapId.S21,)), rows
-
-
-def _rows_t42(n):
-    def rows(sorts):
-        expected = formulas.count_machine21_sortable(n)
-        return [_count_row(n, "machine-sortable", expected, sorts[True])]
-
-    return (_sorted_by, (MapId.MACHINE21,)), rows
-
-
-def _rows_t44(n):
-    def rows(points):
-        observed = len(points)
-        return [_count_row(n, "fixed points", formulas.count_machine21_fixed_points(n), observed)]
-
-    return (_fixed_point, (MapId.MACHINE21,)), rows
 
 
 def _rows_c51_min(n):
@@ -975,10 +998,11 @@ def _rows_t54(n):
 # claim -> (least n, builder, *builder arguments).  For one n, a builder
 # gives the spec of the claim's kernel on the sweep of S_n and the function
 # from the kernel's Counter to the rows.  Every claim at n rides on that one
-# sweep.  The nine one-pass claims read its chunk: the six that compare two
+# sweep.  The five one-pass claims read its chunk: the four that compare two
 # things on each p, whose zero-mismatch rows share one builder and differ by
-# its arguments, and T3_6, T4_2 and T4_4.  The six s12 and m12 orbit and
-# image claims read its parents in S_{n-1}, by the lifted route.
+# its arguments, and T3_6.  The four m21 claims share one builder too: T4_2
+# reads L4_1's kernel, T4_4 L4_3's.  The six s12 and m12 orbit and image
+# claims read its parents in S_{n-1}, by the lifted route.
 _CLAIMS: dict[str, tuple] = {
     "RED": (1, _zero_rows, "dot-variant mismatches", _dot_variants_differ),
     "P3_1": (1, _zero_rows, "closed vs simulated mismatches", _closed_vs_simulated, MapId.S12),
@@ -986,10 +1010,12 @@ _CLAIMS: dict[str, tuple] = {
     "L3_3": (2, _zero_rows, "insertion commutation failures", _deletion_differs),
     "T3_4": (1, _rows_t34),
     "T3_6": (1, _rows_t36),
-    "L4_1": (1, _zero_rows, "characterization mismatches", _machine21_sortable_mismatch),
-    "T4_2": (1, _rows_t42),
-    "L4_3": (1, _zero_rows, "shape-predicate mismatches", _machine21_fixed_mismatch),
-    "T4_4": (1, _rows_t44),
+    "L4_1": (1, _rows_m21, "characterization mismatches", _machine21_sorts, _sorts_from_lift),
+    "T4_2": (1, _rows_m21, "machine-sortable", _machine21_sorts, _sorts_from_lift,
+             "count_machine21_sortable"),
+    "L4_3": (1, _rows_m21, "shape-predicate mismatches", _machine21_fixes, _fixed_from_lift),
+    "T4_4": (1, _rows_m21, "fixed points", _machine21_fixes, _fixed_from_lift,
+             "count_machine21_fixed_points"),
     "C5_1_min": (2, _rows_c51_min),
     "C5_1_high": (2, _rows_c51_high),
     "T5_2": (4, _rows_t52),

@@ -16,6 +16,7 @@ from pss import engine, enumerator, formulas
 from pss.engine import (
     DottedPattern,
     MapId,
+    apply,
     dotted_policy,
     iterate,
     orbit,
@@ -43,7 +44,8 @@ from pss.enumerator import (
 )
 from pss import GuardExceeded
 from pss.perms import (
-    PermutationError, all_perms, format_perm, identity, peak_runs, rank, successor, unrank, valley_runs,
+    PermutationError, all_perms, format_perm, identity, inc, peak_runs, rank, successor, unrank,
+    valley_runs,
 )
 from walk_oracle import dict_walk, state_at, synthetic_map
 
@@ -648,16 +650,23 @@ class TestFacts:
         assert [c[True] for c in mismatches] == [0, 0]
 
     def test_the_m21_twins_share_one_column(self, monkeypatch):
-        """L4_1 and T4_2 read whether one m21 pass sorts p, L4_3 and T4_4
-        whether it fixes p: one m21 column, made once."""
+        """L4_1 and T4_2 share one kernel, L4_3 and T4_4 another, and both
+        read one column of S_6: west(y) for the lift y = inc(w).1 of each of
+        the 120 parents w in S_5, 120 west passes.  L4_3's kernel passes
+        each x = west(y) by s21 once, 120 s21 passes.  An m21 pass, an s21
+        and a west pass, is made only for the p of B: the 2^5 = 32 that
+        ``is_machine21_sortable`` accepts and the a_6 = 23 that
+        ``is_machine21_fixed_shape`` does.  So 120 + 32 + 23 = 175 passes
+        of each, against 720 of each for a column of m21(p) over S_6."""
         specs = []
         for claim in ("L4_1", "L4_3", "T4_2", "T4_4"):
             _, build, *args = enumerator._CLAIMS[claim]
             spec, _ = build(6, *args)
             specs.append(spec)
+        assert len(set(specs)) == 2
         calls = counted_passes(monkeypatch)
         enumerator._tally(6, 1, specs)
-        assert calls == {"s21_closed_form": 720, "west_pass": 720}
+        assert calls == {"s21_closed_form": 175, "west_pass": 175}
 
     def test_a_column_is_made_on_first_read_only(self, monkeypatch):
         """``load`` makes no column, not even the chunk: it holds the
@@ -790,9 +799,18 @@ def assert_lifted_is_plain(n, jobs, *map_ids):
     and of its images at power n // 2 and at its claim's own (T5_2's or
     T5_4's), where these are >= 1, tallied by the plain kernels
     ``_orbit_shape`` and ``_image``, equal the reductions of those of the
-    lifted kernels, which read the sweep's parents in S_{n-1}."""
+    lifted kernels, which read the sweep's parents in S_{n-1}.  For m21
+    the plain kernels are ``_sorted_by`` and ``_fixed_point``, against
+    T4_2's count and T4_4's fixed points, each once, from the kernels that
+    read the parents' lifts."""
     pairs = []  # (plain spec, lifted spec, reduction of the lifted Counter)
     for map_id in map_ids:
+        if map_id is MapId.MACHINE21:
+            pairs += [((enumerator._sorted_by, (map_id,)), (enumerator._machine21_sorts, ()),
+                       lambda lifted: {True: enumerator._sorts_from_lift(lifted)}),
+                      ((enumerator._fixed_point, (map_id,)), (enumerator._machine21_fixes, ()),
+                       lambda lifted: {x: c for x, c in lifted.items() if type(x) is tuple})]
+            continue
         own = formulas.s12_terminal_power if map_id is MapId.S12 else formulas.machine12_terminal_power
         pairs.append(((enumerator._orbit_shape, (map_id,)), (enumerator._lifted_shape, (map_id,)),
                       lambda lifted, map_id=map_id: enumerator._shapes_from_lift(lifted, n, map_id)))
@@ -815,15 +833,16 @@ class TestLiftedRoute:
     def test_rows_equal_the_plain_sweeps(self, claim):
         """The rows of verify(claim, n, n) read what the public operations
         read from S_n, for every n from the claim's least to 8: from the
-        lift of the parents in S_{n-1}, or for T3_6, T4_2 and T4_4 from the
-        chunks of S_n itself."""
+        lift of the parents in S_{n-1}, for T4_2 and T4_4 by the m21 route
+        (see ``TestMachine21Lift``), or for T3_6 from the chunks of S_n
+        itself."""
         for n in range(enumerator._CLAIMS[claim][0], 9):
             want = [observed(v) for v in PLAIN_OBSERVED[claim](n)]
             rows = verify(claim, n, n).rows
             assert [row.observed for row in rows[:len(want)]] == want, (claim, n)
             assert all(row.passed for row in rows), (claim, n)
 
-    @pytest.mark.parametrize("map_id", [MapId.S12, MapId.MACHINE12])
+    @pytest.mark.parametrize("map_id", [MapId.S12, MapId.MACHINE12, MapId.MACHINE21])
     def test_lifted_counters_are_the_plain_counters(self, monkeypatch, map_id):
         """The reductions give the Counters of a plain sweep of S_n exactly,
         including the identity and the periodic points, which the shift by
@@ -831,7 +850,7 @@ class TestLiftedRoute:
         ``MEMO_CAP`` of 2, so that every walk memo clears.  The images are
         compared at power n // 2 and at the claim's own (T5_2's or
         T5_4's) where they are >= 1: at n = 1 the parents are S_0, which
-        has none."""
+        has none.  For m21 the Counters are T4_2's and T4_4's."""
         for memo_cap in (enumerator.MEMO_CAP, 2):
             monkeypatch.setattr(enumerator, "MEMO_CAP", memo_cap)
             for jobs in (1, 2):
@@ -840,9 +859,9 @@ class TestLiftedRoute:
 
     def test_walkers_are_built_only_in_the_parents_facts(self, monkeypatch):
         """verify_all(6, 6) sweeps S_6 once.  The orbit and image claims walk
-        its parents in S_5, with one memo per map, s12 and m12; the six
-        per-permutation claims and the one-pass claims T3_6, T4_2 and T4_4
-        read its chunks with no walk."""
+        its parents in S_5, with one memo per map, s12 and m12; the four
+        per-permutation claims, T3_6 and the four m21 claims read its chunks
+        and the lifts of its parents with no walk."""
         built = []
 
         class Counted(enumerator._Memo):
@@ -855,8 +874,11 @@ class TestLiftedRoute:
         assert built == [5, 5]
 
     def test_no_s21_pass_on_s_n_minus_1(self, monkeypatch):
-        """P3_5, L4_1, L4_3, T4_2, T4_4 and T3_6 share one s21 column of
-        S_6, and T3_6's rows add one pass on the identity."""
+        """P3_5 and T3_6 share one s21 column of S_6, 720 passes, and T3_6's
+        rows add one pass on the identity.  The m21 claims add 175 (see
+        ``test_the_m21_twins_share_one_column``): one for each x = west(y)
+        of the 120 lifts y of the parents, and one for each of the 32 + 23
+        p of B.  All are of length 6: 720 + 1 + 175 = 896."""
         lengths, s21 = Counter(), engine.s21_closed_form
 
         def counting(p):
@@ -865,14 +887,18 @@ class TestLiftedRoute:
 
         monkeypatch.setattr(engine, "s21_closed_form", counting)
         assert all(r.overall_pass for r in verify_all(6, 6))
-        assert lengths == {6: 721}
+        assert lengths == {6: 896}
 
     def test_the_parents_s12_column_is_made_once(self, monkeypatch):
-        """verify_all(6, 6) makes 2,615 passes, 289 of them s12 passes on
+        """verify_all(6, 6) makes 2,245 passes, 289 of them s12 passes on
         S_5: one column of the 120 parents, read by L3_3 and as the first
         states of the lifted s12 walk, 120 more for their second states, on
         which that walk is memoised, 13 in the walks of the 6 second states
-        and 36 in those of the 17 x = west(w) of the lifted m12 walk.""" 
+        and 36 in those of the 17 x = west(w) of the lifted m12 walk.  The
+        m21 claims make 175 west and 175 s21 passes (see
+        ``test_the_m21_twins_share_one_column``) where a column of m21(p)
+        over S_6 made 720 west passes on the s21 column of S_6 that P3_5
+        makes anyway: 2,615 - 720 + 350 = 2,245."""
         calls, lengths = counted_passes(monkeypatch), Counter()
         s12 = engine.s12_closed_form
 
@@ -882,7 +908,7 @@ class TestLiftedRoute:
 
         monkeypatch.setattr(engine, "s12_closed_form", by_length)
         assert all(r.overall_pass for r in verify_all(6, 6))
-        assert sum(calls.values()) == 2615
+        assert sum(calls.values()) == 2245
         assert lengths[5] == 289
 
     def test_the_lifted_m12_walk_is_keyed_on_x(self, monkeypatch):
@@ -938,6 +964,114 @@ class TestLiftedRoute:
         monkeypatch.setattr(enumerator, "_inserted", counting)
         assert verify(claim, n, n).overall_pass
         assert made == []
+
+
+M21_CLAIMS = ("L4_1", "T4_2", "L4_3", "T4_4")
+
+
+def m21_oracle(n):
+    """The observed value of each m21 claim's row at n, from one
+    ``apply(MACHINE21, p)`` for each p of S_n and the two structural
+    predicates of ``formulas``, read when called."""
+    ident, got = identity(n), Counter()
+    for p in all_perms(n):
+        q = apply(MapId.MACHINE21, p)
+        got["T4_2"] += q == ident
+        got["T4_4"] += q == p
+        got["L4_1"] += (q == ident) != formulas.is_machine21_sortable(p)
+        got["L4_3"] += (q == p) != formulas.is_machine21_fixed_shape(p)
+    return {claim: str(got[claim]) for claim in M21_CLAIMS}
+
+
+def assert_m21_rows_are_the_oracle(n_max, jobs):
+    """The rows of the four m21 claims for n = 1..n_max, verified together,
+    read what ``m21_oracle`` reads; returns the reports."""
+    reports = enumerator._verify(M21_CLAIMS, 1, n_max, jobs, False)
+    for n in range(1, n_max + 1):
+        want = m21_oracle(n)
+        for report in reports:
+            (row,) = [row for row in report.rows if row.n == n]
+            assert row.observed == want[report.claim], (report.claim, n, jobs)
+    return reports
+
+
+def west_swapping(n):
+    """A west pass that swaps the first two outputs of each input of length
+    n that ends in 1.  Those inputs are the s21 images in S_n, the lifts
+    among them, so at n the mutant changes m21 alone: a route that did not
+    pass the lifts, or other s21 images, through west would survive it."""
+    west = engine.west_pass
+
+    def mutant(p):
+        q = west(p)
+        return (q[1], q[0]) + q[2:] if len(p) == n and p[-1] == 1 else q
+
+    return mutant
+
+
+def in_process(monkeypatch):
+    """Sweep the rank ranges of every job in this process, so that a
+    mutant reaches them whatever a pool's start method."""
+    monkeypatch.setattr(enumerator, "_run", lambda worker, tasks, jobs: list(map(worker, tasks)))
+
+
+class TestMachine21Lift:
+    """L4_1, T4_2, L4_3 and T4_4 make their m21 passes on the lifts
+    y = inc(w).1 of the parents w of the sweep of S_n, and on the p that
+    L4_1's or L4_3's structural test accepts, set B."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_are_a_per_permutation_oracle(self, monkeypatch, jobs):
+        """For n <= 8, at 1 and 2 jobs and with chunks of 11 parents."""
+        monkeypatch.setattr(enumerator, "CHUNK", 11)
+        assert all(r.overall_pass for r in assert_m21_rows_are_the_oracle(8, jobs))
+
+    @pytest.mark.parametrize("claim", ["L4_1", "L4_3"])
+    def test_rows_are_the_oracle_under_the_predicate_mutant(self, monkeypatch, claim):
+        """Under the claim's ``CLAIM_MUTANTS`` entry its rows fail and read
+        the oracle's counts, which a failing comparison on each p reads."""
+        module, name, mutant = CLAIM_MUTANTS[claim]
+        monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+        monkeypatch.setattr(enumerator, "CHUNK", 11)
+        in_process(monkeypatch)
+        for jobs in (1, 2):
+            reports = {r.claim: r for r in assert_m21_rows_are_the_oracle(8, jobs)}
+            assert not reports[claim].overall_pass
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_a_west_pass_broken_on_the_lifts_fails_t4_2_and_t4_4(self, monkeypatch, n):
+        """Under ``west_swapping(n)`` the four rows at n read the oracle's
+        counts, and T4_2's and T4_4's fail (at n = 2 T4_4's still reads 1:
+        the mutant fixes (2, 1) and unfixes (1, 2))."""
+        monkeypatch.setattr(engine, "west_pass", west_swapping(n))
+        in_process(monkeypatch)
+        want = m21_oracle(n)
+        for jobs in (1, 2):
+            reports = {r.claim: r for r in enumerator._verify(M21_CLAIMS, n, n, jobs, False)}
+            assert {c: r.rows[0].observed for c, r in reports.items()} == want
+            assert not reports["T4_2"].overall_pass and not reports["T4_4"].overall_pass
+
+    def test_m21_passes_only_on_the_lifts_and_b(self, monkeypatch):
+        """An m21 pass is a west pass of an s21 image, which ends in 1.
+        verify_all(6, 6) makes its west passes of length 6 that end in 1 on
+        the 120 lifts of the parents in S_5 and on s21(p) for the p of B,
+        the 32 that ``is_machine21_sortable`` accepts and the 23 that
+        ``is_machine21_fixed_shape`` does: no other p of S_6 makes an m21
+        pass."""
+        inputs, west = Counter(), engine.west_pass
+
+        def counting(p):
+            if len(p) == 6 and p[-1] == 1:
+                inputs[p] += 1
+            return west(p)
+
+        monkeypatch.setattr(engine, "west_pass", counting)
+        assert all(r.overall_pass for r in verify_all(6, 6))
+        b = [p for test in (formulas.is_machine21_sortable, formulas.is_machine21_fixed_shape)
+             for p in all_perms(6) if test(p)]
+        assert len(b) == 32 + 23
+        lifts = Counter(inc(w) + (1,) for w in all_perms(5))
+        assert inputs == lifts + Counter(map(engine.s21_closed_form, b))
 
 
 class TestT36Mutants:

@@ -2,7 +2,7 @@
 (T3_4, C5_1_min, C5_1_high, T5_2, L5_3, T5_4) read only the parents in
 S_{n-1} of the sweep of S_n, S_0 = {()} at n = 1, checked exhaustively for
 n <= 9 on the engine's own passes, and on S_10 by CI (the one-pass claims,
-T3_6, T4_2 and T4_4 among them, read the permutations of S_n themselves):
+T3_6 among them, read the permutations of S_n themselves):
 
 1. s12(S_n) is exactly the permutations that end in n.
 2. Each of them has 2^(LRmax - 1) preimages, LRmax its number of
@@ -10,12 +10,14 @@ T3_6, T4_2 and T4_4 among them, read the permutations of S_n themselves):
    last cut forced) and reversing each block gives them.
 3. Appending n commutes with s12 and west, so with m12.
 
-Their s21 mirror is checked too, as properties of the s21 pass that no
-sweep uses: s21(S_n) is the permutations that end in 1, each with
-2^(LRmin - 1) preimages, by cuts after its left-to-right minima, and
-appending 1 to a word on 2..n commutes with s21.  So for n >= 2 the
-identity, which does not end in 1, is no s21 image at all: T3_6 needs one
-pass only.
+Their s21 mirror is checked too: s21(S_n) is the permutations that end in
+1, each with 2^(LRmin - 1) preimages, by cuts after its left-to-right
+minima, and appending 1 to a word on 2..n commutes with s21.  So for
+n >= 2 the identity, which does not end in 1, is no s21 image at all: T3_6
+needs one pass only.  And the four m21 claims (L4_1, T4_2, L4_3, T4_4)
+rest on the first two: an m21 pass is a west pass of an s21 image, so each
+parent w of the sweep stands for the 2^LRmin(w) preimages of its lift
+inc(w).1 and makes one west pass on it.  CI checks them on S_10 too.
 
 Facts 1 and 2 and their mirror are one check per map: the cuts of the
 permutations ending in n (or 1) give distinct preimages, n! of them in all,
