@@ -183,18 +183,27 @@ def s21_simulated(p: Perm) -> Perm:
 
 def west_pass(p: Perm) -> Perm:
     """The classical stack sort of a permutation of 1..n: pop while the top
-    is below the next entry, then push it.  The stack sits on a sentinel
-    n + 1 that no entry exceeds, and its top is kept in a local, so the
-    loop never tests for an empty stack."""
-    stack = [len(p) + 1]
-    top = stack[0]
+    is below the next entry, then push it.  The top is kept in a local,
+    outside the list of the entries under it.  An entry above the top emits
+    it and pops the list while its last entry is below; an entry below
+    pushes the old top.  The top starts as a sentinel n + 1 that no entry
+    exceeds, which the first entry pushes to the bottom of the list, so the
+    loop never tests for an empty stack, and an increasing stretch pushes
+    and pops nothing."""
+    if not p:
+        return ()
+    stack: list[int] = []
+    top = len(p) + 1
     out: list[int] = []
     for v in p:
-        while top < v:
-            out.append(stack.pop())
-            top = stack[-1]
-        stack.append(v)
+        if top < v:
+            out.append(top)
+            while stack[-1] < v:
+                out.append(stack.pop())
+        else:
+            stack.append(top)
         top = v
+    out.append(top)
     out.extend(stack[:0:-1])
     return tuple(out)
 

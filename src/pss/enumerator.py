@@ -11,7 +11,8 @@ parent once too.  It takes each rank range of S_{n-1} in groups of
 a dict from a fact's key to its *column*, the list of that fact for each p
 of the chunk.  The parents are facts of their own length, ``parents``,
 whose column 0 is the group; the chunk's column 0 is the n insertions of
-each parent, made by slicing.  A top-level *kernel factory*
+each parent, one ``itemgetter`` gather per position of each parent's
+insertion at the front (see ``_inserted``).  A top-level *kernel factory*
 ``make_kernel(facts, *params)`` asks ``facts``, or ``facts.parents``, for
 the keys its kernel reads: orbit walks (the first step at the identity,
 tail and cycle of the engine's one walker) and k-th states of orbits, of p
@@ -331,6 +332,7 @@ class _Facts(dict):
         super().__init__()
         self.n, self.ident, self.depth = n, identity(n), depth
         self.parents = _Facts(n - 1, 2) if n else None
+        self._gathers = _gathers(n)
         # (map, walked column) -> the k of the states its walk stores
         self._stored: dict[tuple, list[int]] = {}
         self._walks: dict[tuple, Callable] = {}
@@ -355,7 +357,7 @@ class _Facts(dict):
 
     def __missing__(self, fact: Hashable) -> list:
         if fact == 0:
-            self[0] = column = _inserted(self.parents[0], self.n) if self.n else [()]
+            self[0] = column = _inserted(self.parents[0], self._gathers) if self.n else [()]
             return column
         if fact == LIFT:
             return self.setdefault(LIFT, self[0][(self.n - 1) * len(self.parents[0]):])
@@ -403,11 +405,25 @@ def _run(worker: Callable, tasks: list, jobs: int) -> list:
         return pool.map(worker, tasks)
 
 
-def _inserted(parents: list[Perm], n: int) -> list[Perm]:
+def _gathers(n: int) -> list[itemgetter]:
+    """For each position i = 2..n, the ``itemgetter`` that makes ins(u, i)
+    from (1, *inc(u)), the insertion of 1 at position 1: it takes the
+    shifted entries before position i, then the 1, then the rest.  Each
+    takes n >= 2 indices, so it gives a tuple."""
+    return [itemgetter(*range(1, i), 0, *range(i, n)) for i in range(2, n + 1)]
+
+
+def _inserted(parents: list[Perm], gathers: list[itemgetter]) -> list[Perm]:
     """ins(u, i) for each position i = 1..n and each u of ``parents`` in
-    S_{n-1}, position-major, so ``parents * n`` lines up with them."""
-    shifted = [tuple(map((1).__add__, u)) for u in parents]
-    return [w[:i] + (1,) + w[i:] for i in range(n) for w in shifted]
+    S_{n-1}, position-major, so ``parents * n`` lines up with them.  Each
+    parent is built once as (1, *inc(u)), its insertion at position 1, and
+    each later position's insertions are one gather of those (``gathers``
+    is ``_gathers(n)``)."""
+    ones = [(1, *map((1).__add__, u)) for u in parents]
+    out = ones.copy()
+    for at in gathers:
+        out += map(at, ones)
+    return out
 
 
 def _insertions(n: int, lo: int, hi: int) -> Iterator[list[Perm]]:

@@ -42,17 +42,18 @@ def is_machine21_sortable(p: Perm) -> bool:
     reversal is the decreasing permutation: every valley run increases, and
     each run's first entry exceeds the next run's last entry.
 
-    One scan: an entry below the current run's first entry starts a new
-    valley run; any other entry must exceed the one before it and stay below
-    the previous run's first entry."""
-    if not p:
-        return True
-    low, bound = p[0], len(p) + 1  # the current run's first entry; the previous run's
-    for a, b in zip(p, p[1:]):
+    One scan over p, the entry before b held in ``a``: an entry below the
+    current run's first entry starts a new valley run; any other entry must
+    exceed the one before it and stay below the previous run's first entry.
+    Both bounds start at n + 1, so the first entry starts the first run."""
+    # the current run's first entry, the previous run's, the entry before b
+    low = bound = a = len(p) + 1
+    for b in p:
         if b < low:
             low, bound = b, low
         elif not a < b < bound:
             return False
+        a = b
     return True
 
 
@@ -69,20 +70,22 @@ def is_machine21_fixed_shape(p: Perm) -> bool:
     increases, and each run's last entry exceeds everything in the previous
     run.
 
-    One scan: a descent must start a new valley run (at a left-to-right
-    minimum), and then each run increases, so its largest entry is its last
-    one, which must exceed the previous run's last entry."""
-    if not p:
-        return True
-    low, end = p[0], 0  # the current run's first entry; the previous run's last
-    for a, b in zip(p, p[1:]):
+    One scan over p, the entry before b held in ``a``: a descent must start
+    a new valley run (at a left-to-right minimum), and then each run
+    increases, so its largest entry is its last one, which must exceed the
+    previous run's last entry.  The first entry starts the first run after
+    an empty one: ``a`` = 0 ends it, above its last entry ``end`` = -1."""
+    # the current run's first entry, the previous run's last, the entry before b
+    low, end, a = len(p) + 1, -1, 0
+    for b in p:
         if b < low:  # b starts a new valley run and a ends the current one
             if a <= end:
                 return False
             low, end = b, a
         elif b < a:
             return False
-    return p[-1] > end
+        a = b
+    return a > end
 
 
 def count_machine21_fixed_points(n: int) -> int:

@@ -230,8 +230,17 @@ class TestWest:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_oracles_agree_exhaustive(self, n):
+        """Both oracles on S_n, then the increasing and decreasing
+        permutations of every eighth length from n + 1 up to 300, so the
+        eight cases cover every length 2..300.  ``west_pass`` keeps its top
+        in a local; those two take only its emitting branch or only its
+        pushing one, then flush a stack of one entry or of all of them."""
         for p in all_perms(n):
-            assert west_pass(p) == west_recursive(p)
+            assert west_pass(p) == west_recursive(p) == run_pass(p, west_policy())[0]
+        for m in range(n + 1, 301, 8):
+            up, down = identity(m), reverse_identity(m)
+            assert west_pass(up) == run_pass(up, west_policy())[0] == up
+            assert west_pass(down) == run_pass(down, west_policy())[0] == up
 
     @given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(1, n + 1)).map(tuple)))
     @settings(max_examples=200)

@@ -44,8 +44,8 @@ from pss.enumerator import (
 )
 from pss import GuardExceeded
 from pss.perms import (
-    PermutationError, all_perms, format_perm, identity, inc, peak_runs, rank, successor, unrank,
-    valley_runs,
+    PermutationError, all_perms, format_perm, identity, inc, ins, peak_runs, rank, successor,
+    unrank, valley_runs,
 )
 from walk_oracle import dict_walk, state_at, synthetic_map
 
@@ -175,6 +175,19 @@ class TestInsertionSweep:
                     assert deleted(q) == p, (q, p)
                 seen += perms
         assert sorted(seen) == list(all_perms(n))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_inserted_is_ins_position_major(self, n):
+        """``_inserted`` gives ins(u, i) for i = 1..n and each parent u, by
+        position, for no parents, one, a few and a whole S_{n-1}.  At n = 1
+        there is no gather: a one-index ``itemgetter`` would give a bare
+        int, not a tuple."""
+        gathers = enumerator._gathers(n)
+        assert len(gathers) == n - 1
+        every = list(all_perms(n - 1))
+        for parents in ([], every[:1], every[-3:], every):
+            want = [ins(u, i) for i in range(1, n + 1) for u in parents]
+            assert enumerator._inserted(parents, gathers) == want
 
 
 class TestBruteCounts:
@@ -672,7 +685,7 @@ class TestFacts:
         """``load`` makes no column, not even the chunk: it holds the
         parents alone, as column 0 of the parents' facts."""
         parents, = enumerator._insertions(3, 0, 2)
-        chunk = enumerator._inserted(parents, 3)
+        chunk = enumerator._inserted(parents, enumerator._gathers(3))
         want = [iterate(MapId.MACHINE12, p, 1) for p in chunk]
         calls = counted_passes(monkeypatch)
         facts = enumerator._Facts(3)
@@ -957,9 +970,9 @@ class TestLiftedRoute:
         sweep of S_n, so no chunk of S_n is made."""
         made, inserted = [], enumerator._inserted
 
-        def counting(parents, n):
-            made.append(n)
-            return inserted(parents, n)
+        def counting(parents, gathers):
+            made.append(len(gathers) + 1)
+            return inserted(parents, gathers)
 
         monkeypatch.setattr(enumerator, "_inserted", counting)
         assert verify(claim, n, n).overall_pass
