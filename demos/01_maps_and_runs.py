@@ -22,14 +22,14 @@ from pss import (
 
 p = parse("2,4,3,1,5")
 print("permutation:     ", format_perm(p))
-print("peak runs:       ", " | ".join(format_perm(s) for s in peak_runs(p).segments(p)))
-print("valley runs:     ", " | ".join(format_perm(s) for s in valley_runs(p).segments(p)))
+print("peak runs:       ", " | ".join(map(format_perm, peak_runs(p))))
+print("valley runs:     ", " | ".join(map(format_perm, valley_runs(p))))
 print("base-12 pass:    ", format_perm(s12_closed_form(p)), " (each peak run reversed)")
 print("base-21 pass:    ", format_perm(s21_closed_form(p)), " (each valley run reversed)")
 print("west pass:       ", format_perm(west_pass(p)))
 
 print("\npush/pop log of the base-12 pass:")
-out, trace = run_pass(p, dotted_policy(DottedPattern(12, 1)), want_trace=True)
-for step, e in enumerate(trace.events):
+out, events = run_pass(p, dotted_policy(DottedPattern(12, 1)), want_trace=True)
+for step, e in enumerate(events):
     print(f"  step {step:2d}  {e.op:4s} {e.value}")
 print("output:", format_perm(out))

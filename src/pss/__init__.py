@@ -9,7 +9,6 @@ from .engine import (
     DottedPattern,
     MapId,
     OrbitReport,
-    StackTrace,
     apply,
     dotted_policy,
     iterate,
@@ -43,7 +42,6 @@ from .enumerator import (
 from .perms import (
     Perm,
     PermutationError,
-    RunDecomposition,
     Word,
     all_perms,
     delete_one,

@@ -62,8 +62,8 @@ def cmd_sort(args) -> int:
         policy = west_policy() if m is MapId.WEST else dotted_policy(
             DottedPattern(12 if m is MapId.S12 else 21, 1)
         )
-        result, trace = run_pass(p, policy, want_trace=True)
-        for step, e in enumerate(trace.events):
+        result, events = run_pass(p, policy, want_trace=True)
+        for step, e in enumerate(events):
             print(f"{step:4d} {e.op:4s} {e.value}")
     else:
         result = iterate(m, p, args.times)
@@ -73,8 +73,8 @@ def cmd_sort(args) -> int:
 
 def cmd_runs(args) -> int:
     p = parse(args.perm)
-    decomp = peak_runs(p) if args.kind == "peak" else valley_runs(p)
-    print("".join(f"[{format_perm(seg)}]" for seg in decomp.segments(p)))
+    runs = peak_runs(p) if args.kind == "peak" else valley_runs(p)
+    print("".join(f"[{format_perm(run)}]" for run in runs))
     return 0
 
 
@@ -116,8 +116,6 @@ def cmd_verify(args) -> int:
     if not reports:
         raise UsageError(f"no rows to check for n in {args.n_min}..{args.n_max}")
     _emit_reports(reports, args.format)
-    for r in reports:
-        print(f"{r.claim}: {r.elapsed:.2f}s", file=sys.stderr)
     return 0 if all(r.overall_pass for r in reports) else 1
 
 

@@ -66,14 +66,6 @@ class TraceEvent:
     value: int
 
 
-@dataclass(frozen=True)
-class StackTrace:
-    events: tuple[TraceEvent, ...]
-
-    def output(self) -> tuple[int, ...]:
-        return tuple(e.value for e in self.events if e.op == "pop")
-
-
 # (stack as stored, bottom to top; candidate entry) -> whether to push it
 PushPredicate = Callable[[Sequence[int], int], bool]
 
@@ -116,15 +108,15 @@ def west_policy() -> PushPredicate:
 
 def run_pass(
     p: Perm, policy: PushPredicate, want_trace: bool = False
-) -> tuple[Perm, Optional[StackTrace]]:
+) -> tuple[Perm, Optional[tuple[TraceEvent, ...]]]:
     """One greedy deterministic pass of ``p`` through a stack with ``policy``.
 
     Repeatedly: if input remains and the policy permits, push the next input
     value; otherwise pop the top to the output.  Once the input is exhausted
     the stack is flushed top-to-bottom.  The policy sees the stack as
-    stored, bottom to top, with the top last.  With ``want_trace`` the
-    pushes and pops are also returned in order; an event's step is its
-    index.
+    stored, bottom to top, with the top last.  The second item is None, or
+    with ``want_trace`` the tuple of the pushes and pops in order; an
+    event's step is its index, and the popped values are the result.
     """
     stack: list[int] = []
     out: list[int] = []
@@ -141,8 +133,7 @@ def run_pass(
         out.append(stack.pop())
         if want_trace:
             events.append(TraceEvent("pop", out[-1]))
-    result = tuple(out)
-    return result, (StackTrace(tuple(events)) if want_trace else None)
+    return tuple(out), (tuple(events) if want_trace else None)
 
 
 # -- fast single passes ------------------------------------------------------

@@ -77,8 +77,7 @@ up to n = 9 and CI on S_10; the public brute-force operations stay plain
 sweeps of S_n, their oracle.
 Each claim's rows, its closed forms (from :mod:`pss.formulas`) against
 brute force, are then reduced from its Counter into a
-:class:`VerificationReport`.  A sweep's time is split evenly across the
-claims in it, so the claims' ``elapsed`` sum to the run's time.
+:class:`VerificationReport`.
 
 The parents come from half-open rank ranges of S_{n-1}, each a chain of
 blocks (see ``iter_range``): one head followed by each arrangement of an
@@ -100,7 +99,6 @@ import math
 import multiprocessing
 import os
 import random
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, permutations, repeat
@@ -292,13 +290,14 @@ class _Facts(dict):
     of the current chunk: a dict from a fact's key to its column, that fact
     of every p of the chunk in the chunk's order.  The chunk's parents in
     S_{n-1} are facts of their own length, ``parents`` (none at n = 0),
-    with their own identity and walks; ``load`` starts a chunk with them
-    alone.  Key 0 holds the chunk, the n insertions of each parent (see
-    ``_inserted``), so that its j-th p has parent ``(parents[0] * n)[j]``;
-    at n = 0 it is S_0 = [()].  Key ``LIFT`` holds its last insertions, the
-    parents' lifts inc(w).1.  A fact is a walk or a state of a map, and may
-    be asked of the entries of another column, ``of`` (the chunk by
-    default), rather than of p itself.
+    with their own identity and walks but no parents of their own;
+    ``load`` starts a chunk with them alone.  Key 0 holds the chunk, the n
+    insertions of each parent (see ``_inserted``), so that its j-th p has
+    parent ``(parents[0] * n)[j]``; at n = 0 it is S_0 = [()].  Key
+    ``LIFT`` holds its last insertions, the parents' lifts inc(w).1.  A
+    fact is a walk or a state of a map, and may be asked of the entries of
+    another column, ``of`` (the chunk by default), rather than of p
+    itself.
 
     * ``walk(map_id, of)``, key ``(map_id, None, of)``: the walk record,
       ``engine._walk``'s (identity hit, tail, cycle) of the whole orbit,
@@ -331,8 +330,10 @@ class _Facts(dict):
     def __init__(self, n: int, depth: int = 1) -> None:
         super().__init__()
         self.n, self.ident, self.depth = n, identity(n), depth
-        self.parents = _Facts(n - 1, 2) if n else None
-        self._gathers = _gathers(n)
+        # only the chunk's facts have parents, and gathers to insert into them
+        chunk = n and depth == 1
+        self.parents = _Facts(n - 1, 2) if chunk else None
+        self._gathers = _gathers(n) if chunk else None
         # (map, walked column) -> the k of the states its walk stores
         self._stored: dict[tuple, list[int]] = {}
         self._walks: dict[tuple, Callable] = {}
@@ -868,15 +869,14 @@ class VerificationReport:
     n_min: int
     n_max: int
     rows: list[Row] = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def overall_pass(self) -> bool:
         return all(r.passed for r in self.rows)
 
     def to_dict(self) -> dict:
-        """JSON document; deliberately excludes elapsed so output is
-        byte-identical across worker counts."""
+        """JSON document of the claim, its range and its rows, the same
+        bytes for any worker count."""
         return {
             "claim": self.claim,
             "params": {"n_min": self.n_min, "n_max": self.n_max},
@@ -1046,8 +1046,7 @@ def _verify(
     claims: Sequence[str], n_min: int, n_max: int, jobs: int, force: bool
 ) -> list[VerificationReport]:
     """Reports of ``claims`` over n_min..n_max, from one sweep of each S_n
-    that some claim has rows at.  A sweep's time is split evenly across the
-    claims in it, and each claim is charged its own row reduction."""
+    that some claim has rows at."""
     for claim in claims:
         if claim not in _CLAIMS:
             raise ValueError(f"unknown claim {claim!r}; known: {', '.join(_CLAIMS)}")
@@ -1061,13 +1060,9 @@ def _verify(
         for n in range(max(n_min, lo), n_max + 1):
             riders.setdefault(n, []).append((claim, *build(n, *args)))
     for n in sorted(riders):
-        start = time.monotonic()
         counts = _tally(n, jobs, [spec for _, spec, _ in riders[n]])
-        share = (time.monotonic() - start) / len(counts)
         for (claim, _, rows), c in zip(riders[n], counts):
-            start = time.monotonic()
             reports[claim].rows.extend(rows(c))
-            reports[claim].elapsed += share + time.monotonic() - start
     return list(reports.values())
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
@@ -135,40 +134,30 @@ def valleys(p: Perm) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RunDecomposition:
-    """Partition of positions 1..n into the maximal blocks starting at peaks
-    (kind="peak") or valleys (kind="valley")."""
-
-    kind: str
-    runs: tuple[tuple[int, int], ...]  # inclusive 1-based [start, end] intervals
-
-    def segments(self, p: Perm) -> list[tuple[int, ...]]:
-        """The entry blocks of ``p`` corresponding to each run."""
-        return [p[a - 1 : b] for a, b in self.runs]
+def _blocks(p: Perm, starts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """``p`` cut before each of the 1-based positions ``starts``."""
+    bounds = (*starts, len(p) + 1)
+    return tuple(p[a - 1 : b - 1] for a, b in zip(bounds, bounds[1:]))
 
 
-def _runs_from_starts(starts: Sequence[int], n: int, kind: str) -> RunDecomposition:
-    ends = [s - 1 for s in starts[1:]] + [n]
-    return RunDecomposition(kind, tuple(zip(starts, ends)))
+def peak_runs(p: Perm) -> tuple[tuple[int, ...], ...]:
+    """The runs of p that start at its peaks, as blocks of entries: p is
+    their concatenation P_1 ... P_k.
 
-
-def peak_runs(p: Perm) -> RunDecomposition:
-    """The runs of p that start at its peaks.
-
-    >>> peak_runs((2, 4, 3, 1, 5)).runs
-    ((1, 1), (2, 4), (5, 5))
+    >>> peak_runs((2, 4, 3, 1, 5))
+    ((2,), (4, 3, 1), (5,))
     """
-    return _runs_from_starts(peaks(p), len(p), "peak")
+    return _blocks(p, peaks(p))
 
 
-def valley_runs(p: Perm) -> RunDecomposition:
-    """The runs of p that start at its valleys.
+def valley_runs(p: Perm) -> tuple[tuple[int, ...], ...]:
+    """The runs of p that start at its valleys, as blocks of entries: p is
+    their concatenation V_1 ... V_k.
 
-    >>> valley_runs((2, 4, 3, 1, 5)).runs
-    ((1, 3), (4, 5))
+    >>> valley_runs((2, 4, 3, 1, 5))
+    ((2, 4, 3), (1, 5))
     """
-    return _runs_from_starts(valleys(p), len(p), "valley")
+    return _blocks(p, valleys(p))
 
 
 # -- lexicographic rank / unrank / successor ---------------------------------

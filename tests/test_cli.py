@@ -165,6 +165,22 @@ class TestVerifyCommand:
         )
         assert code == 0 and "PASS" in out
 
+    def test_stderr_is_empty_whether_claims_pass_or_fail(self, capsys, monkeypatch):
+        """verify writes its reports to stdout and nothing to stderr, on a
+        PASS (exit 0) and on a FAIL (exit 1); bad input gives one error line
+        (exit 2)."""
+        argv = ["verify", "--claim", "all", "--n-max", "5", "--jobs", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and "PASS" in out and err == ""
+        count = formulas.count_machine21_sortable
+        monkeypatch.setattr(formulas, "count_machine21_sortable", lambda n: count(n) + 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and "T4_2: FAIL" in out and err == ""
+        code, out, err = run_cli(capsys, "verify", "--claim", "all", "--n-min", "5",
+                                 "--n-max", "3")
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
     def test_guard_without_force(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--claim", "T3_4", "--n-max", "20", "--jobs", "1"

@@ -133,10 +133,10 @@ class TestRunPass:
 
     @given(perm_st)
     def test_trace_is_balanced_and_matches_output(self, p):
-        out, trace = run_pass(p, dotted_policy(DottedPattern(12, 1)), want_trace=True)
-        pushes = [e.value for e in trace.events if e.op == "push"]
-        assert len(pushes) == len(p) == sum(e.op == "pop" for e in trace.events)
-        assert trace.output() == out
+        out, events = run_pass(p, dotted_policy(DottedPattern(12, 1)), want_trace=True)
+        pushes = [e.value for e in events if e.op == "push"]
+        assert len(pushes) == len(p) == sum(e.op == "pop" for e in events)
+        assert tuple(e.value for e in events if e.op == "pop") == out
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_dot_position_is_immaterial(self, n):

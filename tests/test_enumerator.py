@@ -413,7 +413,7 @@ def pairs_unreversed(runs):
     """A dotted closed form that reverses each run of ``runs(p)`` but the
     two-entry ones: the closed forms' one-entry guard moved off by one."""
     def closed(p):
-        return tuple(v for seg in runs(p).segments(p) for v in (seg if len(seg) == 2 else seg[::-1]))
+        return tuple(v for run in runs(p) for v in (run if len(run) == 2 else run[::-1]))
 
     return closed
 
@@ -680,6 +680,22 @@ class TestFacts:
         calls = counted_passes(monkeypatch)
         enumerator._tally(6, 1, specs)
         assert calls == {"s21_closed_form": 175, "west_pass": 175}
+
+    def test_parents_build_no_facts_of_their_own(self, monkeypatch):
+        """Only a chunk's facts have parents: the sweep of each S_n at one
+        job builds the chunk's facts and its parents' facts, 16 for
+        n = 1..8, and the parents' facts stop there."""
+        assert enumerator._Facts(5).parents.parents is None
+        built = []
+        init = enumerator._Facts.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(enumerator._Facts, "__init__", counting)
+        verify_all(1, 8)
+        assert len(built) == 16
 
     def test_a_column_is_made_on_first_read_only(self, monkeypatch):
         """``load`` makes no column, not even the chunk: it holds the

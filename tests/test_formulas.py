@@ -10,14 +10,14 @@ from pss.perms import all_perms, identity, reverse_identity, valley_runs
 
 
 def fixed_shape_by_segments(p):
-    """The definition of the m21 fixed-point shape, read off the valley-run
-    segments: every run increases, and each run's last entry exceeds
+    """The definition of the m21 fixed-point shape, read off the valley
+    runs: every run increases, and each run's last entry exceeds
     everything in the previous run."""
-    segments = valley_runs(p).segments(p)
-    for seg in segments:
-        if any(seg[i] >= seg[i + 1] for i in range(len(seg) - 1)):
+    runs = valley_runs(p)
+    for run in runs:
+        if any(run[i] >= run[i + 1] for i in range(len(run) - 1)):
             return False
-    for prev, nxt in zip(segments, segments[1:]):
+    for prev, nxt in zip(runs, runs[1:]):
         if nxt[-1] <= max(prev):
             return False
     return True

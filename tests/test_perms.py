@@ -100,27 +100,31 @@ class TestPeaksValleys:
         assert valleys(reverse_identity(n)) == tuple(range(1, n + 1))
 
     def test_runs_anchor(self):
+        """The paper's example: 24315 has peak runs 2, 431, 5 and valley
+        runs 243, 15."""
         p = (2, 4, 3, 1, 5)
-        assert peak_runs(p).runs == ((1, 1), (2, 4), (5, 5))
-        assert peak_runs(p).segments(p) == [(2,), (4, 3, 1), (5,)]
-        assert valley_runs(p).runs == ((1, 3), (4, 5))
-        assert valley_runs(p).segments(p) == [(2, 4, 3), (1, 5)]
+        assert peak_runs(p) == ((2,), (4, 3, 1), (5,))
+        assert valley_runs(p) == ((2, 4, 3), (1, 5))
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_runs_degenerate(self, n):
-        assert peak_runs(identity(n)).runs == tuple((i, i) for i in range(1, n + 1))
-        assert peak_runs(reverse_identity(n)).runs == ((1, n),)
-        assert valley_runs(identity(n)).runs == ((1, n),)
-        assert valley_runs(reverse_identity(n)).runs == tuple(
-            (i, i) for i in range(1, n + 1)
-        )
+        singletons = tuple((v,) for v in range(1, n + 1))
+        assert peak_runs(identity(n)) == singletons
+        assert peak_runs(reverse_identity(n)) == (reverse_identity(n),)
+        assert valley_runs(identity(n)) == (identity(n),)
+        assert valley_runs(reverse_identity(n)) == singletons[::-1]
 
     @given(perm_st)
     def test_runs_partition_positions(self, p):
-        for decomp, starts in [(peak_runs(p), peaks(p)), (valley_runs(p), valleys(p))]:
-            covered = [i for a, b in decomp.runs for i in range(a, b + 1)]
-            assert covered == list(range(1, len(p) + 1))
-            assert tuple(a for a, _ in decomp.runs) == starts
+        """The runs concatenate to p, and each run's first entry is a peak
+        (a valley) and no later entry of it is."""
+        for runs, beats in [(peak_runs(p), int.__gt__), (valley_runs(p), int.__lt__)]:
+            assert tuple(v for run in runs for v in run) == p
+            record = None
+            for first, *rest in runs:
+                assert record is None or beats(first, record)
+                record = first
+                assert not any(beats(v, record) for v in rest)
 
     @given(perm_st)
     def test_position_one_is_peak_and_valley(self, p):
