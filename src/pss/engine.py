@@ -16,9 +16,13 @@ Five maps are exposed:
 A dotted map's pass is its closed form (run reversal).  The explicit
 stacks (``s12_simulated``, ``s21_simulated``), ``west_recursive`` and the
 generic ``run_pass`` are oracles: public, called by name, and checked
-against the default passes by the test suite and claims P3_1/P3_5.  The dot
-position of a dotted pattern never changes the push predicate:
-``dotted_policy`` gives both dot placements of a base one predicate object.
+against the default passes by the test suite and claims P3_1/P3_5.  A
+simulated stack pops its whole stack as one block: its bottom entry is
+its extreme entry and no pop from the top moves it, so a refused push
+pops until the stack is empty, and the block is what ``run_pass`` pops
+one entry at a time.  The dot position of a dotted pattern never changes
+the push predicate: ``dotted_policy`` gives both dot placements of a base
+one predicate object.
 
 ``orbit``, ``sorts_in`` and ``iterate`` pass each state of a walk without
 its settled suffix, the longest one it shares with the map's settled
@@ -144,31 +148,43 @@ def s12_simulated(p: Perm) -> Perm:
 
     An entry is pushed only onto an empty stack or below a larger entry,
     so the bottom of the stack is always its largest entry, and "some
-    stack entry exceeds v" reads ``stack[0] > v``.  The stack still pushes
-    and pops one entry at a time, as ``run_pass`` with the base-12
-    predicate does."""
+    stack entry exceeds v" reads ``stack[0] > v``.  When it fails, the
+    stack pops until the predicate holds or the stack is empty; a pop from
+    the top leaves ``stack[0]`` in place until the last pop takes it, so
+    every refusal empties the whole stack.  The stack therefore pops as one
+    block, top to bottom, as does the final flush: the output is the one
+    ``run_pass`` with the base-12 predicate makes popping one entry at a
+    time."""
     stack: list[int] = []
     out: list[int] = []
     for v in p:
-        while stack and stack[0] < v:
-            out.append(stack.pop())
-        stack.append(v)
-    out.extend(reversed(stack))
+        if stack and stack[0] < v:
+            stack.reverse()
+            out += stack
+            stack = [v]
+        else:
+            stack.append(v)
+    stack.reverse()
+    out += stack
     return tuple(out)
 
 
 def s21_simulated(p: Perm) -> Perm:
     """Simulated base-21 dotted pass: as ``s12_simulated``, an entry is
     pushed only onto an empty stack or below a smaller entry, so the bottom
-    of the stack is its smallest entry and the predicate reads
-    ``stack[0] < v``."""
+    of the stack is its smallest entry, the predicate reads
+    ``stack[0] < v``, and a refusal pops the whole stack as one block."""
     stack: list[int] = []
     out: list[int] = []
     for v in p:
-        while stack and stack[0] > v:
-            out.append(stack.pop())
-        stack.append(v)
-    out.extend(reversed(stack))
+        if stack and stack[0] > v:
+            stack.reverse()
+            out += stack
+            stack = [v]
+        else:
+            stack.append(v)
+    stack.reverse()
+    out += stack
     return tuple(out)
 
 

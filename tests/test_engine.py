@@ -186,6 +186,26 @@ class TestClosedForms:
         assert s21_closed_form(p) == s21_simulated(p)
         assert s21_closed_form(p) == complement(s12_closed_form(complement(p)))
 
+    @pytest.mark.parametrize("shape", [
+        identity,
+        reverse_identity,
+        lambda n: rotation(n) if n else (),  # 2..n,1
+        lambda n: (n, *range(1, n)) if n else (),  # n,1..n-1, its inverse
+        lambda n: near_sorted(n, range(0, n - 1, 2)),  # 2,1,4,3,...
+    ], ids=["increasing", "decreasing", "rotation", "rotation-inverse", "zigzag"])
+    def test_simulated_stacks_pop_blocks(self, shape):
+        """The simulated stacks pop their whole stack as one block; the
+        shapes of every length 0..300, () among them, empty a stack at every
+        entry, at every other entry, once, never, or only in the final
+        flush, each against ``run_pass``, which pops one entry at a time."""
+        allows12 = dotted_policy(DottedPattern(12, 1))
+        allows21 = dotted_policy(DottedPattern(21, 1))
+        for n in range(301):
+            p = shape(n)
+            assert sorted(p) == list(identity(n)), p
+            assert s12_simulated(p) == run_pass(p, allows12)[0], p
+            assert s21_simulated(p) == run_pass(p, allows21)[0], p
+
     @pytest.mark.parametrize("start", [
         shuffled(50, 1), shuffled(300, 2), shuffled(1000, 3), rotation(300),
     ], ids=["random50", "random300", "random1000", "rotation300"])

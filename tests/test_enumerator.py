@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import operator
 import os
 import random
 import subprocess
@@ -522,6 +523,48 @@ class TestClosedFormMutant:
         for row in report.rows:
             assert row.param == f"not sorted within {row.n // 2 - 1} machine passes"
             assert not row.passed, row
+
+
+def blocks_unreversed(refuses):
+    """A simulated dotted stack that pops its whole stack as one block when
+    ``refuses(bottom, v)``, as the engine's do, but emits each block bottom
+    to top, unreversed."""
+    def simulated(p):
+        stack, out = [], []
+        for v in p:
+            if stack and refuses(stack[0], v):
+                out += stack
+                stack = [v]
+            else:
+                stack.append(v)
+        return tuple(out + stack)
+
+    return simulated
+
+
+class TestSimulatedMutant:
+    """The mirror of ``TestClosedFormMutant``: the oracles are read from
+    ``enumerator`` by name, so a rebound stack is the one that P3_1, P3_5
+    and ``random_agreement_failures`` compare the closed forms with."""
+
+    def test_p3_1_and_p3_5_catch_unreversed_blocks(self, monkeypatch):
+        mutants = {"P3_1": ("s12_simulated", blocks_unreversed(operator.lt), engine.s12_closed_form),
+                   "P3_5": ("s21_simulated", blocks_unreversed(operator.gt), engine.s21_closed_form)}
+        for name, mutant, _ in mutants.values():
+            monkeypatch.setattr(enumerator, name, mutant)
+        for claim, (_, mutant, closed) in mutants.items():
+            report = verify(claim, 2, 5)
+            assert [row.n for row in report.rows] == [2, 3, 4, 5]
+            for row in report.rows:
+                bad = sum(closed(p) != mutant(p) for p in all_perms(row.n))
+                assert bad and row.observed == str(bad) and not row.passed, (claim, row)
+            assert not report.overall_pass
+
+    def test_random_agreement_reads_the_oracles(self, monkeypatch):
+        assert random_agreement_failures(200, 50, seed=1) == 0
+        monkeypatch.setattr(enumerator, "s12_simulated", blocks_unreversed(operator.lt))
+        monkeypatch.setattr(enumerator, "s21_simulated", blocks_unreversed(operator.gt))
+        assert random_agreement_failures(200, 50, seed=1) > 0
 
 
 def plus_one(count):
