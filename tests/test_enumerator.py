@@ -542,28 +542,32 @@ def blocks_unreversed(refuses):
     return simulated
 
 
+# oracle name -> its mutant
+UNREVERSED = {"s12_simulated": blocks_unreversed(operator.lt),
+              "s21_simulated": blocks_unreversed(operator.gt)}
+
+
 class TestSimulatedMutant:
     """The mirror of ``TestClosedFormMutant``: the oracles are read from
     ``enumerator`` by name, so a rebound stack is the one that P3_1, P3_5
     and ``random_agreement_failures`` compare the closed forms with."""
 
     def test_p3_1_and_p3_5_catch_unreversed_blocks(self, monkeypatch):
-        mutants = {"P3_1": ("s12_simulated", blocks_unreversed(operator.lt), engine.s12_closed_form),
-                   "P3_5": ("s21_simulated", blocks_unreversed(operator.gt), engine.s21_closed_form)}
-        for name, mutant, _ in mutants.values():
+        for name, mutant in UNREVERSED.items():
             monkeypatch.setattr(enumerator, name, mutant)
-        for claim, (_, mutant, closed) in mutants.items():
+        for claim, name, closed in (("P3_1", "s12_simulated", engine.s12_closed_form),
+                                    ("P3_5", "s21_simulated", engine.s21_closed_form)):
             report = verify(claim, 2, 5)
             assert [row.n for row in report.rows] == [2, 3, 4, 5]
             for row in report.rows:
-                bad = sum(closed(p) != mutant(p) for p in all_perms(row.n))
+                bad = sum(closed(p) != UNREVERSED[name](p) for p in all_perms(row.n))
                 assert bad and row.observed == str(bad) and not row.passed, (claim, row)
             assert not report.overall_pass
 
     def test_random_agreement_reads_the_oracles(self, monkeypatch):
         assert random_agreement_failures(200, 50, seed=1) == 0
-        monkeypatch.setattr(enumerator, "s12_simulated", blocks_unreversed(operator.lt))
-        monkeypatch.setattr(enumerator, "s21_simulated", blocks_unreversed(operator.gt))
+        for name, mutant in UNREVERSED.items():
+            monkeypatch.setattr(enumerator, name, mutant)
         assert random_agreement_failures(200, 50, seed=1) > 0
 
 
