@@ -325,7 +325,7 @@ def iterate(map_id: MapId, p: Perm, t: int) -> Perm:
     ``SETTLED``).  The result has length n."""
     if t < 0:
         raise ValueError("iteration count must be nonnegative")
-    return _settled_walk(map_id, p, t, (t,))[4][0]
+    return _settled_walk(map_id, p, t, (t,))[3][0]
 
 
 def sorts_in(map_id: MapId, p: Perm, t_max: int) -> Optional[int]:
@@ -341,9 +341,9 @@ def sorts_in(map_id: MapId, p: Perm, t_max: int) -> Optional[int]:
     return _settled_walk(map_id, p, t_max)[0]
 
 
-# (identity hit, tail, cycle, last walked state, the k-th states asked for);
-# tail and cycle are None if the walk stopped at its cap still open
-Walk = tuple[Optional[int], Optional[int], Optional[int], Perm, tuple[Perm, ...]]
+# (identity hit, tail, cycle, the k-th states asked for); tail and cycle
+# are None if the walk stopped at its cap still open
+Walk = tuple[Optional[int], Optional[int], Optional[int], tuple[Perm, ...]]
 
 
 def _walk(
@@ -352,24 +352,21 @@ def _walk(
 ) -> Walk:
     """The rho shape of p's orbit under f, walked for at most ``cap`` passes
     while holding O(1) states: (first step at ``ident`` or None, tail
-    length, cycle length, the last walked state, the k-th state for each k
-    in ``ks``).
+    length, cycle length, the k-th state for each k in ``ks``).
 
     Each state is compared with the one before it, so an orbit that ends on
     a fixed point, the identity among them, closes at the pass that maps it
     to itself.  A longer cycle is found by Brent's power-of-two tortoise
     (Brent, BIT 20, 1980), which may take it past step tail + cycle, and its
     tail by a second walk from p.  A closed walk has the orbit's tail and
-    cycle, and its last walked state is the one at step tail + cycle - 1;
-    its k-th state is the one at step k or, past the tail, at
+    cycle; its k-th state is the one at step k or, past the tail, at
     tail + (k - tail) mod cycle.
 
     A walk stops at step ``cap`` if it has not closed by then: it is open,
-    with tail and cycle None, its last walked state is the one at step cap,
-    and it has the k-th states for k <= cap only.  So an orbit whose cycle
-    is longer than 1 may read open at a cap of tail + cycle or more, if the
-    tortoise has not met it by then; one that ends on a fixed point is
-    closed iff its tail is below the cap.
+    with tail and cycle None, and it has the k-th states for k <= cap
+    only.  So an orbit whose cycle is longer than 1 may read open at a cap
+    of tail + cycle or more, if the tortoise has not met it by then; one
+    that ends on a fixed point is closed iff its tail is below the cap.
     """
     got: dict[int, Perm] = {}
     hit: Optional[int] = None
@@ -385,26 +382,24 @@ def _walk(
         if step == 2 * at + 1:  # the tortoise moves to steps 1, 3, 7, 15, ...
             tortoise, at = x, step
         if step == cap:
-            return hit, None, None, x, tuple(got[k] for k in ks)
+            return hit, None, None, tuple(got[k] for k in ks)
         y = f(x)
         if y == x:
-            return hit, step, 1, x, _states(f, got, ks, x, step, 1)
+            return hit, step, 1, _states(f, got, ks, x, step, 1)
         x, step = y, step + 1
-    tail, last = _tail(f, p, cycle)
-    return hit, tail, cycle, last, _states(f, got, ks, x, step, cycle)
+    return hit, _tail(f, p, cycle), cycle, _states(f, got, ks, x, step, cycle)
 
 
-def _tail(f: Callable[[Perm], Perm], p: Perm, cycle: int) -> tuple[int, Perm]:
-    """(tail length, the state at step tail + cycle - 1) of p's orbit with
-    this cycle length: a walk ``cycle`` steps ahead of one from p meets it
-    first at step tail."""
-    last, ahead = p, p
+def _tail(f: Callable[[Perm], Perm], p: Perm, cycle: int) -> int:
+    """The tail length of p's orbit with this cycle length: a walk
+    ``cycle`` steps ahead of one from p meets it first at step tail."""
+    ahead = p
     for _ in range(cycle):
-        last, ahead = ahead, f(ahead)
+        ahead = f(ahead)
     tail = 0
     while p != ahead:
-        p, last, ahead, tail = f(p), ahead, f(ahead), tail + 1
-    return tail, last
+        p, ahead, tail = f(p), f(ahead), tail + 1
+    return tail
 
 
 def _states(
@@ -432,9 +427,8 @@ def _settled_walk(
     a canonical state is the pass of the whole state with tau's tail cut
     off, and for a fixed n a state is its canonical state followed by
     tau's tail, so the walk makes the same passes, compares the same
-    states and returns the same fields; its last state and k-th states are
-    extended back to length n.  A map with no settled permutation is
-    walked whole."""
+    states and returns the same fields; its k-th states are extended back
+    to length n.  A map with no settled permutation is walked whole."""
     map_id = MapId(map_id)
     f, ident = pass_fn(map_id), identity(len(p))
     if map_id not in SETTLED:
@@ -447,10 +441,8 @@ def _settled_walk(
             k -= 1
         return x[:k]
 
-    hit, tail, cycle, last, states = _walk(
-        lambda x: strip(f(x)), strip(ident), strip(p), cap, ks)
-    return (hit, tail, cycle, last + tau[len(last):],
-            tuple(x + tau[len(x):] for x in states))
+    hit, tail, cycle, states = _walk(lambda x: strip(f(x)), strip(ident), strip(p), cap, ks)
+    return hit, tail, cycle, tuple(x + tau[len(x):] for x in states)
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,12 @@ counts only the keys that rows read.  Each Counter is advanced by
 with ``map`` over the columns it reads, the first time a kernel reads it,
 so each fact is made once per permutation however many kernels read it,
 and a sweep whose kernels read only the parents builds no insertion.  A
-first state of a permutation is one pass, shared by every kernel and walk
-of that map.  Every walk runs to the end of the orbit, so a sweep holds at
-most one walk per map and walked column, and that walk stores every later
-k-th state of its map: k-fold images cost no passes of their own, and past
-the tail the state at step k is the one at tail + (k - tail) mod cycle.
+first state of a permutation is one pass, and so is a parent's second
+state, shared by every kernel and walk of that map.  Every walk runs to
+the end of the orbit, so a sweep holds at most one walk per map and
+walked column, and that walk stores every later k-th state of its map:
+k-fold images cost no passes of their own, and past the tail the state at
+step k is the one at tail + (k - tail) mod cycle.
 
 A kernel is built once per rank range and may keep state for that range,
 provided its key for p depends on p alone, whatever order it sees
@@ -40,13 +41,14 @@ permutations in.
 A walk is dynamic programming on the map's functional graph: each state
 is walked once and memoised on its bytes, as an interned summary (hit,
 tail, cycle, the states the kernels read, its cycle's states if it is
-periodic).
-A walk of distinct permutations, a chunk's or its parents', is composed
-from the walk of each p's first state (the chunk's, walked by the public
-sweeps) or its second state (the parents', the lifted s12 walk), so that
-memo holds the one-pass or two-pass image of the S_m walked: (m-1)! or
-(m-2)! states for s12.  A walk of the entries of another column, which
-repeat, is memoised on the entry itself: the lifted m12 walk of
+periodic).  Every walk is one such memo, a ``_Memo``, of one column,
+keyed on each entry, so an entry seen before costs one lookup and no
+pass.  A column of distinct permutations, a chunk or its parents, gets
+no memo of its own: its walk is the walk of the column of its first
+states (the chunk's, walked by the public sweeps) or its second states
+(the parents', the lifted s12 walk), shifted back one step per earlier
+column, so that memo holds the one-pass or two-pass image of the S_m
+walked: (m-1)! or (m-2)! states for s12.  The lifted m12 walk of
 x = west(w) holds |west(S_{n-1})| states and makes no pass before its
 lookup.  Each walk has its own memo per length and rank range (a worker's
 whole share of S_n), dropped with the range, and a memo that reaches
@@ -225,7 +227,7 @@ class _Memo(dict):
             self.clear()
             self.interned.clear()
         x = tuple(key)
-        hit, tail, cycle, _, states = _walk(self.f, self.ident, x, None, self.ks)
+        hit, tail, cycle, states = _walk(self.f, self.ident, x, None, self.ks)
         loop = None
         if tail == 0:
             loop = [x]
@@ -248,41 +250,7 @@ def _shift(p: Perm, ident: Perm, s: tuple) -> tuple:
     return (hit, tail + 1, cycle) + s[3:-1] + (None,)
 
 
-def _walker(
-    f: Callable[[Perm], Perm], ident: Perm, ks: Sequence[int], depth: int = 1
-) -> Callable[[Perm, Perm], tuple]:
-    """The function from p and its first state q = f(p) to p's walk record
-    under f: ``engine._walk``'s (identity hit, tail, cycle), then p's k-th
-    state for each k in ``ks`` (k >= ``depth``).
-
-    p's walk is composed, by ``_shift``, from the walk of its
-    ``depth``-th state, 1 or 2, kept in a ``_Memo`` with its
-    (k - depth)-th states.  At depth 2 each p costs the pass f(q) more, and
-    the memo holds the two-pass image instead of the one-pass image.  If
-    that state is not periodic and neither p nor q is the identity, the
-    composition is a shift of its hit and tail by ``depth``."""
-    memo = _Memo(f, ident, [k - depth for k in ks])
-
-    def record(p: Perm, q: Perm) -> tuple:
-        s = memo[bytes(q) if depth == 1 else bytes(f(q))]
-        if s[-1] is None and p != ident and q != ident:
-            hit = s[0]
-            return (hit if hit is None else hit + depth, s[1] + depth, s[2]) + s[3:-1]
-        if depth == 2:
-            s = _shift(q, ident, s)
-        return _shift(p, ident, s)[:-1]
-
-    return record
-
-
 LIFT = "lift"  # the chunk's column of the insertions of 1 at the end: its parents' lifts
-
-
-def _walk_stores(k: int, of: Hashable) -> bool:
-    """Whether the walk of the entries of column ``of`` stores their k-th
-    state: a later than first state of column 0's or ``LIFT``'s, whose
-    entries are distinct, any of another's."""
-    return k > 1 or (k == 1 and of not in (0, LIFT))
 
 
 class _Facts(dict):
@@ -299,16 +267,17 @@ class _Facts(dict):
     another column, ``of`` (the chunk by default), rather than of p
     itself.
 
-    * ``walk(map_id, of)``, key ``(map_id, None, of)``: the walk record,
-      ``engine._walk``'s (identity hit, tail, cycle) of the whole orbit,
-      then the later states the walk stores.
+    * ``walk(map_id, of)``, key ``(map_id, None, of)``: the walk record, a
+      ``_Memo`` summary: ``engine._walk``'s (identity hit, tail, cycle) of
+      the whole orbit, the later states the walk stores, then the loop.
     * ``state(map_id, k, of)``, key ``(map_id, k, of)``: the k-th state of
       the orbit.  The 0-th is the entry itself, key ``of``.  A state of the
-      entries of column 0 or ``LIFT`` is a pass if it is the first, and a
-      machine's first state is the west pass of its dotted stage's first
-      state (so m12(p) and m21(p) reuse s12(p) and s21(p)); a later state
-      is stored by the walk of that map.  Every state of the entries of
-      another column is stored by their walk.
+      entries of column 0 or ``LIFT`` is one pass of the state before it,
+      and a machine's first state is the west pass of its dotted stage's
+      first state (so m12(p) and m21(p) reuse s12(p) and s21(p)).  Column
+      0's k-th states past the ``depth``-th are the (k - depth)-th states
+      of the column of its ``depth``-th states.  Every state of the entries
+      of another column is stored by their walk.
 
     A column, the chunk's included, is made, by ``map`` over the columns it
     reads, the first time a kernel reads it, so each fact is made once per
@@ -316,15 +285,14 @@ class _Facts(dict):
     kernels read only the parents builds no insertion.  A walk is made on
     its first read, once every kernel is built and has asked for the states
     it stores, and lives as long as these facts, which a sweep makes once
-    per rank range; there is one per map and walked column.  Column 0 holds
-    distinct permutations, so its walk reads each first state from these
-    facts and the rest of the orbit from a memo keyed on the ``depth``-th
-    state (see ``_walker``): the first for the chunk, whose walks are those
-    of the public sweeps, and the second for the parents, whose s12 walk
-    is the lifted one, so that its memo holds (n-3)! states, not (n-2)!.
-    Another column is an image of column 0 and repeats its entries, so its
-    walk is a ``_Memo`` keyed on the entry itself: an entry seen before
-    costs one lookup and no pass.
+    per rank range.  Every walk but column 0's is a ``_Memo`` of a column,
+    one per map and walked column, keyed on each entry: an entry seen
+    before costs one lookup and no pass.  Column 0 holds distinct
+    permutations, so its walk is that of the column of its ``depth``-th
+    states, shifted back one step per earlier column (see ``_shift``): the
+    first states for the chunk, whose walks are those of the public sweeps,
+    and the second for the parents, whose s12 walk is the lifted one, so
+    that its memo holds (n-3)! states, not (n-2)!.
     """
 
     def __init__(self, n: int, depth: int = 1) -> None:
@@ -336,13 +304,15 @@ class _Facts(dict):
         self._gathers = _gathers(n) if chunk else None
         # (map, walked column) -> the k of the states its walk stores
         self._stored: dict[tuple, list[int]] = {}
-        self._walks: dict[tuple, Callable] = {}
+        self._walks: dict[tuple, _Memo] = {}
 
     def walk(self, map_id: MapId, of: Hashable = 0) -> tuple:
         return (map_id, None, of)
 
     def state(self, map_id: MapId, k: int, of: Hashable = 0) -> Hashable:
-        if _walk_stores(k, of):
+        if of == 0 and k > self.depth:
+            return self.state(map_id, k - self.depth, self.state(map_id, self.depth))
+        if k and of not in (0, LIFT):
             stored = self._stored.setdefault((map_id, of), [])
             if k not in stored:
                 stored.append(k)
@@ -365,26 +335,27 @@ class _Facts(dict):
         map_id, k, of = fact
         if k is None:
             column = self._walked(map_id, of)
-        elif _walk_stores(k, of):
+        elif of not in (0, LIFT):
             at = itemgetter(3 + self._stored[map_id, of].index(k))
             column = list(map(at, self[(map_id, None, of)]))
-        elif map_id in DOTTED_STAGE:
+        elif k == 1 and map_id in DOTTED_STAGE:
             column = list(map(pass_fn(MapId.WEST), self[(DOTTED_STAGE[map_id], 1, of)]))
         else:
-            column = list(map(pass_fn(map_id), self[of]))
+            column = list(map(pass_fn(map_id), self[self.state(map_id, k - 1, of)]))
         self[fact] = column
         return column
 
     def _walked(self, map_id: MapId, of: Hashable) -> list[tuple]:
-        walk = self._walks.get((map_id, of))
-        if walk is None:
-            f, ks = pass_fn(map_id), self._stored.get((map_id, of), ())
-            walk = self._walks[map_id, of] = (
-                _walker(f, self.ident, ks, self.depth) if of == 0
-                else _Memo(f, self.ident, ks).__getitem__)
         if of == 0:
-            return list(map(walk, self[0], self[(map_id, 1, 0)]))
-        return list(map(walk, map(bytes, self[of])))
+            walks = self[self.walk(map_id, self.state(map_id, self.depth))]
+            for k in reversed(range(self.depth)):
+                walks = list(map(_shift, self[self.state(map_id, k)], repeat(self.ident), walks))
+            return walks
+        memo = self._walks.get((map_id, of))
+        if memo is None:
+            memo = self._walks[map_id, of] = _Memo(
+                pass_fn(map_id), self.ident, self._stored.get((map_id, of), ()))
+        return list(map(memo.__getitem__, map(bytes, self[of])))
 
 
 def _check_cap(counts: Counter) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
@@ -24,8 +25,13 @@ class PermutationError(ValueError):
 
 
 def perm(values: Sequence[int]) -> Perm:
-    """Validate ``values`` as a permutation of 1..n and return it as a tuple."""
-    p = tuple(int(v) for v in values)
+    """Validate ``values`` as a permutation of 1..n and return it as a tuple.
+    Each value must be an integer: a float or a string is refused, not
+    rounded or parsed."""
+    try:
+        p = tuple(map(operator.index, values))
+    except TypeError as e:  # "'float' object cannot be interpreted as an integer"
+        raise PermutationError(f"values must be integers: {e}") from None
     n = len(p)
     if n == 0:
         raise PermutationError("empty permutation (length must be >= 1)")

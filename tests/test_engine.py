@@ -30,7 +30,7 @@ from pss.engine import (
 )
 from pss.enumerator import brute_ord
 from pss.perms import all_perms, delete_one, identity, ins, reverse_identity, unrank
-from walk_oracle import dict_walk, last_state, state_at, synthetic_map
+from walk_oracle import dict_walk, state_at, synthetic_map
 
 perm_st = st.integers(1, 9).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
@@ -406,7 +406,7 @@ def counting(f):
 def check_walk(f, ident, p, cap):
     """engine._walk against the dict walk: the same identity hit and k-th
     states for every k <= cap; a closed walk has the uncapped orbit's tail,
-    cycle, last state and k-th states, and an open one stopped at step cap.
+    cycle and k-th states, and an open one stopped at step cap.
     Returns the pass counts of the two walks and whether each closed."""
     g, calls = counting(f)
     want = dict_walk(g, ident, p, cap)
@@ -414,17 +414,15 @@ def check_walk(f, ident, p, cap):
     whole = dict_walk(f, ident, p)
     ks = [k for k in KS if cap is None or k <= cap]
     del calls[:]
-    hit, tail, cycle, last, states = _walk(g, ident, p, cap, ks)
+    hit, tail, cycle, states = _walk(g, ident, p, cap, ks)
     passes = len(calls)
     assert hit == want[0], (p, cap)
     assert states == tuple(state_at(whole, k) for k in ks), (p, cap)
     if tail is None:
         assert cap is not None and cycle is None, (p, cap)
-        assert last == state_at(whole, cap), (p, cap)
     else:
         assert (tail, cycle) == whole[1:3], (p, cap)
-        assert last == last_state(whole), (p, cap)
-        states = _walk(f, ident, p, cap, KS)[4]
+        states = _walk(f, ident, p, cap, KS)[3]
         assert states == tuple(state_at(whole, k) for k in KS), (p, cap)
     return passes, oracle_passes, tail is not None, want[1] is not None
 
@@ -468,7 +466,7 @@ class TestWalk:
                 want = _walk(f, ident, p, cap, ks)
                 got = _walk(lambda s: Unhashable(f(s.p)), Unhashable(ident), Unhashable(p), cap, ks)
                 assert got[:3] == want[:3], (p, cap)
-                assert (got[3].p, *(s.p for s in got[4])) == (want[3], *want[4]), (p, cap)
+                assert tuple(s.p for s in got[3]) == want[3], (p, cap)
 
     @pytest.mark.parametrize("map_id", list(MapId))
     def test_maps_are_the_dict_walk(self, map_id):

@@ -744,6 +744,24 @@ class TestFacts:
         verify_all(1, 8)
         assert len(built) == 16
 
+    def test_verify_all_to_8_makes_its_passes(self, monkeypatch):
+        """verify_all(1, 8) makes 218,409 passes, the simulated stacks of
+        P3_1 and P3_5 included, one of each on every p of S_1..S_8
+        (46,233).  A change to how facts are made or walked must keep
+        these counts, function by function."""
+        calls = counted_passes(monkeypatch)
+        for name in ("s12_simulated", "s21_simulated"):
+            def counting(p, _name=name, _pass=getattr(enumerator, name)):
+                calls[_name] += 1
+                return _pass(p)
+
+            monkeypatch.setattr(enumerator, name, counting)
+        assert all(r.overall_pass for r in verify_all(1, 8))
+        assert calls == {"s12_closed_form": 59724, "s12_simulated": 46233,
+                         "s21_closed_form": 52714, "s21_simulated": 46233,
+                         "west_pass": 13505}
+        assert sum(calls.values()) == 218409
+
     def test_a_column_is_made_on_first_read_only(self, monkeypatch):
         """``load`` makes no column, not even the chunk: it holds the
         parents alone, as column 0 of the parents' facts."""
@@ -764,56 +782,73 @@ class TestFacts:
         assert facts[key] == [iterate(MapId.MACHINE12, q, 1) for q in inserted]
 
 
-def assert_records_are_walks(seed, ident_at, ks, depth):
-    """Every p of S_5, in a seeded order, has the walk record under
-    ``synthetic_map(seed, ident_at)`` that the dict walk reads."""
+def built_memos(monkeypatch) -> list:
+    """The (length, stored k) of each walk memo built from here on."""
+    built = []
+
+    class Counted(enumerator._Memo):
+        def __init__(self, f, ident, ks):
+            built.append((len(ident), list(ks)))
+            super().__init__(f, ident, ks)
+
+    monkeypatch.setattr(enumerator, "_Memo", Counted)
+    return built
+
+
+def assert_records_are_walks(monkeypatch, seed, ident_at, ks, depth):
+    """Every p of S_5, in a seeded order and loaded into column 0 of
+    ``_Facts(5, depth)`` in chunks of 24, has the walk record and the k-th
+    states under ``synthetic_map(seed, ident_at)`` that the dict walk reads.
+    The facts' one memo lasts for all five chunks."""
     f, ident = synthetic_map(seed, ident_at), identity(5)
-    record = enumerator._walker(f, ident, ks, depth)
+    monkeypatch.setattr(enumerator, "pass_fn", lambda map_id: f)
+    facts = enumerator._Facts(5, depth)
+    walk, states = facts.walk(MapId.S12), [facts.state(MapId.S12, k) for k in ks]
     perms = list(all_perms(5))
     random.Random(seed).shuffle(perms)
-    for p in perms:
-        walk = dict_walk(f, ident, p)
-        assert record(p, f(p)) == walk[:3] + tuple(state_at(walk, k) for k in ks), p
+    for lo in range(0, 120, 24):
+        facts.clear()
+        facts[0] = perms[lo:lo + 24]
+        for p, record, *got in zip(facts[0], facts[walk], *(facts[state] for state in states)):
+            want = dict_walk(f, ident, p)
+            assert record[:3] == want[:3], p
+            assert got == [state_at(want, k) for k in ks], p
 
 
 class TestMemoisedWalk:
-    """``enumerator._walker`` composes each walk from the walk of its first
-    or second state; the five maps have no cycle longer than 1 at small n,
-    so these tests drive it with synthetic maps that do."""
+    """``_Facts`` walks column 0 as the ``_Memo`` of the column of its
+    first or second states, shifted back to column 0; the five maps have no
+    cycle longer than 1 at small n, so these tests drive it with synthetic
+    maps that do."""
 
     @pytest.mark.parametrize("k_max", [None, 0, 1, 3])
     @pytest.mark.parametrize("ident_at", [0, 4, 12, 119])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_walk_record_is_the_walk(self, seed, ident_at, k_max):
+    def test_walk_record_is_the_walk(self, monkeypatch, seed, ident_at, k_max):
         """The record of a walk that stores no later state, the first, the
         first three or all of 1, 2, 3, 7 and 100 (k_max None)."""
         ks = [k for k in (1, 2, 3, 7, 100) if k_max is None or k <= k_max]
-        assert_records_are_walks(seed, ident_at, ks, 1)
+        assert_records_are_walks(monkeypatch, seed, ident_at, ks, 1)
 
     @pytest.mark.parametrize("k_max", [None, 2, 3])
     @pytest.mark.parametrize("ident_at", [0, 4, 12, 39, 119])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_walk_record_from_the_second_state_is_the_walk(self, seed, ident_at, k_max):
+    def test_walk_record_from_the_second_state_is_the_walk(self, monkeypatch, seed, ident_at, k_max):
         """The same records, composed from the memoised walk of each p's
-        second state, which stores the states from the second on: p and
-        its first state may each be the identity or on a cycle.  At 39 the
+        second state, which stores the states past the second: p and its
+        first state may each be the identity or on a cycle.  At 39 the
         identity is in a tree, off the cycles by two steps or more, and has
         preimages, for both seeds."""
         ks = [k for k in (2, 3, 7, 100) if k_max is None or k <= k_max]
-        assert_records_are_walks(seed, ident_at, ks, 2)
+        assert_records_are_walks(monkeypatch, seed, ident_at, ks, 2)
 
     def test_one_walk_per_map_per_sweep(self, monkeypatch):
-        """An orbit shape and a k-fold image of one map read one walk."""
-        built, walker = [], enumerator._walker
-
-        def counting(f, ident, ks, *depth):
-            built.append(list(ks))
-            return walker(f, ident, ks, *depth)
-
-        monkeypatch.setattr(enumerator, "_walker", counting)
+        """An orbit shape and a k-fold image of one map read one walk: the
+        memo of the chunk's first states, which stores their second."""
+        built = built_memos(monkeypatch)
         shapes, images = enumerator._tally(5, 1, [(enumerator._orbit_shape, (MapId.S12,)),
                                                   (enumerator._image, (MapId.S12, 3))])
-        assert built == [[3]]
+        assert built == [(5, [2])]
         assert sum(shapes.values()) == 120
         assert set(images) == {iterate(MapId.S12, p, 3) for p in all_perms(5)}
 
@@ -835,12 +870,8 @@ class TestMemoisedWalk:
         want = [r.to_dict() for r in verify_all(1, 6)]
         monkeypatch.setattr(enumerator, "MEMO_CAP", 2)
         assert [r.to_dict() for r in verify_all(1, 6)] == want
-        f, ident = synthetic_map(3, 4), identity(5)
         for depth in (1, 2):
-            record = enumerator._walker(f, ident, [2], depth)
-            for p in all_perms(5):
-                walk = dict_walk(f, ident, p)
-                assert record(p, f(p)) == walk[:3] + (state_at(walk, 2),), (depth, p)
+            assert_records_are_walks(monkeypatch, 3, 4, [2, 3], depth)
 
 
 # claim -> the observed values of its rows at n, reduced from the plain
@@ -938,16 +969,9 @@ class TestLiftedRoute:
         its parents in S_5, with one memo per map, s12 and m12; the four
         per-permutation claims, T3_6 and the four m21 claims read its chunks
         and the lifts of its parents with no walk."""
-        built = []
-
-        class Counted(enumerator._Memo):
-            def __init__(self, f, ident, ks):
-                built.append(len(ident))
-                super().__init__(f, ident, ks)
-
-        monkeypatch.setattr(enumerator, "_Memo", Counted)
+        built = built_memos(monkeypatch)
         assert all(r.overall_pass for r in verify_all(6, 6))
-        assert built == [5, 5]
+        assert [n for n, _ in built] == [5, 5]
 
     def test_no_s21_pass_on_s_n_minus_1(self, monkeypatch):
         """P3_5 and T3_6 share one s21 column of S_6, 720 passes, and T3_6's

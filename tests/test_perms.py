@@ -183,4 +183,8 @@ def test_perm_validation():
         perm([1, 3])
     with pytest.raises(PermutationError):
         perm([2, 2, 1])
+    # a value must be an integer: 2.5 is not truncated to 2, nor "2" parsed
+    for values in ([2.5, 1.5], [2.0, 1.0], ["2", "1"], [2, None]):
+        with pytest.raises(PermutationError):
+            perm(values)
     assert perm([2, 1]) == (2, 1)

@@ -43,11 +43,6 @@ def state_at(walk, k):
     return next(islice(seen, k, None))
 
 
-def last_state(walk):
-    """The last state a dict walk visited."""
-    return next(reversed(walk[3]))
-
-
 def synthetic_map(seed: int, ident_at: int):
     """A function on S_5 whose graph has one cycle of each length 1..5 and
     trees of random depth hanging off them, with the identity at position
