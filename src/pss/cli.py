@@ -111,7 +111,7 @@ def cmd_verify(args) -> int:
         reports = enumerator.verify_all(args.n_min, args.n_max, args.jobs, args.force)
     else:
         reports = [enumerator.verify(args.claim, args.n_min, args.n_max, args.jobs, args.force)]
-    # a report without rows checked nothing, so it must not read as a PASS
+    # a report without rows checked nothing: a usage error, not a failed check
     reports = [r for r in reports if r.rows]
     if not reports:
         raise UsageError(f"no rows to check for n in {args.n_min}..{args.n_max}")

@@ -35,9 +35,8 @@ identity's tail ends, and its west stage sorts the decreasing tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .perms import Perm, identity, reverse_identity
 
@@ -50,22 +49,20 @@ class MapId(str, Enum):
     MACHINE21 = "m21"
 
 
-@dataclass(frozen=True)
-class DottedPattern:
+class DottedPattern(NamedTuple("DottedPattern", [("base", int), ("dot_position", int)])):
     """A length-2 base pattern (12 or 21) with a marked letter position."""
 
-    base: int  # 12 or 21
-    dot_position: int  # 1 or 2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.base not in (12, 21):
-            raise ValueError(f"base pattern must be 12 or 21, got {self.base}")
-        if self.dot_position not in (1, 2):
-            raise ValueError(f"dot position must be 1 or 2, got {self.dot_position}")
+    def __new__(cls, base: int, dot_position: int) -> DottedPattern:
+        if base not in (12, 21):
+            raise ValueError(f"base pattern must be 12 or 21, got {base}")
+        if dot_position not in (1, 2):
+            raise ValueError(f"dot position must be 1 or 2, got {dot_position}")
+        return super().__new__(cls, base, dot_position)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     op: str  # "push" | "pop"
     value: int
 
@@ -445,8 +442,7 @@ def _settled_walk(
     return hit, tail, cycle, tuple(x + tau[len(x):] for x in states)
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     tail_length: int
     cycle_length: int
     reaches_identity_at: Optional[int]

@@ -92,20 +92,20 @@ worker's walk memos last for its whole share of S_n; an S_n of at most
 chunk with no parents.  The per-range Counters are
 summed, so the outcome is identical for any worker count.  Pool tasks
 carry only ints, ``MapId`` values and module-level functions, so they
-pickle under any start method.
+pickle under any start method.  The pool's module, ``multiprocessing``, is
+imported when the first pool starts, so importing pss, and every run that
+starts no pool, goes without it.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, compress, islice, permutations, repeat
 from operator import eq, getitem, itemgetter, ne, not_
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import formulas
 from .engine import (
@@ -131,17 +131,15 @@ from .perms import (
 )
 
 
-@dataclass(frozen=True)
-class RankRange:
+class RankRange(NamedTuple("RankRange", [("n", int), ("lo", int), ("hi", int)])):
     """Half-open slice [lo, hi) of S_n in lexicographic order."""
 
-    n: int
-    lo: int
-    hi: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.lo <= self.hi <= math.factorial(self.n):
-            raise ValueError(f"invalid rank range [{self.lo}, {self.hi}) for S_{self.n}")
+    def __new__(cls, n: int, lo: int, hi: int) -> RankRange:
+        if not 0 <= lo <= hi <= math.factorial(n):
+            raise ValueError(f"invalid rank range [{lo}, {hi}) for S_{n}")
+        return super().__new__(cls, n, lo, hi)
 
 
 def split_ranges(n: int, parts: int) -> list[RankRange]:
@@ -373,6 +371,8 @@ def _run(worker: Callable, tasks: list, jobs: int) -> list:
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(t) for t in tasks]
+    import multiprocessing  # by the first pool only (see the module docstring)
+
     with multiprocessing.Pool(workers) as pool:
         return pool.map(worker, tasks)
 
@@ -818,8 +818,7 @@ def random_agreement_failures(
 # -- claim verification ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One check of a claim at n: the expected and observed values, each
     formatted injectively (an int's digits, a permutation, or a set's
     sorted permutations), so the row passes iff they are equal."""
@@ -834,16 +833,31 @@ class Row:
         return self.expected == self.observed
 
 
-@dataclass
 class VerificationReport:
-    claim: str
-    n_min: int
-    n_max: int
-    rows: list[Row] = field(default_factory=list)
+    """A claim's rows over n_min..n_max, which ``_verify`` extends in
+    place."""
+
+    def __init__(
+        self, claim: str, n_min: int, n_max: int, rows: Optional[list[Row]] = None
+    ) -> None:
+        self.claim = claim
+        self.n_min = n_min
+        self.n_max = n_max
+        self.rows = [] if rows is None else rows
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"VerificationReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def overall_pass(self) -> bool:
-        return all(r.passed for r in self.rows)
+        """Whether every row passes; a report without rows checked nothing,
+        so it does not pass."""
+        return bool(self.rows) and all(r.passed for r in self.rows)
 
     def to_dict(self) -> dict:
         """JSON document of the claim, its range and its rows, the same
@@ -1048,4 +1062,6 @@ def verify(
 def verify_all(
     n_min: int, n_max: int, jobs: int = 1, force: bool = False
 ) -> list[VerificationReport]:
-    return _verify(CLAIM_IDS, n_min, n_max, jobs, force)
+    """The reports of every claim with rows in n_min..n_max: a claim whose
+    least n exceeds n_max checks nothing there, so it has no report."""
+    return [r for r in _verify(CLAIM_IDS, n_min, n_max, jobs, force) if r.rows]

@@ -1321,3 +1321,17 @@ class TestVerify:
         doc = verify("T4_2", 1, 5).to_dict()
         assert set(doc) == {"claim", "params", "rows", "overall_pass"}
         assert all(isinstance(r["expected"], str) for r in doc["rows"])
+
+    def test_an_empty_report_does_not_pass(self):
+        # T5_2 has rows from n = 4 on, so below that it checks nothing
+        report = verify("T5_2", 1, 3)
+        assert report.rows == []
+        assert not report.overall_pass
+        assert report.to_dict()["overall_pass"] is False
+
+    def test_verify_all_reports_only_claims_with_rows(self):
+        least = {claim: enumerator._CLAIMS[claim][0] for claim in CLAIM_IDS}
+        for n in range(1, 5):
+            reports = verify_all(n, n)
+            assert [r.claim for r in reports] == [c for c in CLAIM_IDS if least[c] <= n]
+            assert all(r.overall_pass for r in reports)
