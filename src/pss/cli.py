@@ -93,8 +93,7 @@ def _emit_reports(reports, fmt: str) -> None:
         w.writerow(["claim", "n", "param", "expected", "observed", "pass"])
         for r in reports:
             for row in r.rows:
-                w.writerow([r.claim, row.n, row.param, row.expected, row.observed,
-                            str(row.passed).lower()])
+                w.writerow([r.claim, *row, str(row.passed).lower()])
     else:
         for r in reports:
             for row in r.rows:

@@ -97,14 +97,14 @@ def dotted_policy(pattern: DottedPattern) -> PushPredicate:
     return _allows12 if pattern.base == 12 else _allows21
 
 
+def _allows_west(stack: Sequence[int], v: int) -> bool:
+    return not stack or v < stack[-1]
+
+
 def west_policy() -> PushPredicate:
     """Classical push predicate: push iff the stack is empty or the candidate
-    is smaller than the top."""
-
-    def allows(stack: Sequence[int], v: int) -> bool:
-        return not stack or v < stack[-1]
-
-    return allows
+    is smaller than the top; one module-level function, as in ``dotted_policy``."""
+    return _allows_west
 
 
 def run_pass(

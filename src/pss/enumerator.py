@@ -833,25 +833,13 @@ class Row(NamedTuple):
         return self.expected == self.observed
 
 
-class VerificationReport:
-    """A claim's rows over n_min..n_max, which ``_verify`` extends in
-    place."""
+class VerificationReport(NamedTuple):
+    """A claim's rows over n_min..n_max."""
 
-    def __init__(
-        self, claim: str, n_min: int, n_max: int, rows: Optional[list[Row]] = None
-    ) -> None:
-        self.claim = claim
-        self.n_min = n_min
-        self.n_max = n_max
-        self.rows = [] if rows is None else rows
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return f"VerificationReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+    claim: str
+    n_min: int
+    n_max: int
+    rows: tuple[Row, ...] = ()
 
     @property
     def overall_pass(self) -> bool:
@@ -865,16 +853,7 @@ class VerificationReport:
         return {
             "claim": self.claim,
             "params": {"n_min": self.n_min, "n_max": self.n_max},
-            "rows": [
-                {
-                    "n": r.n,
-                    "param": r.param,
-                    "expected": r.expected,
-                    "observed": r.observed,
-                    "pass": r.passed,
-                }
-                for r in self.rows
-            ],
+            "rows": [{**r._asdict(), "pass": r.passed} for r in self.rows],
             "overall_pass": self.overall_pass,
         }
 
@@ -1031,14 +1010,15 @@ def _verify(
     claims: Sequence[str], n_min: int, n_max: int, jobs: int, force: bool
 ) -> list[VerificationReport]:
     """Reports of ``claims`` over n_min..n_max, from one sweep of each S_n
-    that some claim has rows at."""
+    that some claim has rows at.  Each report is built once, from all its
+    rows."""
     for claim in claims:
         if claim not in _CLAIMS:
             raise ValueError(f"unknown claim {claim!r}; known: {', '.join(_CLAIMS)}")
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
     check_guard(n_max, force)
-    reports = {claim: VerificationReport(claim, n_min, n_max) for claim in claims}
+    rows_of: dict[str, list[Row]] = {claim: [] for claim in claims}
     riders: dict[int, list] = {}  # n -> [(claim, kernel spec, rows)] riding on S_n
     for claim in claims:
         lo, build, *args = _CLAIMS[claim]
@@ -1047,8 +1027,8 @@ def _verify(
     for n in sorted(riders):
         counts = _tally(n, jobs, [spec for _, spec, _ in riders[n]])
         for (claim, _, rows), c in zip(riders[n], counts):
-            reports[claim].rows.extend(rows(c))
-    return list(reports.values())
+            rows_of[claim] += rows(c)
+    return [VerificationReport(claim, n_min, n_max, tuple(found)) for claim, found in rows_of.items()]
 
 
 def verify(

@@ -1,14 +1,18 @@
 import contextlib
 import csv
 import decimal
+import hashlib
+import importlib.util
 import io
 import json
 import math
 import os
 import random
+import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -26,6 +30,26 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _pinned_json_sha256():
+    """``REPORT_SHA256`` of ``perfbench/workloads.py``, the digest of the
+    JSON report that CI's report digest step and the benchmark check."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.REPORT_SHA256
+
+
+# sha256 of `pss verify --claim all --n-max 8` in each format
+REPORT_SHA256 = {
+    "json": _pinned_json_sha256(),
+    "csv": "a3b3e0ff98848b09e88bf62c202952df64ebe8af660171691e21dc16317b9eb7",
+    "table": "ada50b705644f2a15532c570faeffb4986e9edc92b4baa6bc9af302f4608009e",
+}
 
 
 class TestSort:
@@ -180,6 +204,18 @@ class TestVerifyCommand:
                                  "--n-max", "3")
         assert code == 2 and out == "" and err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt, jobs", [("json", 1), ("json", 2), ("csv", 2), ("table", 2)])
+    def test_report_bytes_are_pinned(self, fmt, jobs):
+        """The report of every claim over n = 1..8, printed by a fresh
+        process, has the pinned bytes, and nothing goes to stderr."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "pss.cli", "verify", "--claim", "all", "--n-max", "8",
+             "--format", fmt, "--jobs", str(jobs)],
+            capture_output=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_SHA256[fmt]
 
     def test_guard_without_force(self, capsys):
         code, _, err = run_cli(

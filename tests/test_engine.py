@@ -110,6 +110,9 @@ class TestPolicies:
         assert not allows((5, 2), 3)
         assert allows((2, 5), 3)
 
+    def test_one_west_predicate(self):
+        assert west_policy() is west_policy()
+
     def test_one_predicate_per_base(self):
         for base in (12, 21):
             assert dotted_policy(DottedPattern(base, 1)) is dotted_policy(DottedPattern(base, 2))

@@ -454,6 +454,11 @@ class TestClosedFormMutant:
         assert random_agreement_failures(200, 50, seed=1) > 0
 
     def test_random_agreement_sample_does_not_depend_on_jobs(self, monkeypatch):
+        """With ``BLOCK`` at 64 the 200 draws are four tasks, task i seeded
+        ``seed + i``, which two jobs share between two workers."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the mutant passes reach only forked workers")
+        monkeypatch.setattr(enumerator, "BLOCK", 64)
         for name in ("s12_closed_form", "s21_closed_form"):
             monkeypatch.setattr(engine, name, lambda p: p[::-1])
         counts = {jobs: random_agreement_failures(200, 50, seed=1, jobs=jobs) for jobs in (1, 2)}
@@ -1325,7 +1330,7 @@ class TestVerify:
     def test_an_empty_report_does_not_pass(self):
         # T5_2 has rows from n = 4 on, so below that it checks nothing
         report = verify("T5_2", 1, 3)
-        assert report.rows == []
+        assert not report.rows
         assert not report.overall_pass
         assert report.to_dict()["overall_pass"] is False
 
