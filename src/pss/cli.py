@@ -191,7 +191,14 @@ def cmd_orbit(args) -> int:
     return 0
 
 
+# largest --n of ``pss witness``: a witness of 10^6 entries takes about
+# 0.4 s and 170 MB to build and print
+WITNESS_N_MAX = 10**6
+
+
 def cmd_witness(args) -> int:
+    if args.n > WITNESS_N_MAX:
+        raise UsageError(f"--n must be at most {WITNESS_N_MAX}, got {args.n}")
     try:
         w, target = formulas.machine12_witness(args.family, args.n)
     except ValueError as exc:

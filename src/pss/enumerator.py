@@ -40,15 +40,16 @@ permutations in.
 
 A walk is dynamic programming on the map's functional graph: each state
 is walked once and memoised on its bytes, as an interned summary (hit,
-tail, cycle, the states the kernels read, its cycle's states if it is
-periodic).  Every walk is one such memo, a ``_Memo``, of one column,
+tail, cycle, the states the kernels read): a state is periodic iff its
+tail is 0.  Every walk is one such memo, a ``_Memo``, of one column,
 keyed on each entry, so an entry seen before costs one lookup and no
-pass.  A column of distinct permutations, a chunk or its parents, gets
-no memo of its own: its walk is the walk of the column of its first
-states (the chunk's, walked by the public sweeps) or its second states
-(the parents', the lifted s12 walk), shifted back one step per earlier
-column, so that memo holds the one-pass or two-pass image of the S_m
-walked: (m-1)! or (m-2)! states for s12.  The lifted m12 walk of
+pass, and the sweep's facts hold one memo per map and walked column.  A
+column of distinct permutations, a chunk or its parents, gets no memo of
+its own: its walk is the walk of the column of its first states (the
+chunk's, walked by the public sweeps) or its second states (the
+parents', the lifted s12 walk), shifted back one step per earlier
+column, to the bare (hit, tail, cycle), so that memo holds the one-pass
+or two-pass image of the S_m walked: (m-1)! or (m-2)! states for s12.  The lifted m12 walk of
 x = west(w) holds |west(S_{n-1})| states and makes no pass before its
 lookup.  Each walk has its own memo per length and rank range (a worker's
 whole share of S_n), dropped with the range, and a memo that reaches
@@ -208,14 +209,14 @@ def check_guard(n: int, force: bool = False) -> None:
 class _Memo(dict):
     """The walks of one map from the states it is asked for, keyed on
     ``bytes(x)`` for each state x: x's *summary*, (identity hit, tail,
-    cycle, x's k-th state for each k in ``ks``, x's *loop* if x is periodic
-    (tail 0), else None), from ``engine._walk``.  The loop is the tuple of
-    the states of x's cycle from x on.  A miss walks x to the end of its
-    orbit, and a periodic x around its cycle once more, and interns the
-    summary; a memo of ``MEMO_CAP`` summaries is cleared first.  A hit is
-    one C-level lookup."""
+    cycle, x's k-th state for each k in ``ks``), from ``engine._walk``, so
+    x is periodic iff its tail is 0.  ``ks`` is a list that the facts
+    extend as kernels ask for states, before the first walk.  A miss walks
+    x to the end of its orbit and interns the summary; a memo of
+    ``MEMO_CAP`` summaries is cleared first.  A hit is one C-level
+    lookup."""
 
-    def __init__(self, f: Callable[[Perm], Perm], ident: Perm, ks: Sequence[int]) -> None:
+    def __init__(self, f: Callable[[Perm], Perm], ident: Perm, ks: list[int]) -> None:
         super().__init__()
         self.f, self.ident, self.ks = f, ident, ks
         self.interned: dict[tuple, tuple] = {}
@@ -224,28 +225,24 @@ class _Memo(dict):
         if len(self) >= MEMO_CAP:
             self.clear()
             self.interned.clear()
-        x = tuple(key)
-        hit, tail, cycle, states = _walk(self.f, self.ident, x, None, self.ks)
-        loop = None
-        if tail == 0:
-            loop = [x]
-            while len(loop) < cycle:
-                loop.append(self.f(loop[-1]))
-            loop = tuple(loop)
-        s = (hit, tail, cycle, *states, loop)
+        hit, tail, cycle, states = _walk(self.f, self.ident, tuple(key), None, self.ks)
+        s = (hit, tail, cycle, *states)
         s = self[key] = self.interned.setdefault(s, s)
         return s
 
 
-def _shift(p: Perm, ident: Perm, s: tuple) -> tuple:
-    """p's summary from ``s``, that of its first state q: p's hit and tail
-    are q's one step later and its cycle is q's, unless p is the last state
-    of q's loop: p is then periodic, and its loop starts at p."""
-    hit, tail, cycle, loop = s[0], s[1], s[2], s[-1]
+def _shift(f: Callable[[Perm], Perm], ident: Perm, p: Perm, q: Perm, s: tuple) -> tuple:
+    """p's (identity hit, tail, cycle) from ``s``, the record of q = f(p):
+    p's hit and tail are q's one step later and its cycle is q's, unless p
+    is periodic, which it is iff q is (tail 0) and q, advanced cycle - 1
+    passes, is p.  That takes no pass at a fixed point.  A q with a tail
+    is never p, as p = f(p) would make both fixed."""
+    hit, tail, cycle = s[0], s[1], s[2]
     hit = 0 if p == ident else None if hit is None else hit + 1
-    if loop is not None and p == loop[-1]:
-        return (hit, 0, cycle) + s[3:-1] + ((p,) + loop[:-1],)
-    return (hit, tail + 1, cycle) + s[3:-1] + (None,)
+    if tail == 0:
+        for _ in range(cycle - 1):
+            q = f(q)
+    return hit, 0 if q == p else tail + 1, cycle
 
 
 LIFT = "lift"  # the chunk's column of the insertions of 1 at the end: its parents' lifts
@@ -265,9 +262,10 @@ class _Facts(dict):
     another column, ``of`` (the chunk by default), rather than of p
     itself.
 
-    * ``walk(map_id, of)``, key ``(map_id, None, of)``: the walk record, a
-      ``_Memo`` summary: ``engine._walk``'s (identity hit, tail, cycle) of
-      the whole orbit, the later states the walk stores, then the loop.
+    * ``walk(map_id, of)``, key ``(map_id, None, of)``: the walk record,
+      ``engine._walk``'s (identity hit, tail, cycle) of the whole orbit,
+      followed, in a ``_Memo`` summary, by the later states the walk
+      stores.  Column 0's records are the bare three.
     * ``state(map_id, k, of)``, key ``(map_id, k, of)``: the k-th state of
       the orbit.  The 0-th is the entry itself, key ``of``.  A state of the
       entries of column 0 or ``LIFT`` is one pass of the state before it,
@@ -285,7 +283,10 @@ class _Facts(dict):
     it stores, and lives as long as these facts, which a sweep makes once
     per rank range.  Every walk but column 0's is a ``_Memo`` of a column,
     one per map and walked column, keyed on each entry: an entry seen
-    before costs one lookup and no pass.  Column 0 holds distinct
+    before costs one lookup and no pass.  The facts keep one dict of
+    these, (map, walked column) to its memo, made by the first ``state`` or
+    walk of that column, and each ``state`` call adds its k to the memo's
+    ``ks``.  Column 0 holds distinct
     permutations, so its walk is that of the column of its ``depth``-th
     states, shifted back one step per earlier column (see ``_shift``): the
     first states for the chunk, whose walks are those of the public sweeps,
@@ -300,9 +301,7 @@ class _Facts(dict):
         chunk = n and depth == 1
         self.parents = _Facts(n - 1, 2) if chunk else None
         self._gathers = _gathers(n) if chunk else None
-        # (map, walked column) -> the k of the states its walk stores
-        self._stored: dict[tuple, list[int]] = {}
-        self._walks: dict[tuple, _Memo] = {}
+        self._walks: dict[tuple, _Memo] = {}  # (map, walked column) -> its memo
 
     def walk(self, map_id: MapId, of: Hashable = 0) -> tuple:
         return (map_id, None, of)
@@ -310,10 +309,8 @@ class _Facts(dict):
     def state(self, map_id: MapId, k: int, of: Hashable = 0) -> Hashable:
         if of == 0 and k > self.depth:
             return self.state(map_id, k - self.depth, self.state(map_id, self.depth))
-        if k and of not in (0, LIFT):
-            stored = self._stored.setdefault((map_id, of), [])
-            if k not in stored:
-                stored.append(k)
+        if k and of not in (0, LIFT) and k not in self._memo(map_id, of).ks:
+            self._walks[map_id, of].ks.append(k)  # the walk of ``of`` stores it
         return of if k == 0 else (map_id, k, of)
 
     def load(self, parents: list[Perm]) -> None:
@@ -334,7 +331,7 @@ class _Facts(dict):
         if k is None:
             column = self._walked(map_id, of)
         elif of not in (0, LIFT):
-            at = itemgetter(3 + self._stored[map_id, of].index(k))
+            at = itemgetter(3 + self._walks[map_id, of].ks.index(k))
             column = list(map(at, self[(map_id, None, of)]))
         elif k == 1 and map_id in DOTTED_STAGE:
             column = list(map(pass_fn(MapId.WEST), self[(DOTTED_STAGE[map_id], 1, of)]))
@@ -343,17 +340,19 @@ class _Facts(dict):
         self[fact] = column
         return column
 
+    def _memo(self, map_id: MapId, of: Hashable) -> _Memo:
+        if (map_id, of) not in self._walks:
+            self._walks[map_id, of] = _Memo(pass_fn(map_id), self.ident, [])
+        return self._walks[map_id, of]
+
     def _walked(self, map_id: MapId, of: Hashable) -> list[tuple]:
         if of == 0:
             walks = self[self.walk(map_id, self.state(map_id, self.depth))]
             for k in reversed(range(self.depth)):
-                walks = list(map(_shift, self[self.state(map_id, k)], repeat(self.ident), walks))
+                p, q = self[self.state(map_id, k)], self[self.state(map_id, k + 1)]
+                walks = list(map(_shift, repeat(pass_fn(map_id)), repeat(self.ident), p, q, walks))
             return walks
-        memo = self._walks.get((map_id, of))
-        if memo is None:
-            memo = self._walks[map_id, of] = _Memo(
-                pass_fn(map_id), self.ident, self._stored.get((map_id, of), ()))
-        return list(map(memo.__getitem__, map(bytes, self[of])))
+        return list(map(self._memo(map_id, of).__getitem__, map(bytes, self[of])))
 
 
 def _check_cap(counts: Counter) -> None:
@@ -456,9 +455,9 @@ Kernel = Callable[[_Facts], Iterable[Hashable]]
 
 
 def _orbit_shape(facts: _Facts, map_id: MapId) -> Kernel:
-    """The orbit's (identity hit, tail, cycle) (see ``engine._walk``)."""
-    walk, shape = facts.walk(map_id), itemgetter(slice(3))
-    return lambda cols: map(shape, cols[walk])
+    """The orbit's (identity hit, tail, cycle) (see ``engine._walk``): the
+    walk record of column 0 itself."""
+    return itemgetter(facts.walk(map_id))
 
 
 def _image(facts: _Facts, map_id: MapId, k: int) -> Kernel:
@@ -896,10 +895,13 @@ def _rows_t34(n):
 
 
 def _rows_m21(n, label, make_kernel, size, count=None):
-    """An m21 claim's row: |A| against the closed form named ``count``, or
-    else |A ^ B| against zero."""
+    """An m21 claim's row: |A| against the closed form ``count``, or else
+    |A ^ B| against zero.  ``count`` is read from ``formulas`` by its name
+    when the rows are built, as the other builders read theirs, so that a
+    formula rebound there is the one compared."""
     if count:
-        return (make_kernel, ()), lambda c: [_count_row(n, label, getattr(formulas, count)(n), size(c))]
+        count = getattr(formulas, count.__name__)
+        return (make_kernel, ()), lambda c: [_count_row(n, label, count(n), size(c))]
     return (make_kernel, ()), lambda c: [_count_row(n, label, 0, size(c) + c[False] - c[True])]
 
 
@@ -992,10 +994,10 @@ _CLAIMS: dict[str, tuple] = {
     "T3_6": (1, _rows_t36),
     "L4_1": (1, _rows_m21, "characterization mismatches", _machine21_sorts, _sorts_from_lift),
     "T4_2": (1, _rows_m21, "machine-sortable", _machine21_sorts, _sorts_from_lift,
-             "count_machine21_sortable"),
+             formulas.count_machine21_sortable),
     "L4_3": (1, _rows_m21, "shape-predicate mismatches", _machine21_fixes, _fixed_from_lift),
     "T4_4": (1, _rows_m21, "fixed points", _machine21_fixes, _fixed_from_lift,
-             "count_machine21_fixed_points"),
+             formulas.count_machine21_fixed_points),
     "C5_1_min": (2, _rows_c51_min),
     "C5_1_high": (2, _rows_c51_high),
     "T5_2": (4, _rows_t52),

@@ -196,9 +196,10 @@ _PI_SEEDS = {
 def witness_pi(n: int, seed: Perm) -> Perm:
     """Interleaved witness for the odd-image heads 213, 132, 312.
 
-    Starting from the seed's split (tau, sigma), each step appends the last
-    entry plus 2 to both halves; the witness is their concatenation and
-    reaches seed followed by 4 5 ... n after floor(n/2) - 1 machine passes.
+    Each half of the seed's split (tau, sigma) goes on in steps of 2 from
+    its last entry up to n or n - 1, whichever has that entry's parity; the
+    witness is their concatenation and reaches seed followed by 4 5 ... n
+    after floor(n/2) - 1 machine passes.
     """
     seed = tuple(seed)
     if seed not in _PI_SEEDS:
@@ -206,10 +207,7 @@ def witness_pi(n: int, seed: Perm) -> Perm:
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
     tau, sigma = _PI_SEEDS[seed]
-    for _ in range((n - 3) // 2):
-        tau = tau + (tau[-1] + 2,)
-        sigma = sigma + (sigma[-1] + 2,)
-    return tau + sigma
+    return (*tau, *range(tau[-1] + 2, n + 1, 2), *sigma, *range(sigma[-1] + 2, n + 1, 2))
 
 
 def witness_pi_target(n: int, seed: Perm) -> Perm:

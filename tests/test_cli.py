@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pss import engine, formulas
-from pss.cli import build_parser, main
+from pss.cli import WITNESS_N_MAX, build_parser, main
 from pss.engine import MapId, apply
 from pss.enumerator import CLAIM_IDS
 from pss.perms import format_perm, parse
@@ -373,6 +373,13 @@ class TestOtherCommands:
     def test_bad_value_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "error:" in err
+
+    @pytest.mark.parametrize("family", ["even", "pi213"])
+    def test_witness_n_past_the_bound_is_usage_error(self, capsys, family):
+        n = str(WITNESS_N_MAX + 1)
+        code, out, err = run_cli(capsys, "witness", "--family", family, "--n", n)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1 and n in err
 
     def test_witness_bad_parity(self, capsys):
         code, _, _ = run_cli(capsys, "witness", "--family", "even", "--n", "5")

@@ -620,6 +620,47 @@ def test_each_claim_fails_under_its_mutant(monkeypatch, claim):
     assert not verify(claim, 1, 6).overall_pass
 
 
+def faults(seed):
+    """(p, i, j) for 20 faults: five inputs p of each length m = 3..6, and
+    the two entries i < j that a wrong image of p swaps."""
+    rng = random.Random(seed)
+    return [(tuple(rng.sample(range(1, m + 1), m)), *sorted(rng.sample(range(m), 2)))
+            for m in range(3, 7) for _ in range(5)]
+
+
+def wrong_on(f, bad, i, j):
+    """f with one wrong answer, at ``bad``: an image with its i-th and j-th
+    entries swapped, or a test's answer negated."""
+    def faulty(p):
+        out = f(p)
+        if p != bad:
+            return out
+        if isinstance(out, bool):
+            return not out
+        out = list(out)
+        out[i], out[j] = out[j], out[i]
+        return tuple(out)
+
+    return faulty
+
+
+@pytest.mark.parametrize("module, name", [
+    (engine, "s12_closed_form"), (engine, "s21_closed_form"),
+    (enumerator, "s12_simulated"), (enumerator, "s21_simulated"),
+    (formulas, "is_machine21_sortable"), (formulas, "is_machine21_fixed_shape"),
+])
+def test_every_fault_fails_a_row(monkeypatch, module, name):
+    """A pass or structural test that the report runs, wrong on one input
+    of length m, fails a row of verify_all(m, m + 1), for each of 20 seeded
+    faults.  ``west_pass`` is left out: 9 of its 20 faults pass every row,
+    as no claim compares the west pass with an oracle on every input the
+    report gives it."""
+    f = getattr(module, name)
+    for bad, i, j in faults(11):
+        monkeypatch.setattr(module, name, wrong_on(f, bad, i, j))
+        assert not all(r.overall_pass for r in verify_all(len(bad), len(bad) + 1)), (bad, i, j)
+
+
 # each map's pass built from the oracles alone, sharing no code with the sweep
 ORACLE = {
     MapId.WEST: west_recursive,
@@ -788,12 +829,14 @@ class TestFacts:
 
 
 def built_memos(monkeypatch) -> list:
-    """The (length, stored k) of each walk memo built from here on."""
+    """The (length, stored k) of each walk memo built from here on.  The
+    facts add each stored k to the memo's own list, so the list itself is
+    kept."""
     built = []
 
     class Counted(enumerator._Memo):
         def __init__(self, f, ident, ks):
-            built.append((len(ident), list(ks)))
+            built.append((len(ident), ks))
             super().__init__(f, ident, ks)
 
     monkeypatch.setattr(enumerator, "_Memo", Counted)

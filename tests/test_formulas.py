@@ -209,6 +209,19 @@ class TestWitnesses:
         assert apply(MapId.MACHINE12, (3, 5, 1, 2, 4)) == (3, 1, 2, 4, 5)
         assert formulas.witness_pi(3, (1, 3, 2)) == (1, 3, 2)
 
+    @pytest.mark.parametrize("seed, split", [((2, 1, 3), ((2,), (1, 3))),
+                                             ((1, 3, 2), ((1, 3), (2,))),
+                                             ((3, 1, 2), ((3,), (1, 2)))])
+    def test_pi_family_is_the_stepped_halves(self, seed, split):
+        """The oracle is the family's definition: from the seed's split
+        (tau, sigma), each of (n - 3) / 2 steps appends the last entry
+        plus 2 to both halves."""
+        for n in range(3, 402, 2):
+            tau, sigma = split
+            for _ in range((n - 3) // 2):
+                tau, sigma = tau + (tau[-1] + 2,), sigma + (sigma[-1] + 2,)
+            assert formulas.witness_pi(n, seed) == tau + sigma, (seed, n)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             formulas.witness_even(5)
