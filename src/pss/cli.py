@@ -194,11 +194,17 @@ def cmd_orbit(args) -> int:
 # largest --n of ``pss witness``: a witness of 10^6 entries takes about
 # 0.4 s and 170 MB to build and print
 WITNESS_N_MAX = 10**6
+# largest --n of ``pss witness --check``, whose floor(n/2) - 1 machine passes
+# take time quadratic in n: at 10^4 the slowest family (even) takes about
+# 2.2 s on one core, and at 16,001 the pi families about 5 s
+WITNESS_CHECK_N_MAX = 10**4
 
 
 def cmd_witness(args) -> int:
     if args.n > WITNESS_N_MAX:
         raise UsageError(f"--n must be at most {WITNESS_N_MAX}, got {args.n}")
+    if args.check and args.n > WITNESS_CHECK_N_MAX:
+        raise UsageError(f"--n must be at most {WITNESS_CHECK_N_MAX} with --check, got {args.n}")
     try:
         w, target = formulas.machine12_witness(args.family, args.n)
     except ValueError as exc:

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pss import engine, formulas
-from pss.cli import WITNESS_N_MAX, build_parser, main
+from pss.cli import WITNESS_CHECK_N_MAX, WITNESS_N_MAX, build_parser, main
 from pss.engine import MapId, apply
 from pss.enumerator import CLAIM_IDS
 from pss.perms import format_perm, parse
@@ -380,6 +380,28 @@ class TestOtherCommands:
         code, out, err = run_cli(capsys, "witness", "--family", family, "--n", n)
         assert code == 2 and out == "" and err.startswith("error:")
         assert len(err.splitlines()) == 1 and n in err
+
+    @pytest.mark.parametrize("family", ["even", "cycle", "pi213", "pi132", "pi312"])
+    def test_witness_check_past_its_bound_is_usage_error(self, capsys, monkeypatch, family):
+        """--check makes floor(n/2) - 1 machine passes, quadratic in n, so it
+        refuses the smallest n of the family's parity above its own bound
+        before any pass."""
+        def no_pass(*args):
+            raise AssertionError("the machine was iterated")
+
+        monkeypatch.setattr(formulas, "iterate", no_pass)
+        n = WITNESS_CHECK_N_MAX + 1
+        n += (family == "even") != (n % 2 == 0)
+        code, out, err = run_cli(capsys, "witness", "--family", family, "--n", str(n), "--check")
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1 and str(WITNESS_CHECK_N_MAX) in err
+
+    def test_witness_check_at_its_bound(self, capsys):
+        """The even family, the slowest to check, at the bound (about 2 s)."""
+        n = WITNESS_CHECK_N_MAX
+        assert n % 2 == 0
+        code, out, _ = run_cli(capsys, "witness", "--family", "even", "--n", str(n), "--check")
+        assert code == 0 and out.endswith(" PASS\n")
 
     def test_witness_bad_parity(self, capsys):
         code, _, _ = run_cli(capsys, "witness", "--family", "even", "--n", "5")

@@ -29,6 +29,7 @@ from pss.engine import (
     west_recursive,
 )
 from pss.enumerator import brute_ord
+from pss.formulas import machine12_terminal_power, machine12_witness
 from pss.perms import all_perms, delete_one, identity, ins, reverse_identity, unrank
 from walk_oracle import dict_walk, state_at, synthetic_map
 
@@ -523,13 +524,91 @@ class TestSettledSuffix:
         assert f(x) == image != f(x[:k]) + x[k:]
 
 
+# map -> the entries at the end of a state's longest prefix that runs as
+# its settled permutation runs that one pass may move
+MOVED = {MapId.WEST: 1, MapId.S12: 1, MapId.S21: 1, MapId.MACHINE12: 2}
+
+
+def settled_run(map_id, x):
+    """m: the length of x's longest prefix that increases (decreases for
+    s21), at least 1."""
+    rises = SETTLED[map_id] is identity
+    m = 1
+    while m < len(x) and (x[m - 1] < x[m]) == rises:
+        m += 1
+    return m
+
+
+def witnesses(n):
+    """Each witness family at n or n + 1, whichever has its parity."""
+    return [machine12_witness(family, n + (n % 2 == (family == "even")))[0]
+            for family in ("even", "cycle", "pi213", "pi132", "pi312")]
+
+
+class TestUntouchedPrefix:
+    """A pass leaves x[:j] in place and acts on x[j:] as on a sequence of
+    its own: f(x) == x[:j] + f(x[j:]), where m is the length of x's longest
+    prefix that runs as the map's settled permutation runs and j = m - 1
+    (m - 2 for m12).  The walks pass x[j:] alone."""
+
+    @staticmethod
+    def assert_lemma(map_id, x):
+        f, j = pass_fn(map_id), max(settled_run(map_id, x) - MOVED[map_id], 0)
+        assert f(x) == x[:j] + f(x[j:]), (map_id, x, j)
+
+    @pytest.mark.parametrize("map_id", sorted(SETTLED))
+    def test_every_permutation_up_to_7(self, map_id):
+        for n in range(8):
+            for x in all_perms(n):
+                self.assert_lemma(map_id, x)
+
+    @pytest.mark.parametrize("map_id", sorted(SETTLED))
+    def test_long_inputs_and_their_states(self, map_id):
+        """Random permutations, rotations (and their complements) and the
+        witness families up to length 1000, and the states a quarter of
+        their orbit on."""
+        f, rng = pass_fn(map_id), random.Random(36)
+        for n in (9, 50, 301, 1000):
+            for x in [shuffled(n, rng.randrange(2**31)), rotation(n),
+                      complement(rotation(n)), *witnesses(n)]:
+                for _ in range(len(x) // 4):
+                    self.assert_lemma(map_id, x)
+                    x = f(x)
+
+    @pytest.mark.parametrize("map_id, x", [
+        (MapId.WEST, (1, 3, 2)),
+        (MapId.S12, (1, 3, 2)),
+        (MapId.S21, (3, 1, 2)),
+        (MapId.MACHINE12, (1, 3, 4, 2)),
+    ])
+    def test_no_longer_prefix_is_untouched(self, map_id, x):
+        """One entry more than j moves: x[:j + 1] is not left in place."""
+        f, j = pass_fn(map_id), settled_run(map_id, x) - MOVED[map_id]
+        assert f(x) != x[:j + 1] + f(x[j + 1:])
+
+    def test_west_pass_on_distinct_entries(self):
+        """``west_pass`` of a sequence of distinct entries that is not
+        1..n: every suffix of every permutation of S_6 and of long random
+        ones, and random draws of large entries."""
+        rng = random.Random(36)
+        longs = [shuffled(n, rng.randrange(2**31)) for n in (50, 300, 1000)]
+        drawn = [tuple(rng.sample(range(1, 2**30 - 1), n)) for n in (1, 2, 7, 100, 1000)]
+        for p in [*all_perms(6), *longs]:
+            for i in range(len(p)):
+                assert west_pass(p[i:]) == run_pass(p[i:], west_policy())[0], p[i:]
+        for p in drawn:
+            assert west_pass(p) == run_pass(p, west_policy())[0], p
+
+
 def counted_passes(monkeypatch):
-    """Count the calls to each pass by name, and the entries passed."""
-    calls = {"passes": 0, "entries": 0}
+    """Count the calls to each pass by name, the entries passed, and the
+    most entries one call passed."""
+    calls = {"passes": 0, "entries": 0, "widest": 0}
     for name in set(_PASSES.values()):
         def counted(p, f=getattr(engine, name)):
             calls["passes"] += 1
             calls["entries"] += len(p)
+            calls["widest"] = max(calls["widest"], len(p))
             return f(p)
         monkeypatch.setattr(engine, name, counted)
     return calls
@@ -563,14 +642,29 @@ class TestSettledWalk:
     @pytest.mark.parametrize("map_id", sorted(SETTLED))
     def test_a_settled_map_passes_fewer_entries(self, map_id, monkeypatch):
         """The rotation 2..n,1 (its complement for s21) settles one more
-        entry with each pass: the walk passes about half the entries of
-        the plain one."""
+        entry with each pass, and all but its last two unsettled entries
+        are a prefix that no pass moves: each pass of the walk reads at
+        most 3 entries, where the plain one reads all n."""
         calls, n = counted_passes(monkeypatch), 300
         p = rotation(n) if SETTLED[map_id] is identity else complement(rotation(n))
         _walk(pass_fn(map_id), identity(n), p)
-        plain, calls["entries"] = calls["entries"], 0
+        passes, widest = calls["passes"], calls["widest"]
+        calls.update(passes=0, widest=0)
         _settled_walk(map_id, p)
-        assert calls["entries"] < 0.6 * plain, (map_id, calls["entries"], plain)
+        assert calls["passes"] == passes and widest == n
+        assert calls["widest"] <= 3, (map_id, calls["widest"])
+
+    @pytest.mark.parametrize("n", [9, 10, 100, 301, 1000])
+    def test_witness_images_are_the_plain_walk(self, n, monkeypatch):
+        """``iterate`` of m12 over each witness family, as the witness
+        check runs it, is the plain walk's state, with the same passes."""
+        calls = counted_passes(monkeypatch)
+        for w in witnesses(n):
+            k, calls["passes"] = machine12_terminal_power(len(w)), 0
+            want = _walk(pass_fn(MapId.MACHINE12), identity(len(w)), w, k, (k,))[3][0]
+            passes, calls["passes"] = calls["passes"], 0
+            assert iterate(MapId.MACHINE12, w, k) == want, (w[:5], k)
+            assert calls["passes"] == passes
 
     def test_an_unsettled_map_passes_whole_states(self, monkeypatch):
         calls, p = counted_passes(monkeypatch), shuffled(300, 3)
