@@ -20,6 +20,6 @@ for n in range(1, 8):
     print(f"  n={n}: recurrence {count_machine21_fixed_points(n):>3}, brute {count:>3}")
 
 print("\nthe fixed points of length 4:")
-_, found = brute_fixed_points(MapId.MACHINE21, 4, collect=True)
+_, found = brute_fixed_points(MapId.MACHINE21, 4)
 for p in found:
     print("  ", format_perm(p))

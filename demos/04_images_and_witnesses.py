@@ -7,11 +7,11 @@ Explicit witness families reach each non-identity image point; this script
 iterates them step by step.
 """
 
-from pss import MapId, apply, brute_image, format_perm
+from pss import MapId, apply, brute_image, format_perm, iterate
 from pss.formulas import (
     image_machine12,
     machine12_terminal_power,
-    machine12_witness_check,
+    machine12_witness,
     witness_cycle,
     witness_even,
 )
@@ -41,6 +41,7 @@ print("\nall witness families at a glance (n=9 and n=10):")
 for n in (9, 10):
     fams = ["even"] if n % 2 == 0 else ["cycle", "pi213", "pi132", "pi312"]
     for fam in fams:
-        w, target, actual = machine12_witness_check(fam, n)
+        w, target = machine12_witness(fam, n)
+        actual = iterate(MapId.MACHINE12, w, machine12_terminal_power(n))
         ok = "ok" if target == actual else "MISMATCH"
         print(f"  n={n} {fam:6s} {format_perm(w)} -> {format_perm(actual)}  [{ok}]")

@@ -35,6 +35,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subcommands' included, whose parse errors are
+    usage errors, each printed by ``main`` as one line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _jobs(text: str) -> int:
     """argparse type of ``--jobs``: a worker count of at least 1."""
     try:
@@ -158,15 +166,13 @@ def cmd_image(args) -> int:
 def cmd_fixed_points(args) -> int:
     m = MapId(args.machine)
     _check_n(args.n)
-    count, found = enumerator.brute_fixed_points(
-        m, args.n, collect=args.list, jobs=args.jobs, force=args.force
-    )
+    count, found = enumerator.brute_fixed_points(m, args.n, jobs=args.jobs, force=args.force)
     if args.format == "json":
         doc = {"machine": m.value, "n": args.n, "count": str(count)}
-        if found is not None:
+        if args.list:
             doc["fixed_points"] = [format_perm(p) for p in found]
         print(json.dumps(doc, indent=2))
-    elif found is not None:
+    elif args.list:
         print(f"{count}: " + " | ".join(format_perm(p) for p in found))
     else:
         print(count)
@@ -177,12 +183,7 @@ def cmd_orbit(args) -> int:
     p = parse(args.perm)
     rep = orbit(MapId(args.map), p)
     if args.format == "json":
-        print(json.dumps({
-            "map": args.map, "perm": format_perm(p),
-            "tail_length": rep.tail_length, "cycle_length": rep.cycle_length,
-            "reaches_identity_at": rep.reaches_identity_at,
-            "is_periodic_point": rep.is_periodic_point,
-        }, indent=2))
+        print(json.dumps({"map": args.map, "perm": format_perm(p), **rep._asdict()}, indent=2))
     else:
         reach = rep.reaches_identity_at
         print(f"tail={rep.tail_length} cycle={rep.cycle_length} "
@@ -210,7 +211,7 @@ def cmd_witness(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.check:
-        _, _, actual = formulas.machine12_witness_check(args.family, args.n)
+        actual = iterate(MapId.MACHINE12, w, formulas.machine12_terminal_power(args.n))
         ok = target == actual
         print(f"{format_perm(w)} → {format_perm(actual)} {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
@@ -279,7 +280,7 @@ def _decimal(value: int) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pss",
         description="Stack-sorting maps on permutations: sorting, orbits, "
                     "run decompositions, and exhaustive claim verification.",
@@ -357,16 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, GuardExceeded, PermutationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # --help, which prints and exits 0
+        return exc.code
 
 
 if __name__ == "__main__":

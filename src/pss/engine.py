@@ -35,8 +35,7 @@ do they pass the untouched part of a state's longest prefix that runs as
 the settled permutation runs: all of it but its last entry (last two for
 m12) is a chain of one-entry runs that the pass leaves in place.  The
 rotation 2..n,1, which s12 sorts in n - 1 passes, then costs 2 entries a
-pass, not n: 13.5 ms at n = 1000 where it took 29.8 ms (2-core Linux
-machine, Python 3.11.7).
+pass, not n: 13.5 ms at n = 1000 (2-core Linux machine, Python 3.11.7).
 """
 
 from __future__ import annotations

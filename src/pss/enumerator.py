@@ -58,10 +58,11 @@ to n = 12 (9! and 578,290 states there).  Permutations and their columns
 are dropped once their chunk is counted, so no memory grows with n!.
 
 The public brute-force operations are one-kernel calls of ``_tally``, each
-reducing its Counter, and a cap on passes applies only in the reduction:
-the sort histogram buckets the first identity step up to its cap, exact-t
-counts repeat it along the cycle up to theirs, the order is the largest
-tail.
+reducing its Counter, and a pass count applies only in the reduction:
+the sort histogram buckets the first identity step up to its cap, an
+exact-t count adds the orbits that first reach the identity at t to those
+whose cycle brings it back at t, so it costs no more at a larger t, and
+the order is the largest tail.
 
 ``verify`` and ``verify_all`` are one path: a verification run gathers,
 for each n, the kernels of every claim at n, and sweeps each S_n once for
@@ -106,7 +107,7 @@ import random
 from collections import Counter
 from itertools import chain, compress, islice, permutations, repeat
 from operator import eq, getitem, itemgetter, ne, not_
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import formulas
 from .engine import (
@@ -114,6 +115,7 @@ from .engine import (
     DottedPattern,
     MapId,
     dotted_policy,
+    iterate,
     pass_fn,
     run_pass,
     s12_simulated,
@@ -701,14 +703,11 @@ def _histogram(shapes: Counter, t_cap: int) -> tuple[list[int], int]:
     return buckets, sum(shapes.values()) - sum(buckets)
 
 
-def _exact_counts(shapes: Counter, t_cap: int) -> list[int]:
-    """counts[t] = how many orbits are at the identity at step t."""
-    counts = [0] * (t_cap + 1)
-    for (hit, tail, cycle), c in shapes.items():
-        if hit is not None and hit <= t_cap:  # the identity recurs only if it is on the cycle
-            for t in range(hit, t_cap + 1, cycle) if hit >= tail else (hit,):
-                counts[t] += c
-    return counts
+def _at_identity(shapes: Counter, t: int) -> int:
+    """How many orbits are at the identity at step t: those that first
+    reach it at t, and those that reached it earlier on their cycle."""
+    return sum(c for (hit, tail, cycle), c in shapes.items()
+               if hit == t or hit is not None and tail <= hit < t and (t - hit) % cycle == 0)
 
 
 def sort_histogram(
@@ -724,7 +723,8 @@ def exact_sortable_counts(
 ) -> list[int]:
     """counts[t] = #{p in S_n : t-fold image of p is the identity}."""
     _check_pass_count(t_cap)
-    return _exact_counts(_shapes(map_id, n, jobs, force), t_cap)
+    shapes = _shapes(map_id, n, jobs, force)
+    return [_at_identity(shapes, t) for t in range(t_cap + 1)]
 
 
 def brute_t_sortable(
@@ -734,7 +734,8 @@ def brute_t_sortable(
 
     For maps that fix the identity this is the usual "sorted within t
     passes"."""
-    return exact_sortable_counts(map_id, n, t, jobs, force)[t]
+    _check_pass_count(t)
+    return _at_identity(_shapes(map_id, n, jobs, force), t)
 
 
 def brute_machine_sortable(
@@ -746,14 +747,13 @@ def brute_machine_sortable(
 
 
 def brute_fixed_points(
-    machine: MapId, n: int, collect: bool = False, jobs: int = 1, force: bool = False
-) -> tuple[int, Optional[list[Perm]]]:
-    """Fixed points of ``machine`` in S_n: their count and, with ``collect``,
-    the list in lexicographic order."""
+    machine: MapId, n: int, jobs: int = 1, force: bool = False
+) -> tuple[int, list[Perm]]:
+    """Fixed points of ``machine`` in S_n: their count and their list in
+    lexicographic order."""
     check_guard(n, force)
-    points = _tally(n, jobs, [(_fixed_point, (MapId(machine),))])[0]
-    found = sorted(points)
-    return len(found), (found if collect else None)
+    found = sorted(_tally(n, jobs, [(_fixed_point, (MapId(machine),))])[0])
+    return len(found), found
 
 
 def brute_image(
@@ -919,7 +919,7 @@ def _rows_t36(n):
         if sorts[True] == fixed:
             counts = [fixed] * (2 * n + 1)
         else:
-            counts = _exact_counts(_shapes(MapId.S21, n, 1, True), 2 * n)
+            counts = exact_sortable_counts(MapId.S21, n, 2 * n, 1, True)
         expected = formulas.count_t_sortable_s21(n)
         return [_count_row(n, f"t={t}", expected, counts[t]) for t in range(1, 2 * n + 1)]
 
@@ -970,7 +970,8 @@ def _rows_t54(n):
         out = [_set_row(n, f"power={k}", formulas.image_machine12(n), images)]
         families = ["even"] if n % 2 == 0 else ["cycle", "pi213", "pi132", "pi312"]
         for fam in families:
-            _, target, actual = formulas.machine12_witness_check(fam, n)
+            w, target = formulas.machine12_witness(fam, n)
+            actual = iterate(MapId.MACHINE12, w, k)
             out.append(Row(n, f"witness {fam}", format_perm(target), format_perm(actual)))
         return out
 

@@ -1,8 +1,9 @@
 """Closed-form counts, characterizations, image sets, and witness families.
 
 Every function here has a brute-force counterpart in :mod:`pss.enumerator`;
-the verification registry pairs them up.  Counts are exact Python ints, so
-they stay correct far beyond the brute-force ceiling.
+the verification registry pairs them up.  None makes a map pass: the
+witnesses are built here and iterated on the brute-force side.  Counts are
+exact Python ints, so they stay correct far beyond the brute-force ceiling.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from math import factorial
 from operator import add, mul
 
-from .engine import MapId, iterate
 from .perms import Perm, identity
 
 # -- one-pass sortability under the dotted maps ------------------------------
@@ -231,10 +231,3 @@ def machine12_witness(family: str, n: int) -> tuple[Perm, Perm]:
     else:
         raise ValueError(f"unknown witness family {family!r}")
     return w, target
-
-
-def machine12_witness_check(family: str, n: int) -> tuple[Perm, Perm, Perm]:
-    """Return (witness, claimed image, actual image after the claimed number
-    of machine passes) for one witness family."""
-    w, target = machine12_witness(family, n)
-    return w, target, iterate(MapId.MACHINE12, w, machine12_terminal_power(n))

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pss import engine, formulas
+from pss import cli, engine, formulas
 from pss.cli import WITNESS_CHECK_N_MAX, WITNESS_N_MAX, build_parser, main
-from pss.engine import MapId, apply
+from pss.engine import MapId, apply, iterate
 from pss.enumerator import CLAIM_IDS
 from pss.perms import format_perm, parse
 
@@ -261,6 +261,11 @@ class TestVerifyCommand:
         assert len(perms) == 5
 
 
+# the fixed points of the 21 machine in S_5
+M21_FIXED_5 = ["1,2,3,4,5", "2,1,3,4,5", "2,3,1,4,5", "2,3,4,1,5", "2,4,1,3,5", "3,1,2,4,5",
+               "3,2,4,1,5", "3,4,1,2,5", "4,1,2,3,5"]
+
+
 class TestOtherCommands:
     def test_image_auto_s12(self, capsys):
         code, out, _ = run_cli(
@@ -302,6 +307,20 @@ class TestOtherCommands:
         if listed:
             want["fixed_points"] = ["1,2,3", "2,1,3"]
         assert code == 0 and json.loads(out) == want
+
+    @pytest.mark.parametrize("argv, want", [
+        ([], "9\n"),
+        (["--list"], "9: " + " | ".join(M21_FIXED_5) + "\n"),
+        (["--format", "json"], '{\n  "machine": "m21",\n  "n": 5,\n  "count": "9"\n}\n'),
+        (["--format", "json", "--list"],
+         '{\n  "machine": "m21",\n  "n": 5,\n  "count": "9",\n  "fixed_points": [\n'
+         + ",\n".join(f'    "{p}"' for p in M21_FIXED_5) + "\n  ]\n}\n"),
+    ])
+    def test_fixed_points_bytes(self, capsys, argv, want):
+        """The list is printed only with --list, in both formats."""
+        code, out, err = run_cli(capsys, "fixed-points", "--machine", "m21", "--n", "5",
+                                 "--jobs", "1", *argv)
+        assert code == 0 and out == want and err == ""
 
     def test_fixed_points_count(self, capsys):
         code, out, _ = run_cli(
@@ -357,7 +376,8 @@ class TestOtherCommands:
     @pytest.mark.parametrize("family, n", [("even", 8), ("cycle", 9), ("pi213", 9),
                                            ("pi132", 7), ("pi312", 11)])
     def test_witness_check_reads_the_machine(self, capsys, family, n):
-        w, target, actual = formulas.machine12_witness_check(family, n)
+        w, target = formulas.machine12_witness(family, n)
+        actual = iterate(MapId.MACHINE12, w, n // 2 - 1)
         assert target == actual
         code, out, _ = run_cli(capsys, "witness", "--family", family, "--n", str(n), "--check")
         assert code == 0 and out == f"{format_perm(w)} → {format_perm(actual)} PASS\n"
@@ -369,10 +389,24 @@ class TestOtherCommands:
         ["fixed-points", "--machine", "s12", "--n", "3"],
         ["sort", "--map", "s12", "2," + "1" * 5000],
         ["orbit", "--map", "s12", "2," + "1" * 5000],
+        ["count", "--claim", "T3_4", "--n", "5", "--t", "0"],
+        ["count", "--claim", "RED", "--n", "3"],
+        # parse errors, which print no usage message either
+        [],
+        ["frob"],
+        ["verify"],
+        ["sort", "1,2"],
+        ["runs", "--kind", "peak"],
+        ["sort", "--map", "s99", "1,2"],
+        ["image", "--map", "s12", "--n", "x"],
+        ["witness", "--family", "even", "--n", "4.0"],
+        ["verify", "--claim", "all", "--jobs", "0"],
     ])
     def test_bad_value_is_usage_error(self, capsys, argv):
+        """Exit 2, nothing on stdout and one line on stderr."""
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "" and "error:" in err
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1, err
 
     @pytest.mark.parametrize("family", ["even", "pi213"])
     def test_witness_n_past_the_bound_is_usage_error(self, capsys, family):
@@ -389,7 +423,7 @@ class TestOtherCommands:
         def no_pass(*args):
             raise AssertionError("the machine was iterated")
 
-        monkeypatch.setattr(formulas, "iterate", no_pass)
+        monkeypatch.setattr(cli, "iterate", no_pass)
         n = WITNESS_CHECK_N_MAX + 1
         n += (family == "even") != (n % 2 == 0)
         code, out, err = run_cli(capsys, "witness", "--family", family, "--n", str(n), "--check")
@@ -491,9 +525,13 @@ class TestOtherCommands:
     @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
     def test_jobs_below_one_is_usage_error(self, capsys, argv, jobs):
         code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert code == 2 and out == ""
-        assert len(errors) == 1 and "--jobs" in errors[0]
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1 and "--jobs" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith("usage: pss") and err == ""
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--claim", "T4_2"],

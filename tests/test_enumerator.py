@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
@@ -222,8 +223,27 @@ class TestBruteCounts:
         assert brute_machine_sortable(MapId.MACHINE21, 3) == 4
         assert brute_machine_sortable(MapId.MACHINE21, 6) == 32
 
+    @pytest.mark.parametrize("map_id", list(MapId))
+    def test_t_sortable_counts_are_iterated_states(self, map_id):
+        """For every n <= 6 and t <= 3n, both counts are the number of p in
+        S_n whose t-fold image under ``iterate`` is the identity."""
+        for n in range(7):
+            ident, perms = identity(n), list(all_perms(n))
+            want = [sum(iterate(map_id, p, t) == ident for p in perms) for t in range(3 * n + 1)]
+            assert exact_sortable_counts(map_id, n, 3 * n) == want, n
+            assert [brute_t_sortable(map_id, n, t) for t in range(3 * n + 1)] == want, n
+
+    def test_a_huge_pass_count_costs_one_count(self):
+        """The count at step t is read off the orbit shapes, with no list
+        sized by t: at t = 10^18 every p of S_4 is sorted, and S_1's
+        identity is fixed by s21."""
+        start = time.perf_counter()
+        assert brute_t_sortable(MapId.S12, 4, 10**18) == 24
+        assert brute_t_sortable(MapId.S21, 1, 10**18) == 1
+        assert time.perf_counter() - start < 2
+
     def test_fixed_points_anchors(self):
-        count, found = brute_fixed_points(MapId.MACHINE21, 3, collect=True)
+        count, found = brute_fixed_points(MapId.MACHINE21, 3)
         assert count == 2
         assert found == [(1, 2, 3), (2, 1, 3)]
         assert brute_fixed_points(MapId.MACHINE21, 2)[0] == 1
@@ -718,7 +738,7 @@ class TestOracles:
     @pytest.mark.parametrize("machine", [MapId.MACHINE12, MapId.MACHINE21])
     def test_fixed_points_is_oracle(self, machine):
         want = sorted(states[0] for states in oracle_orbits(machine) if states[1] == states[0])
-        assert brute_fixed_points(machine, ORACLE_N, collect=True) == (len(want), want)
+        assert brute_fixed_points(machine, ORACLE_N) == (len(want), want)
 
 
 def counted_passes(monkeypatch) -> Counter:
@@ -908,6 +928,17 @@ class TestMemoisedWalk:
         sort_histogram(MapId.S12, 6, 6)
         sort_histogram(MapId.S21, 6, 6)
         assert calls == {"s12_closed_form": 1153, "s21_closed_form": 1153}
+
+    @pytest.mark.parametrize("ident_at", [0, 4, 12, 39, 119])
+    def test_exact_counts_follow_the_cycle(self, monkeypatch, ident_at):
+        """The identity recurs every cycle steps when it is periodic (at 4
+        and 12 on a cycle longer than 1) and never when it is in a tree."""
+        f, ident = synthetic_map(1, ident_at), identity(5)
+        monkeypatch.setattr(enumerator, "pass_fn", lambda map_id: f)
+        walks = [dict_walk(f, ident, p) for p in all_perms(5)]
+        want = [sum(state_at(w, t) == ident for w in walks) for t in (*range(31), 10**18)]
+        assert exact_sortable_counts(MapId.S12, 5, 30) == want[:-1]
+        assert [brute_t_sortable(MapId.S12, 5, t) for t in (*range(31), 10**18)] == want
 
     def test_synthetic_maps_have_long_cycles(self):
         f = synthetic_map(1, 119)

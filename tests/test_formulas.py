@@ -1,5 +1,7 @@
+import ast
 import hashlib
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,60 @@ from pss import formulas
 from pss.cli import main
 from pss.engine import MapId, apply, iterate, s21_closed_form
 from pss.perms import all_perms, identity, reverse_identity, valley_runs
+
+
+def imported_modules(source):
+    """The module of every import in ``source``, and each name that a
+    ``from`` import takes from it as a submodule, relative imports read
+    inside pss."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["pss" if node.level else "", node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def brute_force_imports(source):
+    return [m for m in imported_modules(source)
+            if m.split(".")[:2] in (["pss", "engine"], ["pss", "enumerator"])]
+
+
+@pytest.mark.parametrize("source", [
+    "from .engine import MapId, iterate",
+    "from . import enumerator",
+    "import pss.engine",
+    "from pss.enumerator import brute_image",
+])
+def test_a_brute_force_import_is_found(source):
+    assert brute_force_imports(source)
+
+
+def test_formulas_imports_no_brute_force():
+    """The closed forms share no code with the sweep or the passes: no
+    import of formulas.py reaches pss.engine or pss.enumerator."""
+    source = Path(formulas.__file__).read_text(encoding="utf-8")
+    assert "pss.perms" in imported_modules(source)
+    assert brute_force_imports(source) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: formulas.count_t_sortable_s12(0, 1),
+    lambda: formulas.count_t_sortable_s12(3, 0),
+    lambda: formulas.count_t_sortable_s21(0),
+    lambda: formulas.count_machine21_sortable(0),
+    lambda: formulas.count_machine21_fixed_points(-1),
+    lambda: formulas.count_highly_sorted_s12(1),
+    lambda: formulas.image_s12_power(1),
+    lambda: formulas.machine12_bound(1),
+    lambda: formulas.image_machine12(3),
+    lambda: formulas.machine12_witness("odd", 5),
+], ids=["s12-n", "s12-t", "s21", "m21-sortable", "m21-fixed", "highly-sorted",
+        "s12-image", "m12-bound", "m12-image", "witness-family"])
+def test_a_closed_form_refuses_its_domain_edge(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def fixed_shape_by_segments(p):
@@ -238,5 +294,5 @@ class TestWitnesses:
             ["even"] if n % 2 == 0 else ["cycle", "pi213", "pi132", "pi312"]
         )
         for fam in families:
-            _, target, actual = formulas.machine12_witness_check(fam, n)
-            assert actual == target, (fam, n)
+            w, target = formulas.machine12_witness(fam, n)
+            assert iterate(MapId.MACHINE12, w, n // 2 - 1) == target, (fam, n)
